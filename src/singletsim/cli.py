@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from . import watches as wt
-from .geometry import UnitVector
+from .geometry import UnitVector, planar_vector
 from .metrics import (
     CHSH_LABELS,
     ChshConfig,
@@ -29,7 +29,7 @@ from .metrics import (
     two_sample_chi_square,
 )
 from .models import MODEL_KINDS, SamplerFailure, SettingsPair
-from .optimizer import SearchOptions, maximize_chsh, planar_vector
+from .optimizer import SearchOptions, maximize_chsh
 from .protocol import (
     ExperimentConfig,
     ProtocolIntegrityError,
@@ -122,7 +122,6 @@ def _build_experiment_config(args) -> tuple[str, ExperimentConfig]:
         bank = wt.WatchBank(
             wt.WatchSpec(*wp["H"], wt.CLOCKWISE, epoch),
             wt.WatchSpec(*wp["T"], wt.CLOCKWISE, epoch),
-            wt.WatchSpec(*wp["0"], wt.CLOCKWISE, epoch) if "0" in wp else None,
         )
     else:
         bank = wt.WatchBank.default(float(file_cfg.get("epoch", 0.0)))
@@ -223,14 +222,20 @@ def _verify_watches(seed):
     dt = rng.uniform(0.0, 100.0, size=n)
     worst = 0.0
     for w in (bank.watch_H, bank.watch_T):
-        for i in range(n):
-            p = wt.phases_to_vector(wt.read_phases(w, t[i] - dt[i])).as_array()
-            b = wt.batter_vectors_array(w.mirrored(), [t[i]], float(dt[i]))[0]
-            worst = max(worst, float(np.max(np.abs(p - b))))
-            if worst > 1e-9:
-                break
+        pitcher = wt.watch_vectors_array(w, t - dt)
+        batter = wt.batter_vectors_array(w.mirrored(), t, dt)
+        worst = max(worst, float(np.max(np.abs(pitcher - batter))))
     ok = worst <= 1e-9
     return [("watch round-trip", f"max err={worst:.3e}", ok)], ok
+
+
+def _joint_cells(kind, n, seed):
+    """Counts of one realization's joint samples over (u octant, sigma, tau)
+    cells.  A function of its own, so that one realization's samples are
+    freed before the next is drawn."""
+    u, sig, tau = sample_joint_spin_outcomes(kind, n, seed)
+    oct_idx = (u[:, 0] >= 0) * 4 + (u[:, 1] >= 0) * 2 + (u[:, 2] >= 0)
+    return np.bincount(oct_idx * 4 + (1 - sig) + (1 - tau) // 2, minlength=32)
 
 
 def cmd_verify(args) -> int:
@@ -257,12 +262,7 @@ def cmd_verify(args) -> int:
     overall &= w_ok
     if "B1" in models and "B2" in models:
         n = min(args.trials, 1_000_000)
-        bins = []
-        for kind in ("B1", "B2"):
-            u, sig, tau = sample_joint_spin_outcomes(kind, n, args.seed)
-            oct_idx = (u[:, 0] >= 0) * 4 + (u[:, 1] >= 0) * 2 + (u[:, 2] >= 0)
-            cell = oct_idx * 4 + (1 - sig) + (1 - tau) // 2
-            bins.append(np.bincount(cell, minlength=32))
+        bins = [_joint_cells(kind, n, args.seed) for kind in ("B1", "B2")]
         stat, p, dof = two_sample_chi_square(bins[0], bins[1])
         ok = p > P_THRESHOLD
         overall &= ok
@@ -389,13 +389,12 @@ def cmd_freewill(args) -> int:
 
 def cmd_audit(args) -> int:
     try:
-        log = read_event_log(args.log)
+        report = audit_locality(read_event_log(args.log), args.model)
     except (OSError, ValueError) as exc:
         print(f"cannot read event log: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = audit_locality(log, args.model)
     if report.passed:
-        print(f"audit: PASS ({len(log)} messages, 0 violations)")
+        print(f"audit: PASS ({report.messages} messages, 0 violations)")
         return EXIT_OK
     print(f"audit: FAIL ({len(report.violations)} violations)")
     for seq, rule, desc in report.violations:

@@ -78,21 +78,26 @@ def from_angles(theta: float, phi: float) -> UnitVector:
     return UnitVector.normalized(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
 
 
-def sample_uniform_sphere(rng: np.random.Generator) -> UnitVector:
-    """One draw from the uniform measure on S2 (azimuth uniform, cos(theta) uniform)."""
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    ct = rng.uniform(-1.0, 1.0)
-    st = math.sqrt(max(0.0, 1.0 - ct * ct))
-    return UnitVector.normalized(st * math.cos(phi), st * math.sin(phi), ct)
-
-
 def sample_uniform_sphere_array(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniform points on S2 as an (n, 3) array; vectorized twin of
-    sample_uniform_sphere."""
+    """n uniform points on S2 as an (n, 3) array (azimuth uniform, cos(theta)
+    uniform)."""
     phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
     ct = rng.uniform(-1.0, 1.0, size=n)
     st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
     return np.column_stack([st * np.cos(phi), st * np.sin(phi), ct])
+
+
+def planar_vector(angle_deg: float) -> UnitVector:
+    """The unit vector at ``angle_deg`` from the z axis towards the x axis, in
+    the x-z plane that holds every coplanar setting."""
+    a = math.radians(angle_deg)
+    return UnitVector.normalized(math.sin(a), 0.0, math.cos(a))
+
+
+def rowdot(a, b) -> np.ndarray:
+    """Row-wise dot products of (n, 3) arrays; either side may instead be one
+    (3,) vector shared by every row."""
+    return np.einsum("...j,...j->...", a, b)
 
 
 def sign_array(x: np.ndarray) -> np.ndarray:

@@ -226,13 +226,12 @@ def normalization_check(
         )
         return val, 1e-9
     if method == "monte_carlo":
-        from .geometry import sample_uniform_sphere_array, sign_array
-        from .models import hall_g_array
+        from .geometry import sample_uniform_sphere_array
+        from .models import hall_f_array, hall_g_array
 
         rng = rng if rng is not None else np.random.default_rng(0)
         u = sample_uniform_sphere_array(rng, mc_samples)
-        nl, nr = s.n_L.as_array(), s.n_R.as_array()
-        f = sign_array(u @ nl) * sign_array(-(u @ nr)) * s.cos_angle()
+        f = hall_f_array(u, s.n_L.as_array(), s.n_R.as_array())
         vals = 4.0 * math.pi * hall_g_array(f)
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_samples))
     raise ValueError(f"unknown method: {method!r}")

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import UnitVector, dot, sign, sign_array, sample_uniform_sphere_array
+from .geometry import UnitVector, dot, rowdot, sign, sample_uniform_sphere_array, sign_array
 
 MODEL_KINDS = ("A", "B1", "B2", "C", "QM")
 
@@ -41,64 +41,11 @@ class SettingsPair:
         return dot(self.n_L, self.n_R)
 
 
-@dataclass(frozen=True)
-class HiddenState:
-    """The pitched pair: left ball spins along u, right ball along -u.
-
-    The partner spin is always derived, never stored, so the anti-alignment
-    constraint cannot drift.
-    """
-
-    u: UnitVector
-
-    @property
-    def v(self) -> UnitVector:
-        return -self.u
-
-
-@dataclass(frozen=True)
-class CoinPair:
-    """The pitcher's two fair coins: watch choice w and pitch direction d."""
-
-    w: str  # 'H' or 'T'
-    d: int  # +1 or -1
-
-    def __post_init__(self):
-        if self.w not in ("H", "T"):
-            raise ValueError(f"watch coin must be 'H' or 'T', got {self.w!r}")
-        if self.d not in (1, -1):
-            raise ValueError(f"direction coin must be +1 or -1, got {self.d!r}")
-
-
-@dataclass(frozen=True)
-class DensityEval:
-    """A point evaluation of the Hall density: the sign-weighted overlap f and
-    the density per steradian."""
-
-    f: float
-    value: float
-
-
-def response_linear(sigma: int, n: UnitVector, u: UnitVector) -> float:
-    """Probability of outcome sigma for a ball spinning along u and a bat along n."""
-    return 0.5 * (1.0 + sigma * dot(n, u))
-
-
-def response_deterministic(n: UnitVector, u: UnitVector) -> int:
-    """Deterministic outcome sign(u.n), with the sign(0) = +1 convention."""
-    return sign(dot(u, n))
-
-
-def sample_hidden_A(s: SettingsPair, coins: CoinPair) -> HiddenState:
-    """Model A hidden state: u = d * n_w with the index identification
-    H = right, T = left.  Fair coins give each of the four atoms weight 1/4."""
-    n_w = s.n_R if coins.w == "H" else s.n_L
-    return HiddenState(n_w if coins.d == 1 else -n_w)
-
-
-def hall_f(u: UnitVector, s: SettingsPair) -> float:
-    """The sign-weighted setting overlap sgn(u.n_L) * sgn(-u.n_R) * n_L.n_R."""
-    return sign(dot(u, s.n_L)) * sign(-dot(u, s.n_R)) * s.cos_angle()
+def hall_f_array(u, n_L, n_R) -> np.ndarray:
+    """The sign-weighted setting overlap sgn(u.n_L) * sgn(-u.n_R) * n_L.n_R,
+    row by row; any argument may be one (3,) vector shared by every row."""
+    c = np.clip(rowdot(n_L, n_R), -1.0, 1.0)
+    return sign_array(rowdot(u, n_L)) * sign_array(-rowdot(u, n_R)) * c
 
 
 def hall_g(f: float) -> float:
@@ -123,12 +70,6 @@ def hall_g_array(f: np.ndarray) -> np.ndarray:
     return out
 
 
-def hall_density(u: UnitVector, s: SettingsPair) -> DensityEval:
-    """The Hall spin density at u for settings s, per steradian."""
-    f = hall_f(u, s)
-    return DensityEval(f=f, value=hall_g(f))
-
-
 @lru_cache(maxsize=1)
 def rejection_bound() -> float:
     """Global bound on hall_g over [-1, 1], found by golden-section search and
@@ -141,7 +82,10 @@ def rejection_bound() -> float:
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = hall_g(c), hall_g(d)
-    while b - a > 1e-10:
+    # each step shrinks [a, b] by invphi: 50 steps take it from 2 below 1e-10
+    for _ in range(64):
+        if b - a <= 1e-10:
+            break
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -153,81 +97,78 @@ def rejection_bound() -> float:
     return 1.01 * max(fc, fd)
 
 
-_PROPOSAL_CAP = 10**6
+_MAX_ROUNDS = 64
 
 
-def sample_hidden_B1_array(
-    s: SettingsPair, rng: np.random.Generator, n: int
-) -> np.ndarray:
-    """n spins from the Hall density for settings s, as an (n, 3) array.
+def _sample_rows(n, parts, rng, propose):
+    """Per-row rejection sampling against the Hall density bound.
 
-    Rejection sampling with a uniform proposal on S2; the acceptance rate is
-    1/(4 pi U) ~ 0.87, so the loop terminates fast unless the bound is broken.
+    ``propose(rows)`` draws one uniform proposal for each pending row index in
+    ``rows``: a list of ``parts`` (m, 3) arrays and their Hall overlaps f.
+    Returns the accepted proposals as ``parts`` (n, 3) arrays.
+
+    Each round gives every pending row one proposal, which it accepts with
+    probability 1/(4 pi U) ~ 0.870, U = rejection_bound(), whatever its
+    settings or spin, because the density integrates to 1 against the uniform
+    proposal.  A row survives all _MAX_ROUNDS = 64 rounds with chance
+    0.1302**64 ~ 2.1e-57.  So even 2**63 sampled rows, the int64 limit on the
+    trial count the CLI accepts, raise a false SamplerFailure with chance
+    below 2e-38.
     """
     bound = rejection_bound()
-    nl = s.n_L.as_array()
-    nr = s.n_R.as_array()
-    c = s.cos_angle()
-    out = np.empty((n, 3))
-    got = 0
-    proposed = 0
-    cap = _PROPOSAL_CAP * max(1, n)
-    while got < n:
-        batch = max(256, int(1.3 * (n - got)))
-        proposed += batch
-        if proposed > cap:
-            raise SamplerFailure("hall-density sampler exceeded its proposal budget")
-        u = sample_uniform_sphere_array(rng, batch)
-        f = sign_array(u @ nl) * sign_array(-(u @ nr)) * c
-        accept = rng.uniform(0.0, bound, size=batch) < hall_g_array(f)
-        acc = u[accept]
-        take = min(n - got, acc.shape[0])
-        out[got : got + take] = acc[:take]
-        got += take
-    return out
+    out = [np.empty((n, 3)) for _ in range(parts)]
+    pending = np.arange(n)
+    for _ in range(_MAX_ROUNDS):
+        props, f = propose(pending)
+        ok = rng.uniform(0.0, bound, size=pending.size) < hall_g_array(f)
+        for o, p in zip(out, props):
+            o[pending[ok]] = p[ok]
+        pending = pending[~ok]
+        if not pending.size:
+            return out
+    raise SamplerFailure(f"{pending.size} rows rejected {_MAX_ROUNDS} proposals each; "
+                         "the density bound is broken")
 
 
-def sample_hidden_B1(s: SettingsPair, rng: np.random.Generator) -> HiddenState:
-    u = sample_hidden_B1_array(s, rng, 1)[0]
-    return HiddenState(UnitVector.from_array(u))
+def _rows(a, rows):
+    """The pending rows of a per-row array, copied only once some rows are
+    done; a shared (3,) vector as it is."""
+    return a if a.ndim == 1 or rows.size == len(a) else a[rows]
+
+
+def sample_hidden_B1_array(s, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n spins from the Hall density given the settings, as an (n, 3) array.
+
+    ``s`` is the pair (n_L, n_R), each of shape (3,) for one settings pair
+    shared by every row or (n, 3) for settings per row.
+    """
+    n_L, n_R = (np.asarray(x, dtype=float) for x in s)
+
+    def propose(rows):
+        u = sample_uniform_sphere_array(rng, rows.size)
+        return [u], hall_f_array(u, _rows(n_L, rows), _rows(n_R, rows))
+
+    return _sample_rows(n, 1, rng, propose)[0]
 
 
 def sample_settings_B2_array(
-    u: UnitVector, rng: np.random.Generator, n: int
+    u, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """n settings pairs from the spin-conditioned density
     (1/4 pi) * Pi(u | n_L, n_R) on S2 x S2, as two (n, 3) arrays.
 
-    Same rejection scheme as the B1 sampler: the density differs from the
-    uniform product only through hall_g, so the same bound applies.
+    ``u`` holds the spins, of shape (n, 3), or (3,) for one spin shared by
+    every row.  The density differs from the uniform product only through
+    hall_g, so the B1 bound applies.
     """
-    bound = rejection_bound()
-    ua = u.as_array()
-    out_l = np.empty((n, 3))
-    out_r = np.empty((n, 3))
-    got = 0
-    proposed = 0
-    cap = _PROPOSAL_CAP * max(1, n)
-    while got < n:
-        batch = max(256, int(1.3 * (n - got)))
-        proposed += batch
-        if proposed > cap:
-            raise SamplerFailure("settings sampler exceeded its proposal budget")
-        nl = sample_uniform_sphere_array(rng, batch)
-        nr = sample_uniform_sphere_array(rng, batch)
-        c = np.clip(np.einsum("ij,ij->i", nl, nr), -1.0, 1.0)
-        f = sign_array(nl @ ua) * sign_array(-(nr @ ua)) * c
-        accept = rng.uniform(0.0, bound, size=batch) < hall_g_array(f)
-        take = min(n - got, int(accept.sum()))
-        out_l[got : got + take] = nl[accept][:take]
-        out_r[got : got + take] = nr[accept][:take]
-        got += take
-    return out_l, out_r
+    u = np.asarray(u, dtype=float)
 
+    def propose(rows):
+        n_L = sample_uniform_sphere_array(rng, rows.size)
+        n_R = sample_uniform_sphere_array(rng, rows.size)
+        return [n_L, n_R], hall_f_array(_rows(u, rows), n_L, n_R)
 
-def sample_settings_B2(u: UnitVector, rng: np.random.Generator) -> SettingsPair:
-    nl, nr = sample_settings_B2_array(u, rng, 1)
-    return SettingsPair(UnitVector.from_array(nl[0]), UnitVector.from_array(nr[0]))
+    return tuple(_sample_rows(n, 2, rng, propose))
 
 
 def joint_analytic(kind: str, sigma: int, tau: int, s: SettingsPair) -> float:

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import UnitVector
+from .geometry import planar_vector
 from .metrics import ChshConfig, chsh, chsh_analytic
 from .models import MODEL_KINDS
 from .protocol import ExperimentConfig, run_experiment
 
 _EPS = 1e-12
+_EMPIRICAL_TOP_K = 3  # analytic candidates that empirical mode re-scores
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,6 @@ class SearchOptions:
     coarse_deg: float = 15.0
     refine_iters: int = 40
     trials_per_eval: int = 10_000
-    plane_restricted: bool = True
-    empirical_top_k: int = 3
 
     def __post_init__(self):
         if self.mode not in ("analytic", "empirical"):
@@ -39,8 +38,6 @@ class SearchOptions:
             raise ValueError("coarse grid resolution must divide 360 degrees")
         if self.refine_iters < 0:
             raise ValueError("refinement iterations must be >= 0")
-        if not self.plane_restricted:
-            raise ValueError("only the coplanar parametrization is implemented")
 
 
 @dataclass
@@ -50,11 +47,6 @@ class SearchResult:
     angles_deg: tuple
     evaluations: int
     mode: str
-
-
-def planar_vector(angle_deg: float) -> UnitVector:
-    a = math.radians(angle_deg)
-    return UnitVector.normalized(math.sin(a), 0.0, math.cos(a))
 
 
 def config_from_angles(a, a_p, b, b_p) -> ChshConfig:
@@ -175,7 +167,7 @@ def maximize_chsh(kind: str, opts: SearchOptions = SearchOptions(), seed: int = 
         return SearchResult(cfg, chsh_analytic(kind, cfg).E, angles, evals, "analytic")
 
     best = None
-    for e, m, angles in candidates[: opts.empirical_top_k]:
+    for e, m, angles in candidates[:_EMPIRICAL_TOP_K]:
         cfg = config_from_angles(*angles)
         emp = _empirical_E(kind, cfg, opts.trials_per_eval, seed)
         evals += 4 * opts.trials_per_eval

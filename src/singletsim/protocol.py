@@ -2,43 +2,46 @@
 trials, plus the event log and auditor that make the no-communication claim
 testable.
 
-Two execution paths share one statistical law:
+One execution path serves every run.  :func:`run_chunk` simulates a chunk of
+up to 2^17 trials of one settings pair, or of the free-running watch-driven
+stream, and returns its columns: trial id, pitch time, spin, sigma and tau.
+Each role draws only from its own counter-based stream, keyed by
+(seed, tag, chunk, role):
 
-* the logged path runs trials one by one through :func:`run_trial`, with each
-  agent drawing from its own counter-based stream keyed by
-  (experiment_seed, trial_id, role), and records every message;
-* the bulk path vectorizes whole chunks of trials per settings pair for the
-  million-trial verification runs, with chunk-keyed streams.
+* the pitcher draws the pitch-time jitter, the coins and the spin;
+* each batter draws only its own response uniforms, and sees only the ball
+  columns and its own mirrored watch;
+* the coordinator draws what no station may: the settings it installs in the
+  batters' watches for B2 driven by a free-ticking spin, and the joint
+  outcomes of the analytic QM reference.
 
-Both are pure functions of (config, seed); the bulk path trades per-trial
-stream granularity for throughput and is used only when no event log is
-requested.
+Counts are a bincount of the sigma and tau columns.  The event log is a view
+that re-runs the same chunks when it is iterated and spells each trial out as
+messages, so logging never changes the counts and a run's log is never held
+in memory.  Output is a pure function of (kind, config); the thread count
+only affects wall time.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+from array import array
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import watches as wt
-from .geometry import UnitVector, sample_uniform_sphere, sign_array
+from .geometry import rowdot, sample_uniform_sphere_array, sign_array
 from .models import (
-    CoinPair,
-    HiddenState,
     MODEL_KINDS,
     SettingsPair,
     joint_analytic,
-    response_deterministic,
-    response_linear,
-    sample_hidden_A,
-    sample_hidden_B1,
     sample_hidden_B1_array,
-    sample_settings_B2,
+    sample_settings_B2_array,
 )
 
 PITCHER = "pitcher"
@@ -51,6 +54,7 @@ OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 SETTING_AGREEMENT_TOL = 1e-9
 
 _CHUNK = 1 << 17
+_LOG_ROWS = 4096  # trials turned into Python objects at a time when logging
 
 
 class ProtocolIntegrityError(RuntimeError):
@@ -81,19 +85,13 @@ class ExperimentConfig:
         if not self.watch_driven and not self.settings_pairs:
             raise ValueError("fixed-settings mode needs at least one settings pair")
 
+    def streams(self) -> list[tuple[str, Optional[SettingsPair]]]:
+        """The independent trial streams: one per settings pair, or the single
+        free-running one, whose settings come off the watches."""
+        return [("free-running", None)] if self.watch_driven else self.settings_pairs
 
-@dataclass(frozen=True)
-class TrialRecord:
-    trial_id: int
-    model: str
-    t_pitch: float
-    delta_t: float
-    settings: SettingsPair
-    hidden: Optional[HiddenState]
-    coins: Optional[CoinPair]
-    outcome_L: int
-    outcome_R: int
-    seed: int
+    def chunks(self) -> int:
+        return -(-self.trials // _CHUNK)
 
 
 @dataclass(frozen=True)
@@ -106,20 +104,47 @@ class Message:
     payload: dict
 
 
-@dataclass
+@dataclass(frozen=True)
+class Chunk:
+    """One chunk of trials as columns.  The left ball spins along ``spin``,
+    the right ball along its negation; QM trials pitch no balls.  Outcomes
+    are int8 +-1."""
+
+    first_id: int
+    t_pitch: np.ndarray
+    spin: Optional[np.ndarray]
+    sigma: np.ndarray
+    tau: np.ndarray
+
+    @property
+    def trial_id(self) -> np.ndarray:
+        """The chunk's trial ids, consecutive from ``first_id``."""
+        return np.arange(self.first_id, self.first_id + self.t_pitch.size)
+
+
+@dataclass(frozen=True)
 class EventLog:
-    messages: list = field(default_factory=list)
+    """The messages of a logged run, as a view: iterating re-runs the run's
+    chunks one at a time and spells each trial out as its balls at the pitch
+    time, then its result reports at the arrival time."""
 
-    def append(self, t_send: float, sender: str, receiver: str, kind: str, payload: dict):
-        self.messages.append(
-            Message(len(self.messages), t_send, sender, receiver, kind, payload)
-        )
-
-    def __iter__(self):
-        return iter(self.messages)
+    kind: str
+    config: ExperimentConfig
 
     def __len__(self):
-        return len(self.messages)
+        per_trial = 2 if self.kind == "QM" else 4
+        return per_trial * self.config.trials * len(self.config.streams())
+
+    def __iter__(self):
+        seq = itertools.count()
+        for si in range(len(self.config.streams())):
+            for ci in range(self.config.chunks()):
+                # the message generator holds the only reference to the chunk,
+                # so each chunk is freed before the next one is simulated
+                chunk = _chunk_messages(run_chunk(self.kind, self.config, si, ci),
+                                        self.config.delta_t)
+                for fields in chunk:
+                    yield Message(next(seq), *fields)
 
 
 @dataclass
@@ -150,285 +175,129 @@ class CountTable:
 class AuditReport:
     passed: bool
     violations: list = field(default_factory=list)
+    messages: int = 0
 
 
-def agent_stream(seed: int, trial_id: int, role: str) -> np.random.Generator:
-    """Counter-based stream for one agent in one trial: each agent's
-    randomness is locally generated, never shared at runtime."""
-    digest = hashlib.sha256(f"{seed}:{trial_id}:{role}".encode()).digest()
+def _stream(seed: int, *key) -> np.random.Generator:
+    """Counter-based Philox stream keyed by a SHA-256 digest of (seed, key).
+    Every digest also holds the word "bulk", so that the joint samples of
+    :func:`sample_joint_spin_outcomes` keep their seed-to-sample mapping."""
+    digest = hashlib.sha256(":".join(map(str, (seed, "bulk") + key)).encode()).digest()
     return np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
 
 
-def _bulk_stream(seed: int, tag: str, chunk: int) -> np.random.Generator:
-    digest = hashlib.sha256(f"{seed}:bulk:{tag}:{chunk}".encode()).digest()
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
-
-
-def _trial_settings(kind, config, trial_id, t_pitch):
-    """Per-trial settings as seen by each side.
-
-    Returns (pitcher_view, batter_view).  In watch-driven mode both sides
-    read their own watches and must agree without any message; in fixed mode
-    the pinned orientations are shared pre-trial state.
-    """
-    if config.watch_driven:
-        t_arrival = t_pitch + config.delta_t
-        b_L = UnitVector.from_array(
-            wt.batter_vectors_array(config.bank.watch_T.mirrored(), [t_arrival], config.delta_t)[0]
+def _watch_settings(config, first_id, t_pitch):
+    """Per-trial settings as the batters read them: the mirrored watch at
+    arrival, corrected by the time of flight.  A logged run also reads the
+    pitcher's clockwise watches, and stops if the two views disagree."""
+    bank, dt = config.bank, config.delta_t
+    t_arrival = t_pitch + dt
+    n_L = wt.batter_vectors_array(bank.watch_T.mirrored(), t_arrival, dt)
+    n_R = wt.batter_vectors_array(bank.watch_H.mirrored(), t_arrival, dt)
+    if config.log_events:
+        err = np.maximum(
+            np.abs(wt.watch_vectors_array(bank.watch_T, t_pitch) - n_L).max(axis=1),
+            np.abs(wt.watch_vectors_array(bank.watch_H, t_pitch) - n_R).max(axis=1),
         )
-        b_R = UnitVector.from_array(
-            wt.batter_vectors_array(config.bank.watch_H.mirrored(), [t_arrival], config.delta_t)[0]
-        )
-        p_L = wt.pitcher_vector(config.bank, "T", t_pitch)
-        p_R = wt.pitcher_vector(config.bank, "H", t_pitch)
-        for p, b in ((p_L, b_L), (p_R, b_R)):
-            err = max(abs(p.x - b.x), abs(p.y - b.y), abs(p.z - b.z))
-            if err > SETTING_AGREEMENT_TOL:
-                raise ProtocolIntegrityError(
-                    f"watch round-trip mismatch {err:.3e} at trial {trial_id}"
-                )
-        return SettingsPair(p_L, p_R), SettingsPair(b_L, b_R)
-    pair = config.settings_pairs[0][1]
-    return pair, pair
+        bad = np.flatnonzero(err > SETTING_AGREEMENT_TOL)
+        if bad.size:
+            raise ProtocolIntegrityError(
+                f"watch round-trip mismatch {err[bad[0]]:.3e} at trial {first_id + bad[0]}"
+            )
+    return n_L, n_R
 
 
-def run_trial(kind: str, config: ExperimentConfig, trial_id: int):
-    """Execute one pitch-bat-report cycle; returns (TrialRecord, messages).
-
-    Deterministic in (kind, config, seed, trial_id).  In fixed-settings mode
-    the first configured pair is the active one; run_experiment rotates pairs
-    by building per-pair configs.
-    """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind: {kind!r}")
-    if trial_id < 0:
-        raise ValueError("trial_id must be >= 0")
-    seed = config.seed
-    rng_p = agent_stream(seed, trial_id, PITCHER)
-    rng_l = agent_stream(seed, trial_id, BATTER_L)
-    rng_r = agent_stream(seed, trial_id, BATTER_R)
-    rng_c = agent_stream(seed, trial_id, COORDINATOR)
-
-    epoch = config.bank.watch_H.epoch
-    t_pitch = epoch + (trial_id + rng_p.uniform()) * config.pitch_gap
-    t_arrival = t_pitch + config.delta_t
-    messages = []
-    coins = None
-    hidden = None
-
-    if kind == "B2" and config.watch_driven:
-        # Free-ticking spin watch gives a uniform spin; the coordinator
-        # realizes the clock coupling by installing the settings into the
-        # batters' watches before the trial (shared state, not a message).
-        u = sample_uniform_sphere(rng_p)
-        settings = sample_settings_B2(u, rng_c)
-        hidden = HiddenState(u)
-    else:
-        pitcher_settings, batter_settings = _trial_settings(
-            kind, config, trial_id, t_pitch
-        )
-        if kind in ("A", "C"):
-            w = "H" if rng_p.integers(0, 2) == 1 else "T"
-            d = 1 if rng_p.integers(0, 2) == 1 else -1
-            coins = CoinPair(w, d)
-            hidden = sample_hidden_A(pitcher_settings, coins)
-        elif kind in ("B1", "B2"):
-            # fixed-settings B2 conditions the clock coupling on the pinned
-            # settings, which is the same spin law as B1
-            hidden = sample_hidden_B1(pitcher_settings, rng_p)
-        settings = batter_settings
-
-    if kind == "QM":
-        probs = [joint_analytic("QM", s, t, settings) for s, t in OUTCOMES]
-        out_l, out_r = OUTCOMES[rng_c.choice(4, p=probs)]
-        messages.append((t_arrival, BATTER_L, COORDINATOR, "result_report",
-                         {"trial_id": trial_id, "outcome": out_l}))
-        messages.append((t_arrival, BATTER_R, COORDINATOR, "result_report",
-                         {"trial_id": trial_id, "outcome": out_r}))
-    else:
-        u = hidden.u
-        v = hidden.v
-        for receiver, spin in ((BATTER_L, u), (BATTER_R, v)):
-            messages.append((t_pitch, PITCHER, receiver, "ball",
-                             {"trial_id": trial_id,
-                              "spin": [spin.x, spin.y, spin.z],
-                              "t_pitch": t_pitch,
-                              "delta_t": config.delta_t}))
-        if kind == "A":
-            out_l = 1 if rng_l.uniform() < response_linear(1, settings.n_L, u) else -1
-            out_r = 1 if rng_r.uniform() < response_linear(1, settings.n_R, v) else -1
-        else:
-            out_l = response_deterministic(settings.n_L, u)
-            out_r = response_deterministic(settings.n_R, v)
-        messages.append((t_arrival, BATTER_L, COORDINATOR, "result_report",
-                         {"trial_id": trial_id, "outcome": out_l}))
-        messages.append((t_arrival, BATTER_R, COORDINATOR, "result_report",
-                         {"trial_id": trial_id, "outcome": out_r}))
-
-    record = TrialRecord(
-        trial_id=trial_id,
-        model=kind,
-        t_pitch=t_pitch,
-        delta_t=config.delta_t,
-        settings=settings,
-        hidden=hidden,
-        coins=coins,
-        outcome_L=out_l,
-        outcome_R=out_r,
-        seed=seed,
-    )
-    return record, messages
+def _outcome(plus):
+    """+1 where ``plus`` holds, else -1, one byte per trial."""
+    return np.where(plus, np.int8(1), np.int8(-1))
 
 
-def _empty_counts():
-    return {k: 0 for k in OUTCOMES}
-
-
-def _bulk_counts_fixed(kind, pair, n, seed, tag, chunk0, nchunks):
-    """Counts for one fixed settings pair over chunks [chunk0, chunk0+nchunks)."""
-    nl = pair.n_L.as_array()
-    nr = pair.n_R.as_array()
-    counts = np.zeros(4, dtype=np.int64)
-    done = 0
-    for ci in range(nchunks):
-        k = min(_CHUNK, n - done)
-        done += k
-        rng = _bulk_stream(seed, tag, chunk0 + ci)
-        if kind in ("A", "C"):
-            w = rng.integers(0, 2, size=k)  # 1 -> H (right), 0 -> T (left)
-            d = np.where(rng.integers(0, 2, size=k) == 1, 1.0, -1.0)
-            u = d[:, None] * np.where(w[:, None] == 1, nr, nl)
-        if kind == "A":
-            sig = np.where(rng.uniform(size=k) < 0.5 * (1.0 + u @ nl), 1, -1)
-            tau = np.where(rng.uniform(size=k) < 0.5 * (1.0 - u @ nr), 1, -1)
-        elif kind == "C":
-            sig = sign_array(u @ nl)
-            tau = sign_array(-(u @ nr))
-        elif kind in ("B1", "B2"):
-            u = sample_hidden_B1_array(pair, rng, k)
-            sig = sign_array(u @ nl)
-            tau = sign_array(-(u @ nr))
-        elif kind == "QM":
-            probs = [joint_analytic("QM", s, t, pair) for s, t in OUTCOMES]
-            cells = rng.choice(4, size=k, p=probs)
-            counts += np.bincount(cells, minlength=4)
-            continue
-        else:
-            raise ValueError(f"unknown model kind: {kind!r}")
-        cell = (1 - sig) + (1 - tau) // 2  # (+,+)=0 (+,-)=1 (-,+)=2 (-,-)=3
-        counts += np.bincount(cell, minlength=4)
-    return counts
-
-
-def _bulk_counts_free(kind, config, seed, tag, chunk0, nchunks, n):
-    """Counts for a free-running (watch-driven) stream of n trials."""
-    bank = config.bank
-    counts = np.zeros(4, dtype=np.int64)
-    done = 0
-    for ci in range(nchunks):
-        k = min(_CHUNK, n - done)
-        done += k
-        rng = _bulk_stream(seed, tag, chunk0 + ci)
-        ids = np.arange((chunk0 + ci) * _CHUNK, (chunk0 + ci) * _CHUNK + k)
-        t = bank.watch_H.epoch + (ids + rng.uniform(size=k)) * config.pitch_gap
-        t_arr = t + config.delta_t
-        nl = wt.batter_vectors_array(bank.watch_T.mirrored(), t_arr, config.delta_t)
-        nr = wt.batter_vectors_array(bank.watch_H.mirrored(), t_arr, config.delta_t)
-        c = np.clip(np.einsum("ij,ij->i", nl, nr), -1.0, 1.0)
-        if kind in ("A", "C"):
-            w = rng.integers(0, 2, size=k)
-            d = np.where(rng.integers(0, 2, size=k) == 1, 1.0, -1.0)
-            u = d[:, None] * np.where(w[:, None] == 1, nr, nl)
-        elif kind == "B1":
-            u = _hall_sample_varying(nl, nr, c, rng)
-        elif kind == "B2":
-            u = _b2_free_sample(rng, k)
-            nl, nr = _b2_settings_for(u, rng)
-            c = np.clip(np.einsum("ij,ij->i", nl, nr), -1.0, 1.0)
-        elif kind == "QM":
-            pstack = 0.25 * (1.0 - np.outer([1.0, -1.0, -1.0, 1.0], c)).T
-            cum = np.cumsum(pstack, axis=1)
-            r = rng.uniform(size=k)[:, None]
-            cells = (r >= cum).sum(axis=1)
-            counts += np.bincount(cells, minlength=4)
-            continue
-        else:
-            raise ValueError(f"unknown model kind: {kind!r}")
-        if kind == "A":
-            ul = np.einsum("ij,ij->i", u, nl)
-            ur = np.einsum("ij,ij->i", u, nr)
-            sig = np.where(rng.uniform(size=k) < 0.5 * (1.0 + ul), 1, -1)
-            tau = np.where(rng.uniform(size=k) < 0.5 * (1.0 - ur), 1, -1)
-        else:
-            sig = sign_array(np.einsum("ij,ij->i", u, nl))
-            tau = sign_array(-np.einsum("ij,ij->i", u, nr))
-        cell = (1 - sig) + (1 - tau) // 2
-        counts += np.bincount(cell, minlength=4)
-    return counts
-
-
-def _hall_sample_varying(nl, nr, c, rng):
-    """Vectorized Hall-density rejection with per-row settings."""
-    from .models import hall_g_array, rejection_bound
-
-    bound = rejection_bound()
-    k = nl.shape[0]
-    u = np.empty((k, 3))
-    pending = np.arange(k)
-    rounds = 0
-    while pending.size:
-        rounds += 1
-        if rounds > 10_000:
-            from .models import SamplerFailure
-
-            raise SamplerFailure("varying-settings hall sampler did not converge")
-        m = pending.size
-        prop = _uniform_sphere(rng, m)
-        f = (
-            sign_array(np.einsum("ij,ij->i", prop, nl[pending]))
-            * sign_array(-np.einsum("ij,ij->i", prop, nr[pending]))
-            * c[pending]
-        )
-        ok = rng.uniform(0.0, bound, size=m) < hall_g_array(f)
-        u[pending[ok]] = prop[ok]
-        pending = pending[~ok]
+def _atom_spins(rng, k, n_L, n_R):
+    """Model A and C spins u = d * n_w from the pitcher's two fair coins: the
+    watch w (1 -> H, the right setting; 0 -> T, the left) and the direction d."""
+    w = rng.integers(0, 2, size=k)
+    d = np.where(rng.integers(0, 2, size=k) == 1, 1.0, -1.0)
+    u = np.where(w[:, None] == 1, n_R, n_L)
+    u *= d[:, None]
     return u
 
 
-def _uniform_sphere(rng, n):
-    from .geometry import sample_uniform_sphere_array
+def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int) -> Chunk:
+    """Trials [chunk * 2^17, (chunk + 1) * 2^17) of trial stream ``stream``
+    (an index into ``config.streams()``), as columns.
 
-    return sample_uniform_sphere_array(rng, n)
+    Trial ids number every stream's trials consecutively, so they are unique
+    across a run.
+    """
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind: {kind!r}")
+    n = config.trials
+    k = min(_CHUNK, n - chunk * _CHUNK)
+    pair = config.streams()[stream][1]
+    tag = f"{kind}:free" if pair is None else f"{kind}:pair{stream}"
+    pitcher, batter_l, batter_r, coordinator = (
+        _stream(config.seed, tag, chunk, role)
+        for role in (PITCHER, BATTER_L, BATTER_R, COORDINATOR)
+    )
+    first_id = stream * n + chunk * _CHUNK
+    # epoch + (trial id + jitter) * pitch_gap, in place
+    t_pitch = pitcher.uniform(size=k)
+    t_pitch += np.arange(first_id, first_id + k)
+    t_pitch *= config.pitch_gap
+    t_pitch += config.bank.watch_H.epoch
+    u = None
+    if pair is not None:
+        n_L, n_R = pair.n_L.as_array(), pair.n_R.as_array()
+    elif kind == "B2":
+        # A free-ticking spin watch gives a uniform spin; the coordinator
+        # realizes the clock coupling by installing the settings into the
+        # batters' watches before the trial (shared state, not a message).
+        u = sample_uniform_sphere_array(pitcher, k)
+        n_L, n_R = sample_settings_B2_array(u, coordinator, k)
+    else:
+        n_L, n_R = _watch_settings(config, first_id, t_pitch)
+
+    if kind == "QM":
+        # one uniform per trial falls in the cells (+,+), (+,-), (-,+), (-,-)
+        # laid out in that order on [0, 1) with widths (1 - sigma tau c) / 4
+        c = np.clip(rowdot(n_L, n_R), -1.0, 1.0)
+        r = coordinator.uniform(size=k)
+        sigma = _outcome(r < 0.5)
+        tau = _outcome(r < np.where(r < 0.5, 0.25 * (1.0 - c), 0.25 * (3.0 + c)))
+        return Chunk(first_id, t_pitch, None, sigma, tau)
+    if kind in ("A", "C"):
+        u = _atom_spins(pitcher, k, n_L, n_R)
+    elif u is None:
+        # fixed-settings B2 conditions the clock coupling on the pinned
+        # settings, which is the same spin law as B1
+        u = sample_hidden_B1_array((n_L, n_R), pitcher, k)
+    if kind == "A":
+        sigma = _outcome(batter_l.uniform(size=k) < 0.5 * (1.0 + rowdot(u, n_L)))
+        tau = _outcome(batter_r.uniform(size=k) < 0.5 * (1.0 - rowdot(u, n_R)))
+    else:
+        # deterministic responses sign(u.n), with sign(0) = +1
+        sigma = _outcome(rowdot(u, n_L) >= 0.0)
+        tau = _outcome(-rowdot(u, n_R) >= 0.0)
+    return Chunk(first_id, t_pitch, u, sigma, tau)
 
 
-def _b2_free_sample(rng, k):
-    return _uniform_sphere(rng, k)
-
-
-def _b2_settings_for(u, rng):
-    """Per-row settings from the spin-conditioned coupling density."""
-    from .models import hall_g_array, rejection_bound
-
-    bound = rejection_bound()
-    k = u.shape[0]
-    nl = np.empty((k, 3))
-    nr = np.empty((k, 3))
-    pending = np.arange(k)
-    while pending.size:
-        m = pending.size
-        pl = _uniform_sphere(rng, m)
-        pr = _uniform_sphere(rng, m)
-        c = np.clip(np.einsum("ij,ij->i", pl, pr), -1.0, 1.0)
-        f = (
-            sign_array(np.einsum("ij,ij->i", pl, u[pending]))
-            * sign_array(-np.einsum("ij,ij->i", pr, u[pending]))
-            * c
-        )
-        ok = rng.uniform(0.0, bound, size=m) < hall_g_array(f)
-        nl[pending[ok]] = pl[ok]
-        nr[pending[ok]] = pr[ok]
-        pending = pending[~ok]
-    return nl, nr
+def _chunk_messages(ch: Chunk, dt: float):
+    """(t_send, sender, receiver, kind, payload) of each message of a chunk's
+    trials, in log order; only _LOG_ROWS trials at a time become Python
+    objects."""
+    for lo in range(0, ch.t_pitch.size, _LOG_ROWS):
+        rows = slice(lo, lo + _LOG_ROWS)
+        times = ch.t_pitch[rows].tolist()
+        ids = range(ch.first_id + lo, ch.first_id + lo + len(times))
+        spins = [None] * len(times) if ch.spin is None else ch.spin[rows].tolist()
+        for tid, t, u, sigma, tau in zip(ids, times, spins,
+                                         ch.sigma[rows].tolist(), ch.tau[rows].tolist()):
+            if u is not None:
+                for receiver, spin in ((BATTER_L, u), (BATTER_R, [-x for x in u])):
+                    yield (t, PITCHER, receiver, "ball",
+                           {"trial_id": tid, "spin": spin, "t_pitch": t, "delta_t": dt})
+            yield t + dt, BATTER_L, COORDINATOR, "result_report", {"trial_id": tid, "outcome": sigma}
+            yield t + dt, BATTER_R, COORDINATOR, "result_report", {"trial_id": tid, "outcome": tau}
 
 
 def sample_joint_spin_outcomes(kind: str, n: int, seed: int):
@@ -441,18 +310,15 @@ def sample_joint_spin_outcomes(kind: str, n: int, seed: int):
     """
     if kind not in ("B1", "B2"):
         raise ValueError("joint sampling is defined for the Hall realizations only")
-    rng = _bulk_stream(seed, f"joint:{kind}", 0)
+    rng = _stream(seed, f"joint:{kind}", 0)
     if kind == "B1":
-        nl = _uniform_sphere(rng, n)
-        nr = _uniform_sphere(rng, n)
-        c = np.clip(np.einsum("ij,ij->i", nl, nr), -1.0, 1.0)
-        u = _hall_sample_varying(nl, nr, c, rng)
+        n_L = sample_uniform_sphere_array(rng, n)
+        n_R = sample_uniform_sphere_array(rng, n)
+        u = sample_hidden_B1_array((n_L, n_R), rng, n)
     else:
-        u = _uniform_sphere(rng, n)
-        nl, nr = _b2_settings_for(u, rng)
-    sig = sign_array(np.einsum("ij,ij->i", u, nl))
-    tau = sign_array(-np.einsum("ij,ij->i", u, nr))
-    return u, sig, tau
+        u = sample_uniform_sphere_array(rng, n)
+        n_L, n_R = sample_settings_B2_array(u, rng, n)
+    return u, sign_array(rowdot(u, n_L)), sign_array(-rowdot(u, n_R))
 
 
 def run_experiment(kind: str, config: ExperimentConfig):
@@ -460,72 +326,34 @@ def run_experiment(kind: str, config: ExperimentConfig):
     stream) and aggregate counts.
 
     Returns (tables, log) where ``log`` is None unless event logging was
-    requested.  Output is a pure function of (kind, config); the worker count
-    only affects wall time.
+    requested, and otherwise the :class:`EventLog` view of the same trials.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind: {kind!r}")
-    n = config.trials
-    if config.log_events:
-        return _run_logged(kind, config)
-
-    nchunks = (n + _CHUNK - 1) // _CHUNK
-    pair_list = (
-        [("free-running", None)] if config.watch_driven else config.settings_pairs
-    )
-    jobs = []  # one job per (pair, chunk); merged by index, so scheduling-free
-    for pi, (label, pair) in enumerate(pair_list):
-        for ci in range(nchunks):
-            k = min(_CHUNK, n - ci * _CHUNK)
-            if pair is None:
-                jobs.append((pi, _bulk_counts_free,
-                             (kind, config, config.seed, f"{kind}:free:{pi}", ci, 1,
-                              ci * _CHUNK + k)))
-            else:
-                jobs.append((pi, _bulk_counts_fixed,
-                             (kind, pair, k, config.seed, f"{kind}:pair{pi}", ci, 1)))
+    streams = config.streams()
+    # one job per (stream, chunk); merged by index, so scheduling-free
+    jobs = [(si, ci) for si in range(len(streams)) for ci in range(config.chunks())]
 
     def run_job(job):
-        _, fn, args = job
-        return fn(*args)
+        ch = run_chunk(kind, config, *job)
+        return np.bincount((1 - ch.sigma) + (1 - ch.tau) // 2, minlength=4)
 
     if config.threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as ex:
             results = list(ex.map(run_job, jobs))
     else:
         results = [run_job(j) for j in jobs]
-    per_pair = np.zeros((len(pair_list), 4), dtype=np.int64)
-    for (pi, _, _), counts in zip(jobs, results):
-        per_pair[pi] += counts
-    tables = []
-    for pi, (label, pair) in enumerate(pair_list):
-        tables.append(
-            CountTable(label, kind, pair,
-                       {OUTCOMES[i]: int(per_pair[pi, i]) for i in range(4)})
-        )
-    return tables, None
+    per_stream = np.zeros((len(streams), 4), dtype=np.int64)
+    for (si, _), counts in zip(jobs, results):
+        per_stream[si] += counts
+    tables = [
+        CountTable(label, kind, pair, {OUTCOMES[i]: int(per_stream[si, i]) for i in range(4)})
+        for si, (label, pair) in enumerate(streams)
+    ]
+    return tables, EventLog(kind, config) if config.log_events else None
 
 
-def _run_logged(kind: str, config: ExperimentConfig):
-    log = EventLog()
-    tables = []
-    pair_list = (
-        [("free-running", None)] if config.watch_driven else config.settings_pairs
-    )
-    for pi, (label, pair) in enumerate(pair_list):
-        sub = config if pair is None else replace(config, settings_pairs=[(label, pair)])
-        counts = _empty_counts()
-        for i in range(config.trials):
-            trial_id = pi * config.trials + i
-            rec, msgs = run_trial(kind, sub, trial_id)
-            counts[(rec.outcome_L, rec.outcome_R)] += 1
-            for t_send, sender, receiver, mkind, payload in msgs:
-                log.append(t_send, sender, receiver, mkind, payload)
-        tables.append(CountTable(label, kind, pair, counts))
-    return tables, log
-
-
-def audit_locality(log: EventLog, kind: str) -> AuditReport:
+def audit_locality(log, kind: str) -> AuditReport:
     """Check the message-flow discipline that operationalizes 'no communication'.
 
     Rules: (1) no batter-to-batter traffic; (2) no batter-to-pitcher traffic;
@@ -533,45 +361,58 @@ def audit_locality(log: EventLog, kind: str) -> AuditReport:
     trial id, never settings; (4) exactly one ball per batter per trial
     (none for the analytic QM reference); (5) result reports flow only to the
     coordinator.
+
+    ``log`` is any iterable of messages and is read once.  Besides the
+    violations, the audit keeps only an integer per trial and per ball, so a
+    log streamed from disk is never held in memory.
     """
     violations = []
-    balls = {}
     batters = (BATTER_L, BATTER_R)
     allowed_ball_keys = {"trial_id", "spin", "t_pitch", "delta_t"}
+    trial_ids = array("q")  # each trial id, once per run of messages carrying it
+    ball_ids = {b: array("q") for b in batters}
+    n_messages = n_balls = 0
     for m in log:
+        n_messages += 1
         if m.sender in batters and m.receiver in batters:
             violations.append((m.seq, 1, f"batter-to-batter message {m.sender}->{m.receiver}"))
         if m.sender in batters and m.receiver == PITCHER:
             violations.append((m.seq, 2, f"batter-to-pitcher message from {m.sender}"))
+        tid = m.payload.get("trial_id")
+        if not (isinstance(tid, int) and -(1 << 63) <= tid < 1 << 63):
+            tid = None
+        elif not trial_ids or trial_ids[-1] != tid:
+            trial_ids.append(tid)
         if m.kind == "ball":
+            n_balls += 1
             extra = set(m.payload) - allowed_ball_keys
             if extra:
                 violations.append(
                     (m.seq, 3, f"ball payload carries forbidden fields {sorted(extra)}")
                 )
-            key = (m.payload.get("trial_id"), m.receiver)
-            balls[key] = balls.get(key, 0) + 1
+            if tid is not None and m.receiver in ball_ids:
+                ball_ids[m.receiver].append(tid)
         if m.kind == "result_report" and m.receiver != COORDINATOR:
             violations.append(
                 (m.seq, 5, f"result report routed to {m.receiver}")
             )
-    expected = 0 if kind == "QM" else 1
-    if expected:
-        trial_ids = {m.payload.get("trial_id") for m in log}
-        for tid in sorted(t for t in trial_ids if t is not None):
-            for b in batters:
-                got = balls.get((tid, b), 0)
-                if got != expected:
-                    violations.append(
-                        (-1, 4, f"trial {tid}: {got} balls to {b}, expected {expected}")
-                    )
-    else:
-        if balls:
-            violations.append((-1, 4, "analytic reference run contains ball messages"))
-    return AuditReport(passed=not violations, violations=violations)
+    if kind != "QM":
+        tids = np.unique(np.asarray(trial_ids, dtype=np.int64))
+        got = np.stack([
+            np.bincount(np.searchsorted(tids, np.asarray(ball_ids[b], dtype=np.int64)),
+                        minlength=tids.size)
+            for b in batters
+        ], axis=1)
+        for i, j in np.argwhere(got != 1):
+            violations.append(
+                (-1, 4, f"trial {tids[i]}: {got[i, j]} balls to {batters[j]}, expected 1")
+            )
+    elif n_balls:
+        violations.append((-1, 4, "analytic reference run contains ball messages"))
+    return AuditReport(passed=not violations, violations=violations, messages=n_messages)
 
 
-def write_event_log(log: EventLog, path):
+def write_event_log(log, path):
     """One message per line, JSON-encoded with a fixed field order."""
     with open(path, "w", encoding="utf-8") as fh:
         for m in log:
@@ -581,21 +422,22 @@ def write_event_log(log: EventLog, path):
                 sort_keys=False) + "\n")
 
 
-def read_event_log(path) -> EventLog:
-    log = EventLog()
+def read_event_log(path):
+    """The messages of an event-log file, parsed one line at a time as they
+    are iterated; a malformed line raises ValueError naming its number."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
                 d = json.loads(line)
-                log.messages.append(Message(
+                m = Message(
                     int(d["seq"]), float(d["t_send"]), str(d["sender"]),
-                    str(d["receiver"]), str(d["kind"]), dict(d["payload"])))
+                    str(d["receiver"]), str(d["kind"]), dict(d["payload"]))
             except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"malformed event log at line {lineno + 1}: {exc}") from exc
-    return log
+                raise ValueError(f"malformed event log at line {lineno}: {exc}") from exc
+            yield m
 
 
 def write_counts_csv(tables, path):

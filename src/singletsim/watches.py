@@ -10,9 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from typing import Optional
-
-from .geometry import UnitVector, from_angles
 
 CLOCKWISE = "clockwise"
 COUNTERCLOCKWISE = "counterclockwise"
@@ -21,7 +18,6 @@ COUNTERCLOCKWISE = "counterclockwise"
 DEFAULT_PERIODS = {
     "H": (60.0 * math.sqrt(2.0), 720.0 * math.sqrt(3.0)),
     "T": (60.0 * math.sqrt(5.0), 720.0 * math.sqrt(7.0)),
-    "0": (60.0 * math.sqrt(11.0), 720.0 * math.sqrt(13.0)),
 }
 
 
@@ -50,27 +46,12 @@ class WatchSpec:
 
 
 @dataclass(frozen=True)
-class HandPhases:
-    """Fractional hand positions, each in [0, 1)."""
-
-    phase_small: float
-    phase_large: float
-
-    def __post_init__(self):
-        for p in (self.phase_small, self.phase_large):
-            if not 0.0 <= p < 1.0:
-                raise ValueError(f"phase outside [0, 1): {p}")
-
-
-@dataclass(frozen=True)
 class WatchBank:
-    """The pitcher's clockwise watches: H and T for the coin-selected setting,
-    plus the optional free-ticking spin watch used by the batter-conditioned
-    realization."""
+    """The pitcher's clockwise watches H and T, one for each coin-selected
+    setting."""
 
     watch_H: WatchSpec
     watch_T: WatchSpec
-    watch_0: Optional[WatchSpec] = None
 
     def __post_init__(self):
         periods = [
@@ -88,7 +69,7 @@ class WatchBank:
     @staticmethod
     def default(epoch: float = 0.0) -> "WatchBank":
         mk = lambda k: WatchSpec(*DEFAULT_PERIODS[k], CLOCKWISE, epoch)
-        return WatchBank(mk("H"), mk("T"), mk("0"))
+        return WatchBank(mk("H"), mk("T"))
 
 
 @dataclass
@@ -97,102 +78,64 @@ class IncommensurabilityReport:
     failures: list = field(default_factory=list)
 
 
-def _frac(x: float) -> float:
-    f = x - math.floor(x)
-    return f if f < 1.0 else 0.0
+def _frac_array(x):
+    f = x - np.floor(x)
+    return np.where(f >= 1.0, 0.0, f)
 
 
-def read_phases(w: WatchSpec, t: float) -> HandPhases:
-    """Hand phases of watch ``w`` at simulation time ``t``.
+def read_phases_array(w: WatchSpec, t) -> tuple[np.ndarray, np.ndarray]:
+    """Small- and large-hand phases in [0, 1) of watch ``w`` at an array of
+    simulation times.
 
     Counterclockwise watches run backwards, so a mirrored pair conserves
     phase_cw + phase_ccw = 0 (mod 1) for each hand at every instant.
     """
-    if not math.isfinite(t):
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
         raise ValueError("time must be finite")
     s = 1.0 if w.direction == CLOCKWISE else -1.0
-    return HandPhases(
-        _frac(s * (t - w.epoch) / w.period_small),
-        _frac(s * (t - w.epoch) / w.period_large),
-    )
+    return (_frac_array(s * (t - w.epoch) / w.period_small),
+            _frac_array(s * (t - w.epoch) / w.period_large))
 
 
-def phases_to_vector(p: HandPhases) -> UnitVector:
-    """Map hand phases to a unit vector: small hand gives the azimuth, large
-    hand the area-uniform polar coordinate cos(theta) = 2*phase - 1.
+def phases_to_vectors_array(phase_small, phase_large) -> np.ndarray:
+    """Map hand phases to unit vectors, shape (n, 3): the small hand gives the
+    azimuth, the large hand the area-uniform polar coordinate
+    cos(theta) = 2*phase - 1.
 
     This pushes the uniform torus measure to the uniform sphere measure, which
     is what the equidistribution arguments need.
     """
-    phi = _frac(p.phase_small) * 2.0 * math.pi
-    ct = min(1.0, max(-1.0, 2.0 * p.phase_large - 1.0))
-    return from_angles(math.acos(ct), phi)
+    phi = 2.0 * math.pi * np.asarray(phase_small, dtype=float)
+    ct = np.clip(2.0 * np.asarray(phase_large, dtype=float) - 1.0, -1.0, 1.0)
+    st = np.sqrt(1.0 - ct * ct)
+    return np.column_stack([st * np.cos(phi), st * np.sin(phi), ct])
 
 
-def pitcher_vector(bank: WatchBank, coin_w: str, t_pitch: float) -> UnitVector:
-    """The setting vector the pitcher reads off its coin-selected watch."""
-    if coin_w == "H":
-        w = bank.watch_H
-    elif coin_w == "T":
-        w = bank.watch_T
-    else:
-        raise ValueError(f"coin must be 'H' or 'T', got {coin_w!r}")
-    return phases_to_vector(read_phases(w, t_pitch))
+def watch_vectors_array(w: WatchSpec, t) -> np.ndarray:
+    """The setting vectors the pitcher reads off watch ``w`` at an array of
+    times, shape (n, 3)."""
+    return phases_to_vectors_array(*read_phases_array(w, t))
 
 
-def batter_vector(mirror: WatchSpec, t_arrival: float, delta_t: float) -> UnitVector:
-    """Reconstruct the pitch-time vector from a mirrored watch at arrival time.
+def batter_vectors_array(mirror: WatchSpec, t_arrival, delta_t) -> np.ndarray:
+    """Reconstruct the pitch-time vectors from a mirrored watch at an array of
+    arrival times; ``delta_t`` may be scalar or per-element.
 
     The mirror reads r_h = frac(-(t_arrival - epoch)/tau_h); negating and
     subtracting the time of flight gives frac((t_arrival - delta_t - epoch)/tau_h),
     the clockwise pitcher phase at t_pitch = t_arrival - delta_t.  No message
     carries any of this: the correction uses only the local watch and delta_t.
     """
-    if delta_t < 0.0:
-        raise ValueError("time of flight must be non-negative")
-    if mirror.direction != COUNTERCLOCKWISE:
-        raise ValueError("batter watches must be counterclockwise mirrors")
-    raw = read_phases(mirror, t_arrival)
-    ps = _frac(-(raw.phase_small + delta_t / mirror.period_small))
-    pl = _frac(-(raw.phase_large + delta_t / mirror.period_large))
-    return phases_to_vector(HandPhases(ps, pl))
-
-
-def _frac_array(x):
-    f = x - np.floor(x)
-    return np.where(f >= 1.0, 0.0, f)
-
-
-def watch_vectors_array(w: WatchSpec, t) -> np.ndarray:
-    """Vectorized pitcher-side read: setting vectors of watch ``w`` at an array
-    of times, shape (n, 3)."""
-    t = np.asarray(t, dtype=float)
-    s = 1.0 if w.direction == CLOCKWISE else -1.0
-    ps = _frac_array(s * (t - w.epoch) / w.period_small)
-    pl = _frac_array(s * (t - w.epoch) / w.period_large)
-    phi = 2.0 * math.pi * ps
-    ct = np.clip(2.0 * pl - 1.0, -1.0, 1.0)
-    st = np.sqrt(1.0 - ct * ct)
-    return np.column_stack([st * np.cos(phi), st * np.sin(phi), ct])
-
-
-def batter_vectors_array(mirror: WatchSpec, t_arrival, delta_t) -> np.ndarray:
-    """Vectorized twin of batter_vector; delta_t may be scalar or per-element."""
     delta_t = np.asarray(delta_t, dtype=float)
     if np.any(delta_t < 0.0):
         raise ValueError("time of flight must be non-negative")
     if mirror.direction != COUNTERCLOCKWISE:
         raise ValueError("batter watches must be counterclockwise mirrors")
-    t_arrival = np.asarray(t_arrival, dtype=float)
-    out = []
-    for tau in (mirror.period_small, mirror.period_large):
-        r = _frac_array(-(t_arrival - mirror.epoch) / tau)
-        out.append(_frac_array(-(r + delta_t / tau)))
-    ps, pl = out
-    phi = 2.0 * math.pi * ps
-    ct = np.clip(2.0 * pl - 1.0, -1.0, 1.0)
-    st = np.sqrt(1.0 - ct * ct)
-    return np.column_stack([st * np.cos(phi), st * np.sin(phi), ct])
+    raw = read_phases_array(mirror, t_arrival)
+    taus = (mirror.period_small, mirror.period_large)
+    return phases_to_vectors_array(
+        *(_frac_array(-(r + delta_t / tau)) for r, tau in zip(raw, taus)))
 
 
 def check_incommensurable(

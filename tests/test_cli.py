@@ -1,4 +1,6 @@
+import csv
 import json
+from collections import Counter
 
 import pytest
 
@@ -86,6 +88,37 @@ def test_simulate_log_events_and_audit(tmp_path, capsys):
     log_path = out / "events.ndjson"
     assert log_path.exists()
     assert run(["audit", "--log", str(log_path), "--model", "A"]) == EXIT_OK
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("settings", [
+    ["--theta-deg", "30", "105", "--trials", "3000"],
+    # watch-driven logged runs stop at a watch round-trip mismatch further on
+    ["--watch-driven", "--trials", "200"],
+], ids=["fixed", "watch-driven"])
+@pytest.mark.parametrize("kind", ["A", "B1", "B2", "C", "QM"])
+def test_log_events_never_changes_counts(tmp_path, capsys, kind, settings):
+    base = ["simulate", "--model", kind, "--seed", "6"] + settings
+    plain, logged = tmp_path / "plain", tmp_path / "logged"
+    assert run(base + ["--threads", "1", "--out", str(plain)]) == EXIT_OK
+    assert run(base + ["--threads", "2", "--log-events", "--out", str(logged)]) == EXIT_OK
+    counts_csv = (plain / "counts.csv").read_bytes()
+    assert (logged / "counts.csv").read_bytes() == counts_csv
+
+    # the log's result reports tally to the same counts, pair by pair
+    trials = int(settings[settings.index("--trials") + 1])
+    outcomes = {}
+    for line in (logged / "events.ndjson").read_text().splitlines():
+        m = json.loads(line)
+        if m["kind"] == "result_report":
+            outcomes.setdefault(m["payload"]["trial_id"], {})[m["sender"]] = m["payload"]["outcome"]
+    tally = Counter((tid // trials, o["batter_L"], o["batter_R"]) for tid, o in outcomes.items())
+    with open(plain / "counts.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    labels = list(dict.fromkeys(r["pair_label"] for r in rows))
+    expected = {(labels.index(r["pair_label"]), int(r["sigma"]), int(r["tau"])): int(r["count"])
+                for r in rows if int(r["count"])}
+    assert tally == expected
     capsys.readouterr()
 
 

@@ -7,7 +7,6 @@ from singletsim.geometry import (
     UnitVector,
     dot,
     from_angles,
-    sample_uniform_sphere,
     sample_uniform_sphere_array,
     sign,
     sign_array,
@@ -30,8 +29,8 @@ def test_normalized_constructor():
 
 def test_dot_identity_antipodal_orthogonal():
     rng = np.random.default_rng(42)
-    for _ in range(50):
-        a = sample_uniform_sphere(rng)
+    for row in sample_uniform_sphere_array(rng, 50):
+        a = UnitVector.from_array(row)
         assert dot(a, a) == pytest.approx(1.0, abs=1e-12)
         assert dot(a, -a) == pytest.approx(-1.0, abs=1e-12)
     assert dot(UnitVector(1, 0, 0), UnitVector(0, 1, 0)) == 0.0
@@ -39,9 +38,8 @@ def test_dot_identity_antipodal_orthogonal():
 
 def test_dot_symmetric_and_clamped():
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        a = sample_uniform_sphere(rng)
-        b = sample_uniform_sphere(rng)
+    for ra, rb in zip(sample_uniform_sphere_array(rng, 200), sample_uniform_sphere_array(rng, 200)):
+        a, b = UnitVector.from_array(ra), UnitVector.from_array(rb)
         assert dot(a, b) == dot(b, a)
         assert -1.0 <= dot(a, b) <= 1.0
 
@@ -83,8 +81,8 @@ def test_from_angles_rejects_out_of_range():
 
 def test_sampled_vectors_are_unit():
     rng = np.random.default_rng(3)
-    for _ in range(100):
-        v = sample_uniform_sphere(rng)
+    for row in sample_uniform_sphere_array(rng, 100):
+        v = UnitVector.from_array(row)
         assert v.x**2 + v.y**2 + v.z**2 == pytest.approx(1.0, abs=1e-12)
     u = sample_uniform_sphere_array(rng, 1000)
     assert np.allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-12)

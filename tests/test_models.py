@@ -4,26 +4,22 @@ import numpy as np
 import pytest
 
 from singletsim import models
-from singletsim.geometry import UnitVector, dot, from_angles
+from singletsim.geometry import UnitVector, from_angles, sample_uniform_sphere_array, sign
 from singletsim.models import (
-    CoinPair,
-    HiddenState,
     SamplerFailure,
     SettingsPair,
-    hall_density,
-    hall_f,
+    hall_f_array,
     hall_g,
     hall_g_array,
     joint_analytic,
     rejection_bound,
-    response_deterministic,
-    response_linear,
-    sample_hidden_A,
     sample_hidden_B1_array,
     sample_settings_B2_array,
 )
+from singletsim.protocol import ExperimentConfig, run_chunk, run_experiment
 
 Z = UnitVector(0.0, 0.0, 1.0)
+X = UnitVector(1.0, 0.0, 0.0)
 
 
 def planar(deg):
@@ -35,64 +31,93 @@ def pair(deg):
     return SettingsPair(Z, planar(deg))
 
 
+def arrays(s):
+    return s.n_L.as_array(), s.n_R.as_array()
+
+
+def chunk(kind, s, trials=100_000, seed=17):
+    """One chunk of the trial kernel at fixed settings s."""
+    cfg = ExperimentConfig(trials=trials, seed=seed, settings_pairs=[("p", s)])
+    return run_chunk(kind, cfg, 0, 0)
+
+
 def test_hidden_state_antialignment():
-    h = HiddenState(planar(37.0))
-    assert dot(h.u, h.v) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_coin_pair_validation():
-    CoinPair("H", 1)
-    with pytest.raises(ValueError):
-        CoinPair("X", 1)
-    with pytest.raises(ValueError):
-        CoinPair("H", 0)
+    # the right ball always spins exactly against the left one
+    cfg = ExperimentConfig(trials=50, seed=3, settings_pairs=[("p", pair(37.0))],
+                           log_events=True)
+    _, log = run_experiment("B1", cfg)
+    spins = {}
+    for m in log:
+        if m.kind == "ball":
+            spins.setdefault(m.payload["trial_id"], []).append(np.array(m.payload["spin"]))
+    assert len(spins) == 50
+    for u, v in spins.values():
+        assert u @ v == pytest.approx(-1.0, abs=1e-12)
+        assert np.array_equal(v, -u)
 
 
 def test_response_linear_examples():
-    # aligned spin and bat: certain +1; orthogonal: fair coin
-    assert response_linear(1, Z, Z) == 1.0
-    assert response_linear(-1, Z, Z) == 0.0
-    assert response_linear(1, Z, UnitVector(1.0, 0.0, 0.0)) == 0.5
+    # model A responds with P(+1) = (1 + n.u)/2: at theta = 0 the spin is
+    # aligned or anti-aligned with both bats, so outcomes are certain; at
+    # theta = 90 the atoms +-n_R are orthogonal to n_L, a fair coin on the left
+    ch = chunk("A", SettingsPair(Z, Z))
+    assert np.array_equal(ch.sigma, np.where(ch.spin[:, 2] > 0.0, 1, -1))
+    assert np.array_equal(ch.tau, -ch.sigma)
+    ch = chunk("A", SettingsPair(Z, X))
+    on_r = np.abs(ch.spin[:, 0]) == 1.0
+    assert abs(np.mean(ch.sigma[on_r])) < 0.015
+    assert np.array_equal(ch.sigma[~on_r], np.where(ch.spin[~on_r, 2] > 0.0, 1, -1))
 
 
 def test_response_deterministic_convention():
-    assert response_deterministic(Z, Z) == 1
-    assert response_deterministic(Z, -Z) == -1
-    # boundary u.n = 0 resolves to +1
-    assert response_deterministic(Z, UnitVector(1.0, 0.0, 0.0)) == 1
+    # model C answers sign(u.n); at theta = 90 the atoms +-n_R lie on the left
+    # bat's boundary u.n_L = 0, which resolves to +1
+    ch = chunk("C", SettingsPair(Z, X))
+    on_r = np.abs(ch.spin[:, 0]) == 1.0
+    assert on_r.any()
+    assert np.all(ch.sigma[on_r] == 1)
+    assert np.array_equal(ch.sigma[~on_r], np.where(ch.spin[~on_r, 2] > 0.0, 1, -1))
+    assert np.array_equal(ch.tau, np.where(-ch.spin[:, 0] >= 0.0, 1, -1))
 
 
 def test_sample_hidden_A_atoms():
+    # every spin of models A and C is exactly one of the atoms +-n_L, +-n_R
     s = pair(60.0)
-    assert sample_hidden_A(s, CoinPair("H", 1)).u == s.n_R
-    assert sample_hidden_A(s, CoinPair("H", -1)).u == -s.n_R
-    assert sample_hidden_A(s, CoinPair("T", 1)).u == s.n_L
-    assert sample_hidden_A(s, CoinPair("T", -1)).u == -s.n_L
+    atoms = [d * v for v in arrays(s) for d in (1.0, -1.0)]
+    for kind in ("A", "C"):
+        spin = chunk(kind, s).spin
+        hit = [np.all(spin == a, axis=1) for a in atoms]
+        assert np.all(np.sum(hit, axis=0) == 1)
 
 
 def test_sample_hidden_A_atom_frequencies():
     # fair coins put weight 1/4 on each atom
     s = pair(60.0)
-    rng = np.random.default_rng(17)
     n = 1_000_000
-    ws = np.where(rng.integers(0, 2, size=n) == 0, "H", "T")
-    ds = np.where(rng.integers(0, 2, size=n) == 0, 1, -1)
-    atoms = {}
-    for w in ("H", "T"):
-        for d in (1, -1):
-            atoms[(w, d)] = sample_hidden_A(s, CoinPair(w, int(d))).u
-    counts = {k: int(np.sum((ws == k[0]) & (ds == k[1]))) for k in atoms}
-    for k, c in counts.items():
-        assert abs(c / n - 0.25) < 0.002
+    cfg = ExperimentConfig(trials=n, seed=17, settings_pairs=[("p", s)])
+    hits = np.zeros(4)
+    for ci in range(cfg.chunks()):
+        spin = run_chunk("A", cfg, 0, ci).spin
+        hits += [np.sum(np.all(spin == d * v, axis=1)) for v in arrays(s) for d in (1.0, -1.0)]
+    assert hits.sum() == n
+    assert np.max(np.abs(hits / n - 0.25)) < 0.002
 
 
 def test_hall_f_examples():
     s = pair(120.0)  # c = -0.5
-    assert hall_f(s.n_L, s) == pytest.approx(-0.5, abs=1e-12)
+    assert hall_f_array(s.n_L.as_array(), *arrays(s)) == pytest.approx(-0.5, abs=1e-12)
     s = pair(90.0)
-    assert hall_f(s.n_L, s) == pytest.approx(0.0, abs=1e-12)
+    assert hall_f_array(s.n_L.as_array(), *arrays(s)) == pytest.approx(0.0, abs=1e-12)
     s = SettingsPair(Z, Z)  # c = 1, u = n_L = n_R
-    assert hall_f(Z, s) == pytest.approx(-1.0, abs=1e-12)
+    assert hall_f_array(Z.as_array(), *arrays(s)) == pytest.approx(-1.0, abs=1e-12)
+    # row by row, with settings per row
+    rng = np.random.default_rng(4)
+    u, nl, nr = (sample_uniform_sphere_array(rng, 1000) for _ in range(3))
+    f = hall_f_array(u, nl, nr)
+    for i in range(0, 1000, 37):
+        s = SettingsPair(UnitVector.from_array(nl[i]), UnitVector.from_array(nr[i]))
+        expect = sign(u[i] @ nl[i]) * sign(-(u[i] @ nr[i])) * s.cos_angle()
+        assert f[i] == pytest.approx(expect, abs=1e-12)
 
 
 def test_hall_g_limits_and_values():
@@ -114,9 +139,9 @@ def test_hall_g_array_matches_scalar():
 
 def test_hall_density_reports_f():
     s = pair(120.0)
-    ev = hall_density(s.n_L, s)
-    assert ev.f == pytest.approx(-0.5, abs=1e-12)
-    assert ev.value == pytest.approx(hall_g(-0.5), abs=1e-15)
+    f = hall_f_array(s.n_L.as_array(), *arrays(s))
+    assert f == pytest.approx(-0.5, abs=1e-12)
+    assert hall_g_array(f) == pytest.approx(hall_g(-0.5), abs=1e-15)
 
 
 def test_rejection_bound_dominates_density():
@@ -135,7 +160,7 @@ def test_b1_region_masses_match_singlet_law():
     for deg in (60.0, 90.0, 137.0):
         s = pair(deg)
         c = s.cos_angle()
-        u = sample_hidden_B1_array(s, rng, n)
+        u = sample_hidden_B1_array(arrays(s), rng, n)
         sig = np.where(u @ s.n_L.as_array() >= 0.0, 1, -1)
         tau = np.where(-(u @ s.n_R.as_array()) >= 0.0, 1, -1)
         for so in (1, -1):
@@ -149,7 +174,7 @@ def test_b1_samples_follow_density_ratio():
     # g(f_cell) * area(cell); at c = 0.5 the like-sign cells carry f = +0.5
     rng = np.random.default_rng(9)
     s = pair(60.0)
-    u = sample_hidden_B1_array(s, rng, 100_000)
+    u = sample_hidden_B1_array(arrays(s), rng, 100_000)
     f = (
         np.where(u @ s.n_L.as_array() >= 0.0, 1, -1)
         * np.where(-(u @ s.n_R.as_array()) >= 0.0, 1, -1)
@@ -164,7 +189,7 @@ def test_b2_outcome_marginals_are_fair():
     # so each station's deterministic outcome is a fair coin
     rng = np.random.default_rng(31)
     u = planar(23.0)
-    nl, nr = sample_settings_B2_array(u, rng, 200_000)
+    nl, nr = sample_settings_B2_array(u.as_array(), rng, 200_000)
     sig = np.where(nl @ u.as_array() >= 0.0, 1, -1)
     tau = np.where(-(nr @ u.as_array()) >= 0.0, 1, -1)
     assert abs(np.mean(sig)) < 0.01
@@ -176,7 +201,7 @@ def test_b2_joint_outcome_law_against_analytic():
     # reproduce the singlet law on average: E[sigma tau] = -E[c | accepted]
     rng = np.random.default_rng(77)
     u = Z
-    nl, nr = sample_settings_B2_array(u, rng, 200_000)
+    nl, nr = sample_settings_B2_array(u.as_array(), rng, 200_000)
     sig = np.where(nl @ u.as_array() >= 0.0, 1, -1)
     tau = np.where(-(nr @ u.as_array()) >= 0.0, 1, -1)
     c = np.einsum("ij,ij->i", nl, nr)
@@ -184,12 +209,19 @@ def test_b2_joint_outcome_law_against_analytic():
 
 
 def test_sampler_failure_when_bound_broken(monkeypatch):
-    # a density that never accepts must exhaust the proposal budget loudly
+    # a density that never accepts must exhaust the round bound loudly, with
+    # shared settings or spin and with settings or spins per row
     monkeypatch.setattr(models, "hall_g_array", lambda f: np.zeros_like(np.asarray(f)))
+    rng = np.random.default_rng(0)
+    rows = sample_uniform_sphere_array(rng, 4)
     with pytest.raises(SamplerFailure):
-        sample_hidden_B1_array(pair(60.0), np.random.default_rng(0), 4)
+        sample_hidden_B1_array(arrays(pair(60.0)), rng, 4)
     with pytest.raises(SamplerFailure):
-        sample_settings_B2_array(Z, np.random.default_rng(0), 4)
+        sample_hidden_B1_array((rows, rows[::-1]), rng, 4)
+    with pytest.raises(SamplerFailure):
+        sample_settings_B2_array(Z.as_array(), rng, 4)
+    with pytest.raises(SamplerFailure):
+        sample_settings_B2_array(rows, rng, 4)
 
 
 def test_joint_analytic_examples():

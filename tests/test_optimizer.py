@@ -21,8 +21,6 @@ def test_options_validation():
         SearchOptions(coarse_deg=7.0)  # does not divide 360
     with pytest.raises(ValueError):
         SearchOptions(refine_iters=-1)
-    with pytest.raises(ValueError):
-        SearchOptions(plane_restricted=False)
 
 
 def test_planar_vector_in_plane():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from singletsim.geometry import UnitVector, dot, sign
-from singletsim.models import CoinPair, SettingsPair, sample_hidden_A
+from singletsim.geometry import UnitVector
+from singletsim.models import SettingsPair
 from singletsim.protocol import (
     BATTER_L,
     BATTER_R,
@@ -14,8 +14,8 @@ from singletsim.protocol import (
     ProtocolIntegrityError,
     audit_locality,
     read_event_log,
+    run_chunk,
     run_experiment,
-    run_trial,
     sample_joint_spin_outcomes,
     write_counts_csv,
     write_event_log,
@@ -43,47 +43,51 @@ def test_config_validation():
     ExperimentConfig(trials=10, seed=1, watch_driven=True)
 
 
-def test_run_trial_deterministic():
+def test_chunk_deterministic():
     cfg = fixed_config()
     for kind in ("A", "B1", "C", "QM"):
-        r1, m1 = run_trial(kind, cfg, 5)
-        r2, m2 = run_trial(kind, cfg, 5)
-        assert r1 == r2
-        assert m1 == m2
-    r3, _ = run_trial("A", cfg, 6)
-    assert r3.t_pitch > r1.t_pitch  # pitch times increase with trial id
+        a = run_chunk(kind, cfg, 0, 0)
+        b = run_chunk(kind, cfg, 0, 0)
+        for col in ("trial_id", "t_pitch", "spin", "sigma", "tau"):
+            assert np.array_equal(getattr(a, col), getattr(b, col))
+    assert list(a.trial_id) == list(range(100))
+    assert np.all(np.diff(a.t_pitch) > 0.0)  # pitch times increase with trial id
 
 
-def test_run_trial_rejects_bad_input():
+def test_run_experiment_rejects_unknown_kind():
     cfg = fixed_config()
     with pytest.raises(ValueError):
-        run_trial("Z", cfg, 0)
+        run_experiment("Z", cfg)
     with pytest.raises(ValueError):
-        run_trial("A", cfg, -1)
+        run_chunk("Z", cfg, 0, 0)
 
 
 def test_model_a_hidden_state_is_atom():
-    # whatever coins the pitcher drew, the hidden spin must be one of the
-    # four atoms +-n_L, +-n_R; cross-check against sample_hidden_A
-    cfg = fixed_config(deg=60.0)
+    # whatever coins the pitcher drew, every logged ball spin must be one of
+    # the four atoms +-n_L, +-n_R, and each atom must occur
+    cfg = fixed_config(deg=60.0, trials=200, log_events=True)
     pair = cfg.settings_pairs[0][1]
-    atoms = [sample_hidden_A(pair, CoinPair(w, d)).u for w in ("H", "T") for d in (1, -1)]
-    seen = set()
-    for tid in range(200):
-        rec, _ = run_trial("A", cfg, tid)
-        match = [a for a in atoms if abs(dot(rec.hidden.u, a) - 1.0) < 1e-12]
-        assert len(match) == 1
-        seen.add(atoms.index(match[0]))
-    assert seen == {0, 1, 2, 3}
+    atoms = [tuple(d * a for a in v.as_array()) for v in (pair.n_L, pair.n_R) for d in (1.0, -1.0)]
+    _, log = run_experiment("A", cfg)
+    spins = [tuple(m.payload["spin"]) for m in log if m.kind == "ball"]
+    assert len(spins) == 400
+    assert set(spins) == set(atoms)
 
 
 def test_model_c_outcomes_are_signs():
-    cfg = fixed_config(deg=60.0)
+    cfg = fixed_config(deg=60.0, log_events=True)
     pair = cfg.settings_pairs[0][1]
-    for tid in range(100):
-        rec, _ = run_trial("C", cfg, tid)
-        assert rec.outcome_L == sign(dot(rec.hidden.u, pair.n_L))
-        assert rec.outcome_R == sign(-dot(rec.hidden.u, pair.n_R))
+    _, log = run_experiment("C", cfg)
+    spin = {}
+    for m in log:
+        if m.kind == "ball":
+            spin[(m.payload["trial_id"], m.receiver)] = np.array(m.payload["spin"])
+        else:
+            n = pair.n_L if m.sender == BATTER_L else pair.n_R
+            # each batter sees its own ball, spinning along u (left) or -u (right)
+            u = spin[(m.payload["trial_id"], m.sender)]
+            assert m.payload["outcome"] == (1 if u @ n.as_array() >= 0.0 else -1)
+    assert len(spin) == 200
 
 
 def test_bulk_frequencies_model_a():
@@ -114,14 +118,19 @@ def test_bulk_model_c_forbidden_cells_empty():
 
 
 def test_bulk_matches_logged_in_law():
-    # the two execution paths are different streams but one statistical law
-    cfg_fast = fixed_config(deg=60.0, trials=200_000, seed=21)
-    cfg_slow = fixed_config(deg=60.0, trials=5_000, seed=21, log_events=True)
-    fast, _ = run_experiment("A", cfg_fast)
-    slow, log = run_experiment("A", cfg_slow)
-    assert log is not None
-    for s, t in ((1, 1), (1, -1)):
-        assert abs(fast[0].frequency(s, t) - slow[0].frequency(s, t)) < 0.02
+    # one kernel: logging adds a view of the trials and changes no count
+    for kind in ("A", "B1", "B2", "C", "QM"):
+        bulk, none = run_experiment(kind, fixed_config(deg=60.0, trials=5_000, seed=21))
+        logged, log = run_experiment(
+            kind, fixed_config(deg=60.0, trials=5_000, seed=21, log_events=True))
+        assert none is None and log is not None
+        assert bulk[0].counts == logged[0].counts
+        tally = {}
+        for m in log:
+            if m.kind == "result_report":
+                tally.setdefault(m.payload["trial_id"], {})[m.sender] = m.payload["outcome"]
+        cells = [(o[BATTER_L], o[BATTER_R]) for o in tally.values()]
+        assert {c: cells.count(c) for c in bulk[0].counts} == bulk[0].counts
 
 
 def test_thread_count_does_not_change_counts():
@@ -152,14 +161,18 @@ def test_watch_driven_free_running_flat_law():
 def test_setting_mismatch_raises(monkeypatch):
     from singletsim import protocol as proto
 
-    def broken(bank, coin, t):
-        v = proto.wt.phases_to_vector(proto.wt.read_phases(bank.watch_H, t + 1.0))
-        return v
+    read = proto.wt.watch_vectors_array
 
-    monkeypatch.setattr(proto.wt, "pitcher_vector", broken)
-    cfg = ExperimentConfig(trials=1, seed=3, watch_driven=True)
+    def broken(w, t):  # the pitcher's clockwise read, one second late
+        return read(w, np.asarray(t) + 1.0)
+
+    monkeypatch.setattr(proto.wt, "watch_vectors_array", broken)
+    cfg = ExperimentConfig(trials=1, seed=3, watch_driven=True, log_events=True)
     with pytest.raises(ProtocolIntegrityError):
-        run_trial("A", cfg, 0)
+        run_experiment("A", cfg)
+    # unlogged runs take their settings from the batters' reads alone
+    tables, _ = run_experiment("A", ExperimentConfig(trials=1, seed=3, watch_driven=True))
+    assert tables[0].n_total == 1
 
 
 def test_audit_passes_on_conforming_log():
@@ -173,12 +186,16 @@ def test_audit_passes_on_conforming_log():
 def _logged_log(kind="A", trials=20):
     cfg = fixed_config(trials=trials, seed=2, log_events=True)
     _, log = run_experiment(kind, cfg)
-    return log
+    return list(log)
+
+
+def _forged(log, sender, receiver, kind, payload):
+    return Message(len(log), 1.0, sender, receiver, kind, payload)
 
 
 def test_audit_flags_batter_to_batter():
     log = _logged_log()
-    log.append(1.0, BATTER_L, BATTER_R, "gossip", {"outcome": 1})
+    log.append(_forged(log, BATTER_L, BATTER_R, "gossip", {"outcome": 1}))
     report = audit_locality(log, "A")
     assert not report.passed
     assert any(rule == 1 for _, rule, _ in report.violations)
@@ -186,7 +203,7 @@ def test_audit_flags_batter_to_batter():
 
 def test_audit_flags_batter_to_pitcher():
     log = _logged_log()
-    log.append(1.0, BATTER_R, PITCHER, "feedback", {})
+    log.append(_forged(log, BATTER_R, PITCHER, "feedback", {}))
     report = audit_locality(log, "A")
     assert any(rule == 2 for _, rule, _ in report.violations)
 
@@ -202,16 +219,17 @@ def test_audit_flags_setting_leak_in_ball():
 def test_audit_flags_duplicate_ball():
     log = _logged_log()
     m = next(m for m in log if m.kind == "ball")
-    log.append(m.t_send, m.sender, m.receiver, "ball", dict(m.payload))
+    log.append(_forged(log, m.sender, m.receiver, "ball", dict(m.payload)))
     report = audit_locality(log, "A")
-    assert any(rule == 4 for _, rule, _ in report.violations)
+    assert [v for v in report.violations if v[1] == 4] == [
+        (-1, 4, f"trial {m.payload['trial_id']}: 2 balls to {m.receiver}, expected 1")]
 
 
 def test_audit_flags_misrouted_report():
     log = _logged_log()
-    m = next(m for m in log if m.kind == "result_report")
-    log.messages[log.messages.index(m)] = Message(
-        m.seq, m.t_send, m.sender, PITCHER, m.kind, m.payload)
+    i = next(i for i, m in enumerate(log) if m.kind == "result_report")
+    m = log[i]
+    log[i] = Message(m.seq, m.t_send, m.sender, PITCHER, m.kind, m.payload)
     report = audit_locality(log, "A")
     assert any(rule in (2, 5) for _, rule, _ in report.violations)
 
@@ -219,8 +237,8 @@ def test_audit_flags_misrouted_report():
 def test_audit_qm_expects_no_balls():
     log = _logged_log("QM")
     assert audit_locality(log, "QM").passed
-    log.append(0.0, PITCHER, BATTER_L, "ball",
-               {"trial_id": 0, "spin": [0, 0, 1], "t_pitch": 0.0, "delta_t": 1.5})
+    log.append(_forged(log, PITCHER, BATTER_L, "ball",
+                       {"trial_id": 0, "spin": [0, 0, 1], "t_pitch": 0.0, "delta_t": 1.5}))
     assert not audit_locality(log, "QM").passed
 
 
@@ -231,24 +249,25 @@ def test_log_timestamps_non_decreasing():
 
 
 def test_event_log_round_trip(tmp_path):
-    log = _logged_log()
+    _, log = run_experiment("A", fixed_config(trials=20, seed=2, log_events=True))
     p = tmp_path / "events.ndjson"
     write_event_log(log, p)
-    back = read_event_log(p)
-    assert len(back) == len(log)
+    back = list(read_event_log(p))
+    assert len(back) == len(log) == 80
     for a, b in zip(log, back):
-        assert (a.seq, a.sender, a.receiver, a.kind) == (b.seq, b.sender, b.receiver, b.kind)
-        assert a.t_send == pytest.approx(b.t_send)
+        assert a == b
 
 
 def test_read_event_log_rejects_malformed(tmp_path):
     p = tmp_path / "bad.ndjson"
     p.write_text('{"seq": 0, "t_send": "not-a-number"}\n')
-    with pytest.raises(ValueError):
-        read_event_log(p)
-    p.write_text("{{{ not json\n")
-    with pytest.raises(ValueError):
-        read_event_log(p)
+    with pytest.raises(ValueError, match="line 1"):
+        list(read_event_log(p))
+    good = (tmp_path / "events.ndjson")
+    write_event_log(_logged_log(trials=1), good)
+    p.write_text(good.read_text() + "{{{ not json\n")
+    with pytest.raises(ValueError, match="line 5"):
+        list(read_event_log(p))
 
 
 def test_counts_csv_format(tmp_path):

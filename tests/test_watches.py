@@ -6,15 +6,12 @@ import pytest
 
 from singletsim import watches as wt
 from singletsim.watches import (
-    HandPhases,
     WatchBank,
     WatchSpec,
-    batter_vector,
     batter_vectors_array,
     check_incommensurable,
-    phases_to_vector,
-    pitcher_vector,
-    read_phases,
+    phases_to_vectors_array,
+    read_phases_array,
     watch_vectors_array,
 )
 
@@ -34,76 +31,76 @@ def test_watchspec_validation():
 
 def test_read_phases_at_epoch_and_quarter():
     w = cw()
-    p = read_phases(w, 0.0)
-    assert (p.phase_small, p.phase_large) == (0.0, 0.0)
-    p = read_phases(w, 15.0)
-    assert p.phase_small == pytest.approx(0.25)
+    ps, pl = read_phases_array(w, [0.0, 15.0])
+    assert (ps[0], pl[0]) == (0.0, 0.0)
+    assert ps[1] == pytest.approx(0.25)
+    with pytest.raises(ValueError):
+        read_phases_array(w, [0.0, math.inf])
 
 
 def test_mirrored_phase_conservation():
     # each hand of the cw/ccw pair sums to 0 mod 1 at every instant
     rng = np.random.default_rng(11)
     w = cw(60.0 * math.sqrt(2.0), 720.0 * math.sqrt(3.0))
-    m = w.mirrored()
-    for t in rng.uniform(-1e6, 1e6, size=2000):
-        a = read_phases(w, t)
-        b = read_phases(m, t)
-        for pa, pb in ((a.phase_small, b.phase_small), (a.phase_large, b.phase_large)):
-            s = (pa + pb) % 1.0
-            assert min(s, 1.0 - s) < 1e-12
+    t = rng.uniform(-1e6, 1e6, size=2000)
+    for pa, pb in zip(read_phases_array(w, t), read_phases_array(w.mirrored(), t)):
+        s = (pa + pb) % 1.0
+        assert np.max(np.minimum(s, 1.0 - s)) < 1e-12
 
 
 def test_phases_to_vector_map():
-    v = phases_to_vector(HandPhases(0.0, 0.5))
-    assert (v.x, v.y, v.z) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
-    v = phases_to_vector(HandPhases(0.25, 0.5))
-    assert (v.x, v.y, v.z) == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
-    v = phases_to_vector(HandPhases(0.0, 1.0 - 1e-12))
-    assert v.z == pytest.approx(1.0, abs=1e-5)
-    v = phases_to_vector(HandPhases(0.0, 0.0))
-    assert v.z == pytest.approx(-1.0)
+    v = phases_to_vectors_array([0.0, 0.25, 0.0, 0.0], [0.5, 0.5, 1.0 - 1e-12, 0.0])
+    assert v[0] == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
+    assert v[1] == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
+    assert v[2, 2] == pytest.approx(1.0, abs=1e-5)
+    assert v[3, 2] == pytest.approx(-1.0)
 
 
 def test_pitcher_vector_epoch_and_determinism():
     bank = WatchBank.default()
-    for coin in ("H", "T"):
-        v = pitcher_vector(bank, coin, 0.0)
-        assert (v.x, v.y, v.z) == pytest.approx((0.0, 0.0, -1.0), abs=1e-12)
+    for watch in (bank.watch_H, bank.watch_T):
+        v = watch_vectors_array(watch, [0.0])[0]
+        assert v == pytest.approx((0.0, 0.0, -1.0), abs=1e-12)
     # generically the two watches disagree
-    v1 = pitcher_vector(bank, "H", 1234.5)
-    v2 = pitcher_vector(bank, "T", 1234.5)
-    assert abs(v1.x - v2.x) + abs(v1.y - v2.y) + abs(v1.z - v2.z) > 1e-6
-    assert pitcher_vector(bank, "H", 1234.5) == pitcher_vector(bank, "H", 1234.5)
+    v1 = watch_vectors_array(bank.watch_H, [1234.5])[0]
+    v2 = watch_vectors_array(bank.watch_T, [1234.5])[0]
+    assert np.sum(np.abs(v1 - v2)) > 1e-6
+    assert np.array_equal(watch_vectors_array(bank.watch_H, [1234.5])[0], v1)
 
 
 def test_batter_vector_round_trip():
     # oracle: direct pitcher-side evaluation at t_pitch = t_arrival - delta_t
     bank = WatchBank.default()
     rng = np.random.default_rng(5)
-    for _ in range(500):
-        t = float(rng.uniform(0.0, 1e7))
-        dt = float(rng.uniform(0.0, 500.0))
-        for coin, watch in (("H", bank.watch_H), ("T", bank.watch_T)):
-            p = pitcher_vector(bank, coin, t - dt)
-            b = batter_vector(watch.mirrored(), t, dt)
-            assert abs(p.x - b.x) < 1e-9
-            assert abs(p.y - b.y) < 1e-9
-            assert abs(p.z - b.z) < 1e-9
+    t = rng.uniform(0.0, 1e7, size=500)
+    dt = rng.uniform(0.0, 500.0, size=500)
+    for watch in (bank.watch_H, bank.watch_T):
+        p = watch_vectors_array(watch, t - dt)
+        b = batter_vectors_array(watch.mirrored(), t, dt)
+        assert np.max(np.abs(p - b)) < 1e-9
 
 
 def test_batter_vector_trivial_cases():
     w = cw(60.0 * math.sqrt(2.0), 720.0 * math.sqrt(3.0))
-    v = batter_vector(w.mirrored(), 0.0, 0.0)
-    assert (v.x, v.y, v.z) == pytest.approx((0.0, 0.0, -1.0), abs=1e-12)
+    v = batter_vectors_array(w.mirrored(), [0.0], 0.0)[0]
+    assert v == pytest.approx((0.0, 0.0, -1.0), abs=1e-12)
     # delta_t of exactly one period leaves that hand's phase unchanged
     t = 777.7
-    a = batter_vector(w.mirrored(), t + w.period_small, w.period_small)
-    b = batter_vector(w.mirrored(), t, 0.0)
-    assert a.x == pytest.approx(b.x, abs=1e-9)
+    a = batter_vectors_array(w.mirrored(), [t + w.period_small], w.period_small)[0]
+    b = batter_vectors_array(w.mirrored(), [t], 0.0)[0]
+    assert a[0] == pytest.approx(b[0], abs=1e-9)
     with pytest.raises(ValueError):
-        batter_vector(w.mirrored(), 0.0, -1.0)
+        batter_vectors_array(w.mirrored(), [0.0], -1.0)
     with pytest.raises(ValueError):
-        batter_vector(w, 0.0, 1.0)  # not a mirror
+        batter_vectors_array(w, [0.0], 1.0)  # not a mirror
+
+
+def _scalar_read(w, t):
+    """Oracle: one pitcher-side read written out with the math module."""
+    ps = ((t - w.epoch) / w.period_small) % 1.0
+    pl = ((t - w.epoch) / w.period_large) % 1.0
+    theta, phi = math.acos(2.0 * pl - 1.0), 2.0 * math.pi * ps
+    return [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
 
 
 def test_vectorized_watch_reads_match_scalar():
@@ -111,8 +108,7 @@ def test_vectorized_watch_reads_match_scalar():
     ts = np.linspace(0.0, 1e5, 101)
     arr = watch_vectors_array(bank.watch_H, ts)
     for i, t in enumerate(ts):
-        v = pitcher_vector(bank, "H", float(t))
-        assert np.allclose(arr[i], [v.x, v.y, v.z], atol=1e-12)
+        assert np.allclose(arr[i], _scalar_read(bank.watch_H, float(t)), atol=1e-12)
     barr = batter_vectors_array(bank.watch_H.mirrored(), ts + 2.5, 2.5)
     assert np.allclose(barr, watch_vectors_array(bank.watch_H, ts), atol=1e-9)
 
