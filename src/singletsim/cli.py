@@ -20,7 +20,6 @@ from .geometry import UnitVector, planar_vector
 from .metrics import (
     CHSH_LABELS,
     ChshConfig,
-    QuadratureError,
     chi_square_gof,
     chsh,
     chsh_analytic,
@@ -48,6 +47,8 @@ EXIT_AUDIT = 3
 EXIT_RUNTIME = 4
 
 P_THRESHOLD = 1e-3
+
+_GRID_CANDIDATE_CAP = 256
 
 
 class UsageError(Exception):
@@ -343,9 +344,11 @@ def _load_pairs_file(path):
     return out
 
 
-def _grid_candidate_pairs(k: int, cap: int = 256):
-    """Settings-pair candidates from a coplanar angle grid, capped to a
-    deterministic subset so the continuous-density quadratures stay cheap."""
+def _grid_candidate_pairs(k: int):
+    """Candidate pairs of settings pairs from a coplanar grid of k angles in
+    [0, 180) degrees.  A settings pair is an ordered pair of distinct grid
+    angles; the candidates are all pairs of two different settings pairs,
+    thinned by a fixed stride to at most _GRID_CANDIDATE_CAP."""
     degs = [180.0 * i / k for i in range(k)]
     settings = [
         SettingsPair(planar_vector(a), planar_vector(b))
@@ -358,8 +361,8 @@ def _grid_candidate_pairs(k: int, cap: int = 256):
         for i in range(len(settings))
         for j in range(i + 1, len(settings))
     ]
-    if len(combos) > cap:
-        stride = len(combos) // cap + 1
+    if len(combos) > _GRID_CANDIDATE_CAP:
+        stride = len(combos) // _GRID_CANDIDATE_CAP + 1
         combos = combos[::stride]
     return combos
 
@@ -374,8 +377,6 @@ def cmd_freewill(args) -> int:
     m, best_i = free_will_M(args.model, candidates)
     sa, sb = candidates[best_i]
     print(f"M = {_f17(m)}  (candidate {best_i} of {len(candidates)})")
-    if args.model in ("B1", "B2"):
-        print("quadrature error bar: <= 1e-6")
     for name, s in (("s ", sa), ("s'", sb)):
         print(f"{name} n_L=({s.n_L.x:+.4f},{s.n_L.y:+.4f},{s.n_L.z:+.4f})"
               f" n_R=({s.n_R.x:+.4f},{s.n_R.y:+.4f},{s.n_R.z:+.4f})")
@@ -483,7 +484,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SamplerFailure, QuadratureError, ProtocolIntegrityError) as exc:
+    except (SamplerFailure, ProtocolIntegrityError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -2,19 +2,19 @@
 parameter, the measurement-dependence ("free will") measure, goodness-of-fit,
 and density normalization checks.
 
-The sphere integrals all share one structure: the integrand is constant on
-the regions cut out by a few great circles (the planes orthogonal to the bat
-settings).  The quadrature below exploits that: per latitude ring the circle
-crossings are located analytically and the azimuthal integral is exact, so
-only the one-dimensional latitude integral is numerical.
+The sphere integrals all share one structure: the Hall density is constant on
+the sign cells cut out by the planes orthogonal to the bat settings (Hall,
+PRL 105, 250404, 2010).  Each integral is therefore a finite sum of cell
+masses, and those follow exactly from the sign moments of a uniform point on
+the sphere: the pair moment 1 - 2 gamma/pi, and the four-normal moment fixed
+by the one cell that linear dependence of the normals leaves empty.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import gammaincc
@@ -23,18 +23,7 @@ from .geometry import UnitVector
 from .models import MODEL_KINDS, SettingsPair, hall_g, joint_analytic
 from .protocol import OUTCOMES, CountTable
 
-TWO_PI = 2.0 * math.pi
-
 _ATOM_MERGE_TOL = 1e-9
-
-
-class QuadratureError(RuntimeError):
-    """Latitude refinement failed to converge to the requested tolerance."""
-
-
-@lru_cache(maxsize=16)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
 
 
 @dataclass(frozen=True)
@@ -104,112 +93,38 @@ def chsh_analytic(kind: str, config: ChshConfig) -> MetricsResult:
 
 
 # ---------------------------------------------------------------------------
-# sign-region sphere quadrature
+# exact sign-cell masses
 
-def integrate_sign_regions(
-    normals,
-    value_fn: Callable[[tuple], float],
-    tol: float = 1e-9,
-    max_doublings: int = 10,
-) -> float:
-    """Integrate over S2 a function that is constant on the sign regions of
-    ``u -> sgn(u . m)`` for the given normals.
+def sign_moment2(m1, m2) -> float:
+    """E[sgn(u.m1) sgn(u.m2)] for u uniform on S2: 1 - 2 gamma/pi, with gamma
+    the angle between the normals.
 
-    ``value_fn`` receives the tuple of signs (one per normal) of the region.
-    Per latitude ring the azimuthal crossings of each great circle are solved
-    in closed form, so the phi integral is exact; the latitude integral uses
-    panelwise Gauss-Legendre with panel edges at the circle tangencies, doubling
-    the node count until two refinements agree within ``tol``.
+    gamma comes from atan2(|m1 x m2|, m1.m2), which keeps full precision near
+    parallel and antipodal normals, where acos of the dot product does not.
     """
-    normals = [np.asarray(m, dtype=float) for m in normals]
-    edges = {-1.0, 1.0}
-    for m in normals:
-        r = math.sqrt(max(0.0, 1.0 - m[2] * m[2]))
-        if 0.0 < r < 1.0:
-            edges.add(r)
-            edges.add(-r)
-        elif r == 0.0:
-            edges.add(0.0)
-    # circle intersections: the region topology changes where two great
-    # circles cross, so those latitudes must be panel edges too
-    for i in range(len(normals)):
-        for j in range(i + 1, len(normals)):
-            w = np.cross(normals[i], normals[j])
-            nw = np.linalg.norm(w)
-            if nw > 1e-12:
-                z = abs(w[2] / nw)
-                if z < 1.0:
-                    edges.add(z)
-                    edges.add(-z)
-    edges = sorted(edges)
-
-    def ring(x: float) -> float:
-        st = math.sqrt(max(0.0, 1.0 - x * x))
-        amps = []
-        cross = []
-        for m in normals:
-            rho = math.hypot(m[0], m[1])
-            a = st * rho
-            b = x * m[2]
-            phi0 = math.atan2(m[1], m[0])
-            amps.append((a, b, phi0))
-            if a > abs(b):
-                delta = math.acos(max(-1.0, min(1.0, -b / a)))
-                cross.append((phi0 + delta) % TWO_PI)
-                cross.append((phi0 - delta) % TWO_PI)
-        cross.sort()
-        total = 0.0
-        k = len(cross)
-        if k == 0:
-            arcs = [(0.0, TWO_PI)]
-        else:
-            arcs = [
-                (cross[i], cross[i + 1] if i + 1 < k else cross[0] + TWO_PI)
-                for i in range(k)
-            ]
-        for lo, hi in arcs:
-            mid = 0.5 * (lo + hi)
-            signs = tuple(
-                1 if a * math.cos(mid - phi0) + b >= 0.0 else -1
-                for a, b, phi0 in amps
-            )
-            total += (hi - lo) * value_fn(signs)
-        return total
-
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo <= 0.0:
-            continue
-        mid = 0.5 * (hi + lo)
-        half = 0.5 * (hi - lo)
-        prev = None
-        n = 16
-        for _ in range(max_doublings + 1):
-            ss, ws = _leggauss(n)
-            # sine map: the arc-length terms have sqrt singularities at the
-            # tangency edges; x = mid + half*sin(pi s/2) makes them analytic
-            xs = mid + half * np.sin(0.5 * math.pi * ss)
-            jac = half * 0.5 * math.pi * np.cos(0.5 * math.pi * ss)
-            cur = sum(w * j * ring(x) for x, j, w in zip(xs, jac, ws))
-            if prev is not None and abs(cur - prev) <= tol:
-                break
-            prev = cur
-            n *= 2
-        else:
-            raise QuadratureError(
-                f"ring quadrature did not converge on panel [{lo}, {hi}]"
-            )
-        total += cur
-    return total
+    m1 = np.asarray(m1, dtype=float)
+    m2 = np.asarray(m2, dtype=float)
+    gamma = math.atan2(float(np.linalg.norm(np.cross(m1, m2))), float(m1 @ m2))
+    return 1.0 - 2.0 * gamma / math.pi
 
 
-def _hall_value_fn(s: SettingsPair):
-    """Hall density as a function of the (sgn(u.n_L), sgn(u.n_R)) region.
+def sign_moment4(m1, m2, m3, m4) -> float:
+    """E[s1 s2 s3 s4] for s_i = sgn(u.m_i), u uniform on S2.
 
-    f = sgn(u.n_L) * sgn(-u.n_R) * n_L.n_R = -s1*s2*c almost everywhere.
+    Odd moments vanish (u -> -u), so the sign cell sigma has mass
+    (1 + sum_{i<j} sigma_i sigma_j E_ij + sigma_1 sigma_2 sigma_3 sigma_4 E4)/16.
+    Three-dimensional normals are linearly dependent: for a nonzero lambda
+    with sum_i lambda_i m_i = 0, no u has sgn(u.m_i) = sgn(lambda_i) wherever
+    lambda_i != 0, so that cell is empty, and its zero mass fixes E4.
     """
-    c = s.cos_angle()
-    return lambda signs: hall_g(-signs[0] * signs[1] * c)
+    m = np.array([m1, m2, m3, m4], dtype=float)
+    lam = np.linalg.svd(m.T)[2][-1]
+    sig = np.where(lam >= 0.0, 1.0, -1.0)
+    acc = 1.0
+    for i in range(4):
+        for j in range(i + 1, 4):
+            acc += sig[i] * sig[j] * sign_moment2(m[i], m[j])
+    return -float(np.prod(sig)) * acc
 
 
 def normalization_check(
@@ -219,12 +134,17 @@ def normalization_check(
     rng: Optional[np.random.Generator] = None,
 ):
     """Integral of the Hall density over the sphere; 1 if the density is a
-    probability density.  Returns (value, error_estimate)."""
+    probability density.  Returns (value, error_estimate).
+
+    ``"quadrature"`` sums the density over the four exact sign cells of
+    (n_L, n_R) and has no error beyond rounding; ``"monte_carlo"`` averages
+    it over uniform sphere samples.
+    """
     if method == "quadrature":
-        val = integrate_sign_regions(
-            [s.n_L.as_array(), s.n_R.as_array()], _hall_value_fn(s), tol=1e-9
-        )
-        return val, 1e-9
+        c = s.cos_angle()
+        e = sign_moment2(s.n_L.as_array(), s.n_R.as_array())
+        val = sum(2.0 * math.pi * (1.0 + p * e) * hall_g(-p * c) for p in (1, -1))
+        return val, 0.0
     if method == "monte_carlo":
         from .geometry import sample_uniform_sphere_array
         from .models import hall_f_array, hall_g_array
@@ -239,16 +159,10 @@ def normalization_check(
 
 def joint_from_hall_density(sigma: int, tau: int, s: SettingsPair) -> float:
     """P(sigma, tau) obtained by integrating the deterministic responses
-    against the Hall density; should reproduce the singlet law."""
-    c = s.cos_angle()
-
-    def value(signs):
-        s1, s2 = signs
-        if s1 != sigma or -s2 != tau:
-            return 0.0
-        return hall_g(-s1 * s2 * c)
-
-    return integrate_sign_regions([s.n_L.as_array(), s.n_R.as_array()], value)
+    sigma = sgn(u.n_L), tau = sgn(-u.n_R) against the Hall density; should
+    reproduce the singlet law."""
+    e = sign_moment2(s.n_L.as_array(), s.n_R.as_array())
+    return math.pi * (1.0 - sigma * tau * e) * hall_g(sigma * tau * s.cos_angle())
 
 
 # ---------------------------------------------------------------------------
@@ -287,31 +201,32 @@ def _total_variation_atomic(s: SettingsPair, s2: SettingsPair) -> float:
     return sum(abs(p - q) for _, p, q in merged)
 
 
-def _total_variation_hall(s: SettingsPair, s2: SettingsPair, tol: float) -> float:
-    c1 = s.cos_angle()
-    c2 = s2.cos_angle()
+def _total_variation_hall(s: SettingsPair, s2: SettingsPair) -> float:
+    """Total variation between the Hall densities of two settings pairs.
 
-    def value(signs):
-        s1a, s2a, s1b, s2b = signs
-        return abs(hall_g(-s1a * s2a * c1) - hall_g(-s1b * s2b * c2))
-
-    return integrate_sign_regions(
-        [s.n_L.as_array(), s.n_R.as_array(), s2.n_L.as_array(), s2.n_R.as_array()],
-        value,
-        tol=tol,
+    Each density is constant where p = sgn(u.n_L) sgn(u.n_R) is, with value
+    g(-p n_L.n_R); the cell (p1, p2) covers the area
+    pi (1 + p1 E1 + p2 E2 + p1 p2 E4) of the sphere.
+    """
+    normals = [s.n_L.as_array(), s.n_R.as_array(), s2.n_L.as_array(), s2.n_R.as_array()]
+    c1, c2 = s.cos_angle(), s2.cos_angle()
+    e1 = sign_moment2(normals[0], normals[1])
+    e2 = sign_moment2(normals[2], normals[3])
+    e4 = sign_moment4(*normals)
+    return sum(
+        math.pi * (1.0 + p1 * e1 + p2 * e2 + p1 * p2 * e4)
+        * abs(hall_g(-p1 * c1) - hall_g(-p2 * c2))
+        for p1 in (1, -1)
+        for p2 in (1, -1)
     )
 
 
-def free_will_M(
-    kind: str,
-    candidate_pairs,
-    quadrature_tol: float = 1e-8,
-):
+def free_will_M(kind: str, candidate_pairs):
     """Largest total-variation distance between the spin densities of two
     settings pairs, over the supplied candidates; 0 means settings-independent
     hidden variables, 2 means fully settings-pinned.
 
-    Exact atom algebra for the atomic models (A, C); sign-region quadrature
+    Exact atom algebra for the atomic models (A, C); exact sign-cell masses
     for the Hall models.  Returns (M, best_pair_index).
     """
     if kind not in MODEL_KINDS:
@@ -327,7 +242,7 @@ def free_will_M(
         if kind in ("A", "C"):
             m = _total_variation_atomic(sa, sb)
         else:
-            m = _total_variation_hall(sa, sb, quadrature_tol)
+            m = _total_variation_hall(sa, sb)
         if m > best:
             best, best_i = m, i
     return min(2.0, max(0.0, best)), best_i

@@ -204,6 +204,32 @@ def test_freewill_grid(capsys):
     assert "M = 2" in out
 
 
+# freewill --model B1 --grid 8 before the sign-cell masses replaced quadrature
+M_B1_GRID8 = 0.27614237491539645
+
+
+def test_freewill_hall_grid_8(capsys):
+    outs = []
+    for kind in ("B1", "B2"):
+        assert run(["freewill", "--model", kind, "--grid", "8"]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    first = outs[0].splitlines()[0]
+    assert float(first.split()[2]) == pytest.approx(M_B1_GRID8, abs=1e-12)
+    assert "candidate 13 of 220" in first
+    assert outs[0] == outs[1]
+
+
+def test_freewill_pairs_file_non_coplanar(tmp_path, capsys):
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps([
+        [{"n_L": [0.3, 0.2, 0.9], "n_R": [-0.5, 0.1, 0.3]},
+         {"n_L": [0.2, -0.7, 0.1], "n_R": [0.6, 0.5, -0.4]}],
+    ]))
+    assert run(["freewill", "--model", "B1", "--pairs", str(pairs)]) == EXIT_OK
+    m = float(capsys.readouterr().out.split()[2])
+    assert 0.0 < m < 2.0
+
+
 def test_freewill_rejects_qm(capsys):
     assert run(["freewill", "--model", "QM"]) == EXIT_USAGE
     capsys.readouterr()

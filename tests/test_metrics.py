@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singletsim.geometry import UnitVector
 from singletsim.metrics import (
@@ -14,9 +16,10 @@ from singletsim.metrics import (
     chsh_analytic,
     correlator,
     free_will_M,
-    integrate_sign_regions,
     joint_from_hall_density,
     normalization_check,
+    sign_moment2,
+    sign_moment4,
     two_sample_chi_square,
 )
 from singletsim.models import SettingsPair, joint_analytic
@@ -88,13 +91,21 @@ def test_chsh_recomputable_from_correlators():
     assert abs(again - res.E) < 1e-12
 
 
+def cell_mass2(signs, m1, m2):
+    """Mass of the sign cell (sgn(u.m1), sgn(u.m2)) for u uniform on S2."""
+    return 0.25 * (1.0 + signs[0] * signs[1] * sign_moment2(m1, m2))
+
+
 def test_sign_region_quadrature_areas():
-    # oracle: each hemisphere of a single great circle has area 2 pi
+    # oracle: each hemisphere of a single great circle has area 2 pi; a normal
+    # paired with itself leaves only the cells (+,+) and (-,-)
     m = planar(33.0).as_array()
-    up = integrate_sign_regions([m], lambda s: 1.0 if s[0] == 1 else 0.0)
-    assert up == pytest.approx(2.0 * math.pi, abs=1e-9)
-    total = integrate_sign_regions([m], lambda s: 1.0)
-    assert total == pytest.approx(4.0 * math.pi, abs=1e-9)
+    assert sign_moment2(m, m) == 1.0
+    up = 4.0 * math.pi * cell_mass2((1, 1), m, m)
+    assert up == pytest.approx(2.0 * math.pi, abs=1e-12)
+    total = sum(4.0 * math.pi * cell_mass2(sg, m, m)
+                for sg in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+    assert total == pytest.approx(4.0 * math.pi, abs=1e-12)
 
 
 def test_sign_region_quadrature_lune():
@@ -104,16 +115,83 @@ def test_sign_region_quadrature_lune():
         gamma = math.radians(deg)
         m1 = Z.as_array()
         m2 = planar(deg).as_array()
-        area = integrate_sign_regions(
-            [m1, m2], lambda s: 1.0 if s == (1, 1) else 0.0
-        )
-        assert area == pytest.approx(2.0 * (math.pi - gamma), abs=1e-8)
+        area = 4.0 * math.pi * cell_mass2((1, 1), m1, m2)
+        assert area == pytest.approx(2.0 * (math.pi - gamma), abs=1e-12)
+
+
+def test_sign_moment2_antipodal_normals():
+    # near-antipodal normals: the angle must keep full precision there
+    m = planar(33.0).as_array()
+    assert sign_moment2(m, -m) == -1.0
+    for eps in (1e-6, 1e-9):
+        m2 = planar(213.0 + math.degrees(eps)).as_array()
+        assert sign_moment2(m, m2) == pytest.approx(-1.0 + 2.0 * eps / math.pi, abs=1e-15)
+
+
+def unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def test_sign_moment4_exact_reductions():
+    a, b, c = unit([0.3, 0.2, 0.9]), unit([-0.5, 0.1, 0.3]), unit([0.2, -0.7, 0.1])
+    # a shared vector cancels: s_a s_b s_a s_c = s_b s_c
+    assert sign_moment4(a, b, a, c) == pytest.approx(sign_moment2(b, c), abs=1e-12)
+    # an antipodal pair cancels with a sign: s_a s_b s_{-a} s_c = -s_b s_c
+    assert sign_moment4(a, b, -a, c) == pytest.approx(-sign_moment2(b, c), abs=1e-12)
+    assert sign_moment4(a, b, a, b) == pytest.approx(1.0, abs=1e-12)
+    # identical settings pairs have identical Hall densities
+    s = SettingsPair(UnitVector(*a), UnitVector(*b))
+    m, _ = free_will_M("B1", [(s, s)])
+    assert m == pytest.approx(0.0, abs=1e-12)
+
+
+def test_sign_moment4_monte_carlo():
+    normals = [unit([0.3, 0.2, 0.9]), unit([-0.5, 0.1, 0.3]),
+               unit([0.2, -0.7, 0.1]), unit([0.6, 0.5, -0.4])]
+    e4 = sign_moment4(*normals)
+    rng = np.random.default_rng(11)
+    n, block = 4_000_000, 1_000_000
+    acc = 0
+    for _ in range(n // block):
+        u = rng.normal(size=(block, 3))
+        acc += int(np.prod(np.where(u @ np.array(normals).T >= 0.0, 1, -1), axis=1).sum())
+    sigma = math.sqrt((1.0 - e4 * e4) / n)
+    assert abs(acc / n - e4) <= 5.0 * sigma
+
+
+SIGN_CELLS4 = [
+    (s1, s2, s3, s4) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1) for s4 in (1, -1)
+]
+
+normal_vectors = st.lists(
+    st.floats(-1.0, 1.0, allow_nan=False), min_size=3, max_size=3
+).filter(lambda v: math.hypot(*v) >= 1e-3).map(unit)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(normal_vectors, min_size=4, max_size=4), st.permutations(range(4)),
+       st.integers(0, 3))
+def test_sign_moment4_cell_masses(normals, perm, flip):
+    e2 = {(i, j): sign_moment2(normals[i], normals[j])
+          for i in range(4) for j in range(i + 1, 4)}
+    e4 = sign_moment4(*normals)
+    masses = [
+        (1.0 + sum(sg[i] * sg[j] * e for (i, j), e in e2.items())
+         + sg[0] * sg[1] * sg[2] * sg[3] * e4) / 16.0
+        for sg in SIGN_CELLS4
+    ]
+    assert min(masses) >= -1e-12
+    assert sum(masses) == pytest.approx(1.0, abs=1e-12)
+    assert sign_moment4(*[normals[k] for k in perm]) == pytest.approx(e4, abs=1e-12)
+    flipped = [-m if k == flip else m for k, m in enumerate(normals)]
+    assert sign_moment4(*flipped) == pytest.approx(-e4, abs=1e-12)
 
 
 def test_normalization_quadrature():
     for deg in (1.0, 60.0, 90.0, 179.0):
         val, err = normalization_check(pair(deg), method="quadrature")
-        assert abs(val - 1.0) < 1e-6
+        assert abs(val - 1.0) < 1e-12
     with pytest.raises(ValueError):
         normalization_check(pair(60.0), method="bogus")
 
@@ -133,7 +211,7 @@ def test_joint_from_hall_density_matches_singlet_law():
         for sg in (1, -1):
             for tu in (1, -1):
                 got = joint_from_hall_density(sg, tu, s)
-                assert got == pytest.approx(joint_analytic("B1", sg, tu, s), abs=1e-8)
+                assert got == pytest.approx(joint_analytic("B1", sg, tu, s), abs=1e-12)
 
 
 def test_free_will_M_atomic_values():
@@ -168,7 +246,7 @@ def test_free_will_M_symmetric():
     a, b = pair(60.0), pair(110.0)
     m1, _ = free_will_M("B1", [(a, b)])
     m2, _ = free_will_M("B1", [(b, a)])
-    assert m1 == pytest.approx(m2, abs=1e-8)
+    assert m1 == pytest.approx(m2, abs=1e-12)
 
 
 def test_free_will_M_hall_realizations_agree():
