@@ -21,14 +21,13 @@ from .metrics import (
     CHSH_LABELS,
     ChshConfig,
     chi_square_gof,
-    chsh,
     chsh_analytic,
     free_will_M,
     normalization_check,
     two_sample_chi_square,
 )
 from .models import MODEL_KINDS, SamplerFailure, SettingsPair
-from .optimizer import SearchOptions, maximize_chsh
+from .optimizer import SearchOptions, chsh_empirical, maximize_chsh
 from .protocol import (
     ExperimentConfig,
     ProtocolIntegrityError,
@@ -60,10 +59,14 @@ def _f17(x) -> str:
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("SINGLET_SIM_THREADS")
-    return int(env) if env else 1
+    """--threads, else SINGLET_SIM_THREADS, else 1; below 1 is a usage error."""
+    n = getattr(args, "threads", None)
+    if n is None:
+        env = os.environ.get("SINGLET_SIM_THREADS")
+        n = int(env) if env else 1
+    if n < 1:
+        raise UsageError(f"thread count must be >= 1, got {n}")
+    return n
 
 
 def _theta_pairs(theta_list):
@@ -255,7 +258,7 @@ def cmd_verify(args) -> int:
             for deg in (1.0, 60.0, 90.0, 179.0):
                 s = SettingsPair(UnitVector(0.0, 0.0, 1.0), planar_vector(deg))
                 v, _ = normalization_check(s, "quadrature")
-                ok_n = abs(v - 1.0) <= 1e-6
+                ok_n = abs(v - 1.0) <= 1e-12
                 overall &= ok_n
                 all_rows.append((m, f"norm quad theta={deg:g}", f"err={abs(v - 1.0):.2e}", ok_n))
     w_rows, w_ok = _verify_watches(args.seed)
@@ -291,6 +294,7 @@ def cmd_chsh(args) -> int:
         raise UsageError("exactly one of --config or --optimize is required")
     if args.model not in MODEL_KINDS:
         raise UsageError(f"unknown model {args.model!r}")
+    threads = _threads(args)
     if args.optimize:
         opts = SearchOptions(
             mode=args.mode,
@@ -305,13 +309,7 @@ def cmd_chsh(args) -> int:
         if args.mode == "analytic":
             res = chsh_analytic(args.model, cfg)
         else:
-            tables = {}
-            for lab, pair in cfg.pairs().items():
-                tb, _ = run_experiment(args.model, ExperimentConfig(
-                    trials=args.trials, seed=args.seed, settings_pairs=[(lab, pair)],
-                    threads=_threads(args)))
-                tables[lab] = tb[0]
-            res = chsh(tables)
+            res = chsh_empirical(args.model, cfg, args.trials, args.seed, threads)
         e = res.E
         for lab in CHSH_LABELS:
             print(f"C({lab}) = {res.correlators[lab]:+.6f}")

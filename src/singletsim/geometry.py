@@ -57,17 +57,6 @@ def dot(a: UnitVector, b: UnitVector) -> float:
     return min(1.0, max(-1.0, d))
 
 
-def sign(x: float) -> int:
-    """Sign with the boundary convention sign(0) = +1.
-
-    The convention is load-bearing: deterministic responses and the mixed-model
-    law evaluate it on measure-zero boundaries and must agree everywhere.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"sign of non-finite value: {x}")
-    return 1 if x >= 0.0 else -1
-
-
 def from_angles(theta: float, phi: float) -> UnitVector:
     """Unit vector from polar angle theta in [0, pi] and azimuth phi in [0, 2*pi)."""
     if not 0.0 <= theta <= math.pi:
@@ -100,6 +89,11 @@ def rowdot(a, b) -> np.ndarray:
     return np.einsum("...j,...j->...", a, b)
 
 
-def sign_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized sign with the same sign(0) = +1 convention."""
+def sign_array(x) -> np.ndarray:
+    """Elementwise sign with the boundary convention sign(0) = +1 (also for
+    -0.0).
+
+    The convention is load-bearing: deterministic responses and the mixed-model
+    law evaluate it on measure-zero boundaries and must agree everywhere.
+    """
     return np.where(np.asarray(x) >= 0.0, 1, -1)

@@ -19,11 +19,12 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaincc
 
-from .geometry import UnitVector
-from .models import MODEL_KINDS, SettingsPair, hall_g, joint_analytic
+from .geometry import UnitVector, sample_uniform_sphere_array, sign_array
+from .models import MODEL_KINDS, SettingsPair, hall_f_array, hall_g, hall_g_array, joint_analytic
 from .protocol import OUTCOMES, CountTable
 
 _ATOM_MERGE_TOL = 1e-9
+_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,6 @@ CHSH_LABELS = ("ab", "a'b", "ab'", "a'b'")
 class MetricsResult:
     correlators: dict
     E: float
-    M: Optional[float] = None
-    chi2: Optional[float] = None
-    p_value: Optional[float] = None
-    dof: Optional[int] = None
 
 
 def correlator(table: CountTable) -> float:
@@ -77,19 +74,23 @@ def analytic_correlator(kind: str, s: SettingsPair) -> float:
     )
 
 
+def _chsh_result(c: dict) -> MetricsResult:
+    """E = |C(a,b) + C(a',b) + C(a,b') - C(a',b')| from the four labeled
+    correlators."""
+    return MetricsResult(correlators=c, E=abs(c["ab"] + c["a'b"] + c["ab'"] - c["a'b'"]))
+
+
 def chsh(tables: dict) -> MetricsResult:
-    """E = |C(a,b) + C(a',b) + C(a,b') - C(a',b')| from four labeled tables."""
+    """CHSH parameter of four count tables labeled by CHSH_LABELS."""
     if set(tables) != set(CHSH_LABELS):
         raise ValueError(f"need tables labeled {CHSH_LABELS}, got {sorted(tables)}")
-    c = {lab: correlator(tables[lab]) for lab in CHSH_LABELS}
-    e = abs(c["ab"] + c["a'b"] + c["ab'"] - c["a'b'"])
-    return MetricsResult(correlators=c, E=e)
+    return _chsh_result({lab: correlator(tables[lab]) for lab in CHSH_LABELS})
 
 
 def chsh_analytic(kind: str, config: ChshConfig) -> MetricsResult:
-    c = {lab: analytic_correlator(kind, pair) for lab, pair in config.pairs().items()}
-    e = abs(c["ab"] + c["a'b"] + c["ab'"] - c["a'b'"])
-    return MetricsResult(correlators=c, E=e)
+    """CHSH parameter of the model's analytic law at ``config``."""
+    return _chsh_result({lab: analytic_correlator(kind, pair)
+                         for lab, pair in config.pairs().items()})
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +120,7 @@ def sign_moment4(m1, m2, m3, m4) -> float:
     """
     m = np.array([m1, m2, m3, m4], dtype=float)
     lam = np.linalg.svd(m.T)[2][-1]
-    sig = np.where(lam >= 0.0, 1.0, -1.0)
+    sig = sign_array(lam)
     acc = 1.0
     for i in range(4):
         for j in range(i + 1, 4):
@@ -146,9 +147,6 @@ def normalization_check(
         val = sum(2.0 * math.pi * (1.0 + p * e) * hall_g(-p * c) for p in (1, -1))
         return val, 0.0
     if method == "monte_carlo":
-        from .geometry import sample_uniform_sphere_array
-        from .models import hall_f_array, hall_g_array
-
         rng = rng if rng is not None else np.random.default_rng(0)
         u = sample_uniform_sphere_array(rng, mc_samples)
         f = hall_f_array(u, s.n_L.as_array(), s.n_R.as_array())
@@ -168,37 +166,24 @@ def joint_from_hall_density(sigma: int, tau: int, s: SettingsPair) -> float:
 # ---------------------------------------------------------------------------
 # measurement dependence
 
-def _atoms(s: SettingsPair):
-    """Model A spin atoms: +-n_L and +-n_R, weight 1/4 each, with coincident
-    directions merged."""
-    dirs = []
-    weights = []
-    for v in (s.n_R.as_array(), -s.n_R.as_array(), s.n_L.as_array(), -s.n_L.as_array()):
-        for i, d in enumerate(dirs):
-            if np.max(np.abs(d - v)) <= _ATOM_MERGE_TOL:
-                weights[i] += 0.25
-                break
-        else:
-            dirs.append(v)
-            weights.append(0.25)
-    return dirs, weights
-
-
 def _total_variation_atomic(s: SettingsPair, s2: SettingsPair) -> float:
-    d1, w1 = _atoms(s)
-    d2, w2 = _atoms(s2)
-    merged = []
-    for dirs, weights, side in ((d1, w1, 0), (d2, w2, 1)):
-        for d, w in zip(dirs, weights):
+    """Total variation between the model A spin atoms of two settings pairs.
+
+    Each pair puts weight 1/4 on each of +-n_R and +-n_L; the atoms of s enter
+    with +1/4, those of s2 with -1/4, coincident directions merge, and M is
+    the sum of the merged weights' magnitudes.
+    """
+    merged = []  # [direction, signed weight]
+    for pair, w in ((s, 0.25), (s2, -0.25)):
+        n_R, n_L = pair.n_R.as_array(), pair.n_L.as_array()
+        for v in (n_R, -n_R, n_L, -n_L):
             for entry in merged:
-                if np.max(np.abs(entry[0] - d)) <= _ATOM_MERGE_TOL:
-                    entry[1 + side] += w
+                if np.max(np.abs(entry[0] - v)) <= _ATOM_MERGE_TOL:
+                    entry[1] += w
                     break
             else:
-                rec = [d, 0.0, 0.0]
-                rec[1 + side] = w
-                merged.append(rec)
-    return sum(abs(p - q) for _, p, q in merged)
+                merged.append([v, w])
+    return sum(abs(w) for _, w in merged)
 
 
 def _total_variation_hall(s: SettingsPair, s2: SettingsPair) -> float:
@@ -227,7 +212,10 @@ def free_will_M(kind: str, candidate_pairs):
     hidden variables, 2 means fully settings-pinned.
 
     Exact atom algebra for the atomic models (A, C); exact sign-cell masses
-    for the Hall models.  Returns (M, best_pair_index).
+    for the Hall models.  Returns (M, best_pair_index), where the index is the
+    first candidate within _TIE_TOL of the maximum: on symmetric grids many
+    candidates tie up to rounding, and the first of them should not depend on
+    the last bits of the arithmetic.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind: {kind!r}")
@@ -236,15 +224,10 @@ def free_will_M(kind: str, candidate_pairs):
     candidates = list(candidate_pairs)
     if not candidates:
         raise ValueError("need at least one candidate pair of settings pairs")
-    best = -1.0
-    best_i = 0
-    for i, (sa, sb) in enumerate(candidates):
-        if kind in ("A", "C"):
-            m = _total_variation_atomic(sa, sb)
-        else:
-            m = _total_variation_hall(sa, sb)
-        if m > best:
-            best, best_i = m, i
+    tv = _total_variation_atomic if kind in ("A", "C") else _total_variation_hall
+    ms = [tv(sa, sb) for sa, sb in candidates]
+    best = max(ms)
+    best_i = next(i for i, m in enumerate(ms) if m >= best - _TIE_TOL)
     return min(2.0, max(0.0, best)), best_i
 
 

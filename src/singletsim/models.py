@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import UnitVector, dot, rowdot, sign, sample_uniform_sphere_array, sign_array
+from .geometry import UnitVector, dot, rowdot, sample_uniform_sphere_array, sign_array
 
 MODEL_KINDS = ("A", "B1", "B2", "C", "QM")
 
@@ -171,15 +171,16 @@ def sample_settings_B2_array(
     return tuple(_sample_rows(n, 2, rng, propose))
 
 
-def joint_analytic(kind: str, sigma: int, tau: int, s: SettingsPair) -> float:
-    """Analytic joint outcome probability P(sigma, tau | n_L, n_R).
-
-    Models A, B1, B2 and the quantum reference share the singlet law
-    (1 - sigma tau n_L.n_R)/4; model C replaces the dot product by its sign.
-    """
+def correlator_law(kind: str, c):
+    """The model's correlator E[sigma tau] at setting overlap c = n_L.n_R,
+    elementwise: -c for models A, B1, B2 and the quantum reference, -sgn(c)
+    for model C."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind: {kind!r}")
-    c = s.cos_angle()
-    if kind == "C":
-        c = float(sign(c))
-    return 0.25 * (1.0 - sigma * tau * c)
+    return -sign_array(c) if kind == "C" else -c
+
+
+def joint_analytic(kind: str, sigma: int, tau: int, s: SettingsPair) -> float:
+    """Analytic joint outcome probability P(sigma, tau | n_L, n_R) =
+    (1 + sigma tau C)/4, with C the model's correlator law."""
+    return float(0.25 * (1.0 + sigma * tau * correlator_law(kind, s.cos_angle())))

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import planar_vector
-from .metrics import ChshConfig, chsh, chsh_analytic
-from .models import MODEL_KINDS
+from .metrics import ChshConfig, MetricsResult, chsh, chsh_analytic
+from .models import MODEL_KINDS, correlator_law
 from .protocol import ExperimentConfig, run_experiment
 
 _EPS = 1e-12
@@ -55,50 +55,31 @@ def config_from_angles(a, a_p, b, b_p) -> ChshConfig:
     )
 
 
-def _correlator_grid(kind: str, diff_rad: np.ndarray) -> np.ndarray:
-    c = np.cos(diff_rad)
-    if kind == "C":
-        return -np.where(c >= 0.0, 1.0, -1.0)
-    return -c
-
-
-def _objective(kind: str, angles_deg) -> tuple:
-    """(E, margin) for one coplanar configuration; the margin is the smallest
-    |cos| over the four pairs, used to break plateau ties away from the sign
-    boundaries."""
-    a, ap, b, bp = (math.radians(x) for x in angles_deg)
-    diffs = np.array([a - b, ap - b, a - bp, ap - bp])
-    cs = _correlator_grid(kind, diffs)
-    e = abs(cs[0] + cs[1] + cs[2] - cs[3])
-    margin = float(np.min(np.abs(np.cos(diffs))))
-    return float(e), margin
+def _scores(kind: str, a, a_p, b, b_p):
+    """(E, margin) of coplanar configurations at angles in radians, broadcast
+    over array arguments.  The margin is the smallest |cos| over the four
+    pairs, used to break plateau ties away from the sign boundaries."""
+    c = [np.cos(x - y) for x, y in ((a, b), (a_p, b), (a, b_p), (a_p, b_p))]
+    ab, apb, abp, apbp = (correlator_law(kind, x) for x in c)
+    e = np.abs(ab + apb + abp - apbp)
+    margin = np.minimum(np.minimum(np.abs(c[0]), np.abs(c[1])),
+                        np.minimum(np.abs(c[2]), np.abs(c[3])))
+    return e, margin
 
 
 def _coarse_scan(kind: str, step_deg: float):
     """Exhaustive coplanar scan with the first angle pinned at 0; returns the
     best (E, margin, angles) in deterministic lexicographic order."""
     grid = np.arange(0.0, 360.0, step_deg)
-    k = grid.size
     rad = np.radians(grid)
     best = (-1.0, -1.0, (0.0, 0.0, 0.0, 0.0))
     evals = 0
-    cos_b = np.cos(-rad)  # a = 0 against every b
     for ap in rad:
-        c1 = _correlator_grid(kind, -rad)          # C(0, b)
-        c2 = _correlator_grid(kind, ap - rad)      # C(a', b)
-        c3 = _correlator_grid(kind, -rad)          # C(0, b')
-        c4 = _correlator_grid(kind, ap - rad)      # C(a', b')
-        e = np.abs(c1[:, None] + c2[:, None] + c3[None, :] - c4[None, :])
-        m = np.minimum.reduce([
-            np.abs(cos_b)[:, None] + np.zeros((1, k)),
-            np.abs(np.cos(ap - rad))[:, None] + np.zeros((1, k)),
-            np.zeros((k, 1)) + np.abs(cos_b)[None, :],
-            np.zeros((k, 1)) + np.abs(np.cos(ap - rad))[None, :],
-        ])
-        evals += k * k
+        # b down the rows, b' across the columns
+        e, m = _scores(kind, 0.0, ap, rad[:, None], rad[None, :])
+        evals += e.size
         # scan the plateau of the max for the largest margin, lexicographic first
-        emax = e.max()
-        ties = np.argwhere(e >= emax - _EPS)
+        ties = np.argwhere(e >= e.max() - _EPS)
         mi = ties[np.argmax(m[ties[:, 0], ties[:, 1]])]
         cand_e = float(e[mi[0], mi[1]])
         cand_m = float(m[mi[0], mi[1]])
@@ -113,7 +94,7 @@ def _coarse_scan(kind: str, step_deg: float):
 def _pattern_search(kind: str, angles, step_deg: float, iters: int):
     """Coordinate pattern search on the three free angles; no derivatives."""
     x = list(angles)
-    fe, fm = _objective(kind, x)
+    fe, fm = _scores(kind, *map(math.radians, x))
     evals = 0
     step = step_deg
     for _ in range(iters):
@@ -122,7 +103,7 @@ def _pattern_search(kind: str, angles, step_deg: float, iters: int):
             for delta in (step, -step):
                 cand = list(x)
                 cand[i] = (cand[i] + delta) % 360.0
-                ce, cm = _objective(kind, cand)
+                ce, cm = _scores(kind, *map(math.radians, cand))
                 evals += 1
                 if ce > fe + _EPS or (abs(ce - fe) <= _EPS and cm > fm + _EPS):
                     x, fe, fm = cand, ce, cm
@@ -134,14 +115,16 @@ def _pattern_search(kind: str, angles, step_deg: float, iters: int):
     return (fe, fm, tuple(x)), evals
 
 
-def _empirical_E(kind: str, config: ChshConfig, trials: int, seed: int):
+def chsh_empirical(kind: str, config: ChshConfig, trials: int, seed: int,
+                   threads: int = 1) -> MetricsResult:
+    """CHSH parameter measured end to end: ``trials`` trials of the protocol
+    at each of the four settings pairs, each pair its own run with ``seed``."""
     tables = {}
     for lab, pair in config.pairs().items():
-        tb, _ = run_experiment(
-            kind, ExperimentConfig(trials=trials, seed=seed, settings_pairs=[(lab, pair)])
-        )
+        tb, _ = run_experiment(kind, ExperimentConfig(
+            trials=trials, seed=seed, settings_pairs=[(lab, pair)], threads=threads))
         tables[lab] = tb[0]
-    return chsh(tables).E
+    return chsh(tables)
 
 
 def maximize_chsh(kind: str, opts: SearchOptions = SearchOptions(), seed: int = 0) -> SearchResult:
@@ -169,7 +152,7 @@ def maximize_chsh(kind: str, opts: SearchOptions = SearchOptions(), seed: int = 
     best = None
     for e, m, angles in candidates[:_EMPIRICAL_TOP_K]:
         cfg = config_from_angles(*angles)
-        emp = _empirical_E(kind, cfg, opts.trials_per_eval, seed)
+        emp = chsh_empirical(kind, cfg, opts.trials_per_eval, seed).E
         evals += 4 * opts.trials_per_eval
         if best is None or emp > best[0] + _EPS:
             best = (emp, angles, cfg)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -338,8 +339,9 @@ def run_experiment(kind: str, config: ExperimentConfig):
         ch = run_chunk(kind, config, *job)
         return np.bincount((1 - ch.sigma) + (1 - ch.tau) // 2, minlength=4)
 
-    if config.threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as ex:
+    workers = min(config.threads, os.cpu_count() or 1)
+    if workers > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(run_job, jobs))
     else:
         results = [run_job(j) for j in jobs]

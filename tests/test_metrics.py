@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singletsim.cli import _grid_candidate_pairs
 from singletsim.geometry import UnitVector
 from singletsim.metrics import (
     CHSH_LABELS,
@@ -240,6 +241,19 @@ def test_free_will_M_picks_best_candidate():
     ]
     m, idx = free_will_M("A", cands)
     assert (m, idx) == (2.0, 1)
+
+
+def test_free_will_M_first_of_tied_candidates():
+    # grid-8 candidates 10 and 13 reach the same M up to rounding; the index
+    # must not depend on which of them the rounding favours
+    cands = _grid_candidate_pairs(8)
+    c10, c13 = cands[10], cands[13]
+    m10, _ = free_will_M("B1", [c10])
+    m13, _ = free_will_M("B1", [c13])
+    assert m10 != m13 and abs(m10 - m13) <= 1e-15
+    for order in ([c10, c13], [c13, c10]):
+        m, idx = free_will_M("B1", order)
+        assert (m, idx) == (max(m10, m13), 0)
 
 
 def test_free_will_M_symmetric():

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from singletsim import models
-from singletsim.geometry import UnitVector, from_angles, sample_uniform_sphere_array, sign
+from singletsim.geometry import UnitVector, from_angles, sample_uniform_sphere_array
 from singletsim.models import (
+    MODEL_KINDS,
     SamplerFailure,
     SettingsPair,
+    correlator_law,
     hall_f_array,
     hall_g,
     hall_g_array,
@@ -114,9 +116,10 @@ def test_hall_f_examples():
     rng = np.random.default_rng(4)
     u, nl, nr = (sample_uniform_sphere_array(rng, 1000) for _ in range(3))
     f = hall_f_array(u, nl, nr)
+    sgn = lambda x: 1 if x >= 0.0 else -1  # noqa: E731
     for i in range(0, 1000, 37):
         s = SettingsPair(UnitVector.from_array(nl[i]), UnitVector.from_array(nr[i]))
-        expect = sign(u[i] @ nl[i]) * sign(-(u[i] @ nr[i])) * s.cos_angle()
+        expect = sgn(u[i] @ nl[i]) * sgn(-(u[i] @ nr[i])) * s.cos_angle()
         assert f[i] == pytest.approx(expect, abs=1e-12)
 
 
@@ -233,6 +236,30 @@ def test_joint_analytic_examples():
     assert joint_analytic("C", 1, -1, s) == 0.5
     with pytest.raises(ValueError):
         joint_analytic("D", 1, 1, s)
+
+
+def test_correlator_law_matches_joint_analytic():
+    degs = [0.0, 30.0, 45.0, 60.0, 90.0, 120.0, 137.0, 180.0]
+    pairs = [pair(d) for d in degs]
+    c = np.array([s.cos_angle() for s in pairs])
+    for kind in MODEL_KINDS:
+        law = correlator_law(kind, c)
+        for s, ci, li in zip(pairs, c, law):
+            assert correlator_law(kind, ci) == li  # elementwise
+            for sg in (1, -1):
+                for tu in (1, -1):
+                    assert joint_analytic(kind, sg, tu, s) == 0.25 * (1.0 + sg * tu * li)
+    assert list(correlator_law("QM", c)) == list(-c)
+    assert list(correlator_law("C", c)) == [-1 if x >= 0.0 else 1 for x in c]
+
+
+def test_correlator_law_sign_boundary_and_kinds():
+    # sign(0) = +1 for either zero, so C at orthogonal settings is -1
+    assert correlator_law("C", 0.0) == -1
+    assert correlator_law("C", -0.0) == -1
+    assert list(correlator_law("C", np.array([0.0, -0.0]))) == [-1, -1]
+    with pytest.raises(ValueError):
+        correlator_law("D", 0.5)
 
 
 def test_joint_analytic_normalizes():

@@ -90,3 +90,36 @@ def test_coplanar_matches_general_configs():
 def test_unknown_model_rejected():
     with pytest.raises(ValueError):
         maximize_chsh("X", SearchOptions())
+
+
+# maximize_chsh before the scan and the pattern search shared one scorer:
+# (kind, coarse_deg, refine_iters or None for the default, angles_deg, E, evaluations)
+PINNED = [
+    ('A', 2.0, None, (0.0, 89.9998779296875, 44.9998779296875, 314.9998779296875), 2.8284271247429804, 5832240),
+    ('A', 2.0, 0, (0.0, 88.0, 44.0, 314.0), 2.8279963415952967, 5832000),
+    ('A', 7.2, None, (0.0, 89.999560546875, 44.999560546875, 314.99956054687505), 2.828427124704593, 125240),
+    ('A', 7.2, 0, (0.0, 86.4, 43.2, 309.6), 2.824329872012924, 125000),
+    ('A', 15.0, None, (0.0, 90.0, 225.0, 135.0), 2.8284271247461903, 13986),
+    ('A', 15.0, 0, (0.0, 90.0, 225.0, 135.0), 2.8284271247461903, 13824),
+    ('C', 2.0, None, (0.0, 88.0, 42.0, 314.0), 4.0, 5832144),
+    ('C', 2.0, 0, (0.0, 88.0, 42.0, 314.0), 4.0, 5832000),
+    ('C', 7.2, None, (0.0, 79.2, 208.8, 129.6), 4.0, 125156),
+    ('C', 7.2, 0, (0.0, 79.2, 208.8, 129.6), 4.0, 125000),
+    ('C', 15.0, None, (0.0, 90.0, 225.0, 135.0), 4.0, 13986),
+    ('C', 15.0, 0, (0.0, 90.0, 225.0, 135.0), 4.0, 13824),
+    ('QM', 2.0, None, (0.0, 89.9998779296875, 44.9998779296875, 314.9998779296875), 2.8284271247429804, 5832240),
+    ('QM', 2.0, 0, (0.0, 88.0, 44.0, 314.0), 2.8279963415952967, 5832000),
+    ('QM', 7.2, None, (0.0, 89.999560546875, 44.999560546875, 314.99956054687505), 2.828427124704593, 125240),
+    ('QM', 7.2, 0, (0.0, 86.4, 43.2, 309.6), 2.824329872012924, 125000),
+    ('QM', 15.0, None, (0.0, 90.0, 225.0, 135.0), 2.8284271247461903, 13986),
+    ('QM', 15.0, 0, (0.0, 90.0, 225.0, 135.0), 2.8284271247461903, 13824),
+]
+
+
+@pytest.mark.parametrize("kind,coarse,refine,angles,e,evals", PINNED)
+def test_search_outputs_pinned(kind, coarse, refine, angles, e, evals):
+    opts = SearchOptions(coarse_deg=coarse)
+    if refine is not None:
+        opts = SearchOptions(coarse_deg=coarse, refine_iters=refine)
+    res = maximize_chsh(kind, opts)
+    assert (res.angles_deg, res.E, res.evaluations) == (angles, e, evals)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from singletsim import protocol
 from singletsim.geometry import UnitVector
 from singletsim.models import SettingsPair
 from singletsim.protocol import (
@@ -295,3 +296,32 @@ def test_b1_b2_equivalence_in_law():
     occ1 = np.mean(u1[:, 2] > 0)
     occ2 = np.mean(u2[:, 2] > 0)
     assert abs(occ1 - occ2) < 0.01
+
+
+def test_worker_threads_capped_at_cpu_count(monkeypatch):
+    # a recording stand-in for the pool: it starts no thread
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 3)
+    pairs = [(f"theta={d:g}", SettingsPair(Z, planar(d))) for d in (0.0, 45.0, 90.0, 135.0)]
+    cfg = ExperimentConfig(trials=500, seed=2, settings_pairs=pairs, threads=100_000)
+    tables, _ = run_experiment("A", cfg)
+    assert asked == [3]
+    cfg.threads = 1
+    serial, _ = run_experiment("A", cfg)
+    assert [t.counts for t in tables] == [t.counts for t in serial]
+    assert asked == [3]
