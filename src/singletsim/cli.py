@@ -8,6 +8,7 @@ stable contract: 0 success, 1 usage or config error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -22,12 +23,13 @@ from .metrics import (
     ChshConfig,
     chi_square_gof,
     chsh_analytic,
+    chsh_empirical,
     free_will_M,
     normalization_check,
     two_sample_chi_square,
 )
 from .models import MODEL_KINDS, SamplerFailure, SettingsPair
-from .optimizer import SearchOptions, chsh_empirical, maximize_chsh
+from .optimizer import SearchOptions, maximize_chsh
 from .protocol import (
     ExperimentConfig,
     ProtocolIntegrityError,
@@ -80,15 +82,36 @@ def _theta_pairs(theta_list):
     return pairs
 
 
-def _load_settings_file(path):
+def _load_json(path, kind):
+    """The JSON document in ``path``, whose top level must be of type ``kind``
+    (list or dict)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, kind):
+        what = "a list" if kind is list else "an object"
+        raise ValueError(f"{path}: top level must be {what}")
+    return doc
+
+
+def _unit(v) -> UnitVector:
+    """The direction of a JSON vector of three numbers."""
+    if not (isinstance(v, list) and len(v) == 3 and all(type(x) in (int, float) for x in v)):
+        raise ValueError(f"a vector must be three numbers, got {v!r}")
+    return UnitVector.normalized(*v)
+
+
+def _pair(entry) -> SettingsPair:
+    """A settings pair from a JSON object with vectors n_L and n_R."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"a settings pair must be an object, got {entry!r}")
+    return SettingsPair(_unit(entry["n_L"]), _unit(entry["n_R"]))
+
+
+def _load_settings_file(path):
     pairs = []
-    for i, entry in enumerate(doc):
-        label = entry.get("label", f"pair{i}")
-        nl = UnitVector.normalized(*entry["n_L"])
-        nr = UnitVector.normalized(*entry["n_R"])
-        pairs.append((label, SettingsPair(nl, nr)))
+    for i, entry in enumerate(_load_json(path, list)):
+        pair = _pair(entry)  # checks that the entry is an object
+        pairs.append((entry.get("label", f"pair{i}"), pair))
     if not pairs:
         raise UsageError(f"no settings pairs in {path}")
     return pairs
@@ -97,8 +120,7 @@ def _load_settings_file(path):
 def _config_overrides(path):
     """A JSON document mirroring the experiment configuration; flags given on
     the command line take precedence."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return _load_json(path, dict)
 
 
 def _build_experiment_config(args) -> tuple[str, ExperimentConfig]:
@@ -279,14 +301,8 @@ def cmd_verify(args) -> int:
 
 
 def _load_chsh_config(path) -> ChshConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return ChshConfig(
-        UnitVector.normalized(*doc["a"]),
-        UnitVector.normalized(*doc["a_prime"]),
-        UnitVector.normalized(*doc["b"]),
-        UnitVector.normalized(*doc["b_prime"]),
-    )
+    doc = _load_json(path, dict)
+    return ChshConfig(*(_unit(doc[k]) for k in ("a", "a_prime", "b", "b_prime")))
 
 
 def cmd_chsh(args) -> int:
@@ -295,32 +311,28 @@ def cmd_chsh(args) -> int:
     if args.model not in MODEL_KINDS:
         raise UsageError(f"unknown model {args.model!r}")
     threads = _threads(args)
+    # where the configuration comes from, then how it is scored
     if args.optimize:
-        opts = SearchOptions(
-            mode=args.mode,
-            coarse_deg=args.coarse_deg,
-            trials_per_eval=args.trials,
-        )
-        result = maximize_chsh(args.model, opts, seed=args.seed)
-        cfg, e = result.config, result.E
+        result = maximize_chsh(args.model, SearchOptions(coarse_deg=args.coarse_deg))
+        cfg = result.config
         print(f"angles_deg: {result.angles_deg}  evaluations: {result.evaluations}")
     else:
         cfg = _load_chsh_config(args.config)
-        if args.mode == "analytic":
-            res = chsh_analytic(args.model, cfg)
-        else:
-            res = chsh_empirical(args.model, cfg, args.trials, args.seed, threads)
-        e = res.E
+    if args.mode == "analytic":
+        res = chsh_analytic(args.model, cfg)
+    else:
+        res = chsh_empirical(args.model, cfg, args.trials, args.seed, threads)
+    if args.config:
         for lab in CHSH_LABELS:
             print(f"C({lab}) = {res.correlators[lab]:+.6f}")
     for name, v in (("a", cfg.a), ("a'", cfg.a_prime), ("b", cfg.b), ("b'", cfg.b_prime)):
         print(f"{name:2s} = ({v.x:+.6f}, {v.y:+.6f}, {v.z:+.6f})")
-    print(f"E = {_f17(e)}")
+    print(f"E = {_f17(res.E)}")
     print("bounds: Bell 2, Cirel'son 2*sqrt(2) ~ 2.8284271, algebraic 4")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"metric": "chsh", "model": args.model, "mode": args.mode,
-                       "E": e,
+                       "E": res.E,
                        "config": {k: [v.x, v.y, v.z] for k, v in
                                   (("a", cfg.a), ("a_prime", cfg.a_prime),
                                    ("b", cfg.b), ("b_prime", cfg.b_prime))}},
@@ -330,15 +342,11 @@ def cmd_chsh(args) -> int:
 
 
 def _load_pairs_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     out = []
-    for entry in doc:
-        sa = SettingsPair(UnitVector.normalized(*entry[0]["n_L"]),
-                          UnitVector.normalized(*entry[0]["n_R"]))
-        sb = SettingsPair(UnitVector.normalized(*entry[1]["n_L"]),
-                          UnitVector.normalized(*entry[1]["n_R"]))
-        out.append((sa, sb))
+    for entry in _load_json(path, list):
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise ValueError(f"a candidate must be a list of two settings pairs, got {entry!r}")
+        out.append((_pair(entry[0]), _pair(entry[1])))
     return out
 
 
@@ -354,15 +362,9 @@ def _grid_candidate_pairs(k: int):
         for b in degs
         if a != b
     ]
-    combos = [
-        (settings[i], settings[j])
-        for i in range(len(settings))
-        for j in range(i + 1, len(settings))
-    ]
-    if len(combos) > _GRID_CANDIDATE_CAP:
-        stride = len(combos) // _GRID_CANDIDATE_CAP + 1
-        combos = combos[::stride]
-    return combos
+    n = len(settings) * (len(settings) - 1) // 2
+    stride = n // _GRID_CANDIDATE_CAP + 1 if n > _GRID_CANDIDATE_CAP else 1
+    return list(itertools.islice(itertools.combinations(settings, 2), 0, None, stride))
 
 
 def cmd_freewill(args) -> int:

@@ -21,7 +21,7 @@ from scipy.special import gammaincc
 
 from .geometry import UnitVector, sample_uniform_sphere_array, sign_array
 from .models import MODEL_KINDS, SettingsPair, hall_f_array, hall_g, hall_g_array, joint_analytic
-from .protocol import OUTCOMES, CountTable
+from .protocol import OUTCOMES, CountTable, ExperimentConfig, run_experiment
 
 _ATOM_MERGE_TOL = 1e-9
 _TIE_TOL = 1e-12
@@ -91,6 +91,17 @@ def chsh_analytic(kind: str, config: ChshConfig) -> MetricsResult:
     """CHSH parameter of the model's analytic law at ``config``."""
     return _chsh_result({lab: analytic_correlator(kind, pair)
                          for lab, pair in config.pairs().items()})
+
+
+def chsh_empirical(kind: str, config: ChshConfig, trials: int, seed: int,
+                   threads: int = 1) -> MetricsResult:
+    """CHSH parameter measured end to end: one run of ``trials`` trials at
+    each of the four settings pairs, each pair on its own random stream, so
+    the four correlators are independent estimates."""
+    tables, _ = run_experiment(kind, ExperimentConfig(
+        trials=trials, seed=seed, settings_pairs=list(config.pairs().items()),
+        threads=threads))
+    return chsh({tb.label: tb for tb in tables})
 
 
 # ---------------------------------------------------------------------------

@@ -16,26 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import planar_vector
-from .metrics import ChshConfig, MetricsResult, chsh, chsh_analytic
+from .metrics import ChshConfig, chsh_analytic
 from .models import MODEL_KINDS, correlator_law
-from .protocol import ExperimentConfig, run_experiment
 
 _EPS = 1e-12
-_EMPIRICAL_TOP_K = 3  # analytic candidates that empirical mode re-scores
 
 
 @dataclass(frozen=True)
 class SearchOptions:
-    mode: str = "analytic"  # 'analytic' or 'empirical'
     coarse_deg: float = 15.0
     refine_iters: int = 40
-    trials_per_eval: int = 10_000
 
     def __post_init__(self):
-        if self.mode not in ("analytic", "empirical"):
-            raise ValueError(f"unknown search mode: {self.mode!r}")
-        if abs(360.0 / self.coarse_deg - round(360.0 / self.coarse_deg)) > 1e-9:
-            raise ValueError("coarse grid resolution must divide 360 degrees")
+        c = self.coarse_deg
+        if not 0.0 < c < math.inf or abs(360.0 / c - round(360.0 / c)) > 1e-9:
+            raise ValueError(
+                f"coarse grid resolution must be a positive divisor of 360 degrees, got {c}")
         if self.refine_iters < 0:
             raise ValueError("refinement iterations must be >= 0")
 
@@ -46,7 +42,6 @@ class SearchResult:
     E: float
     angles_deg: tuple
     evaluations: int
-    mode: str
 
 
 def config_from_angles(a, a_p, b, b_p) -> ChshConfig:
@@ -115,46 +110,17 @@ def _pattern_search(kind: str, angles, step_deg: float, iters: int):
     return (fe, fm, tuple(x)), evals
 
 
-def chsh_empirical(kind: str, config: ChshConfig, trials: int, seed: int,
-                   threads: int = 1) -> MetricsResult:
-    """CHSH parameter measured end to end: ``trials`` trials of the protocol
-    at each of the four settings pairs, each pair its own run with ``seed``."""
-    tables = {}
-    for lab, pair in config.pairs().items():
-        tb, _ = run_experiment(kind, ExperimentConfig(
-            trials=trials, seed=seed, settings_pairs=[(lab, pair)], threads=threads))
-        tables[lab] = tb[0]
-    return chsh(tables)
-
-
-def maximize_chsh(kind: str, opts: SearchOptions = SearchOptions(), seed: int = 0) -> SearchResult:
-    """Best CHSH configuration found for the model, with its E.
-
-    Analytic mode scores candidates on the model's analytic correlators;
-    empirical mode re-scores the analytically best candidates end-to-end
-    through the trial protocol.
-    """
+def maximize_chsh(kind: str, opts: SearchOptions = SearchOptions()) -> SearchResult:
+    """Best CHSH configuration found for the model, scored on its analytic
+    correlators, with its E."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind: {kind!r}")
-    (e, m, angles), evals = _coarse_scan(kind, opts.coarse_deg)
-    candidates = [(e, m, angles)]
+    best, evals = _coarse_scan(kind, opts.coarse_deg)
     if opts.refine_iters > 0:
-        refined, extra = _pattern_search(kind, angles, opts.coarse_deg / 2.0, opts.refine_iters)
+        refined, extra = _pattern_search(kind, best[2], opts.coarse_deg / 2.0, opts.refine_iters)
         evals += extra
-        candidates.append(refined)
-    candidates.sort(key=lambda t: (-t[0], -t[1]))
-
-    if opts.mode == "analytic":
-        e, m, angles = candidates[0]
-        cfg = config_from_angles(*angles)
-        return SearchResult(cfg, chsh_analytic(kind, cfg).E, angles, evals, "analytic")
-
-    best = None
-    for e, m, angles in candidates[:_EMPIRICAL_TOP_K]:
-        cfg = config_from_angles(*angles)
-        emp = chsh_empirical(kind, cfg, opts.trials_per_eval, seed).E
-        evals += 4 * opts.trials_per_eval
-        if best is None or emp > best[0] + _EPS:
-            best = (emp, angles, cfg)
-    emp, angles, cfg = best
-    return SearchResult(cfg, emp, angles, evals, "empirical")
+        # the coarse result wins ties
+        best = min(best, refined, key=lambda t: (-t[0], -t[1]))
+    angles = best[2]
+    cfg = config_from_angles(*angles)
+    return SearchResult(cfg, chsh_analytic(kind, cfg).E, angles, evals)

@@ -4,13 +4,17 @@ from collections import Counter
 
 import pytest
 
+from singletsim import protocol
 from singletsim.cli import (
     EXIT_AUDIT,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    _grid_candidate_pairs,
     main,
 )
+from singletsim.geometry import planar_vector
+from singletsim.models import SettingsPair
 
 
 def run(argv):
@@ -195,6 +199,112 @@ def test_chsh_requires_exactly_one_source(tmp_path, capsys):
     assert run(["chsh", "--model", "QM", "--config", str(cfg),
                 "--optimize"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+# b and b' at +-45 degrees from a = z: three of the four pairs share |cos|
+FOUND_CFG = {"a": [0, 0, 1], "a_prime": [1, 0, 0],
+             "b": [0.7071, 0, 0.7071], "b_prime": [-0.7071, 0, 0.7071]}
+
+
+def test_chsh_empirical_pairs_are_independent(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FOUND_CFG))
+    assert run(["chsh", "--model", "QM", "--config", str(cfg), "--mode", "empirical",
+                "--trials", "20000", "--seed", "5"]) == EXIT_OK
+    c = {ln.split(" = ")[0]: ln.split(" = ")[1]
+         for ln in capsys.readouterr().out.splitlines() if ln.startswith("C(")}
+    # pair ab keeps the stream it had when each pair ran on its own
+    assert c["C(ab)"] == "-0.700100"
+    # one stream per pair: equal |cos| no longer gives equal correlators
+    assert len({c["C(ab)"], c["C(a'b)"], c["C(ab')"]}) > 1
+
+
+def test_chsh_optimize_empirical_honours_threads(monkeypatch, capsys):
+    # a recording stand-in for the pool: it starts no thread
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 4)
+    assert run(["chsh", "--model", "QM", "--optimize", "--coarse-deg", "90",
+                "--mode", "empirical", "--trials", "2000", "--threads", "2"]) == EXIT_OK
+    assert asked == [2]
+    out = capsys.readouterr().out
+    assert "C(ab)" not in out and "E = " in out
+
+
+@pytest.mark.parametrize("coarse", ["0", "-5", "inf", "nan"])
+def test_chsh_bad_coarse_deg_is_config_error(capsys, coarse):
+    assert run(["chsh", "--model", "QM", "--optimize", "--coarse-deg", coarse]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
+def test_grid_candidate_pairs_match_nested_reference():
+    for k in range(26):
+        degs = [180.0 * i / k for i in range(k)]
+        settings = [SettingsPair(planar_vector(a), planar_vector(b))
+                    for a in degs for b in degs if a != b]
+        combos = [(settings[i], settings[j])
+                  for i in range(len(settings)) for j in range(i + 1, len(settings))]
+        if len(combos) > 256:
+            combos = combos[::len(combos) // 256 + 1]
+        assert _grid_candidate_pairs(k) == combos
+
+
+PAIR = {"n_L": [0, 0, 1], "n_R": [1, 0, 0]}
+VECTORS = {"a": [0, 0, 1], "a_prime": [1, 0, 0], "b": [0, 1, 0], "b_prime": [1, 1, 0]}
+MALFORMED = [
+    ("settings", PAIR),
+    ("settings", [{"n_L": [0, 1], "n_R": [1, 0, 0]}]),
+    ("settings", [{"n_L": [0, 0, 1, 0], "n_R": [1, 0, 0]}]),
+    ("settings", [{"n_L": "z", "n_R": [1, 0, 0]}]),
+    ("settings", [{"n_L": [True, 0, 0], "n_R": [1, 0, 0]}]),
+    ("settings", [{"n_L": [0, 0, 0], "n_R": [1, 0, 0]}]),
+    ("settings", [{"n_L": [0, 0, 1]}]),
+    ("settings", [[0, 0, 1]]),
+    ("pairs", {"pairs": [[PAIR, PAIR]]}),
+    ("pairs", [PAIR]),
+    ("pairs", [[PAIR]]),
+    ("pairs", [[PAIR, [0, 0, 1]]]),
+    ("pairs", [[PAIR, {"n_L": [0, 1], "n_R": [1, 0, 0]}]]),
+    ("chsh", [VECTORS]),
+    ("chsh", {**VECTORS, "b": [0, 1]}),
+    ("chsh", {**VECTORS, "a": None}),
+    ("chsh", {k: v for k, v in VECTORS.items() if k != "b_prime"}),
+    ("config", ["model", "A"]),
+    ("config", "A"),
+]
+COMMANDS = {
+    "settings": ["simulate", "--model", "A", "--trials", "200", "--settings-file"],
+    "pairs": ["freewill", "--model", "A", "--pairs"],
+    "chsh": ["chsh", "--model", "QM", "--config"],
+    "config": ["simulate", "--theta-deg", "60", "--config"],
+}
+
+
+@pytest.mark.parametrize("kind,doc", MALFORMED)
+def test_malformed_input_file_is_config_error(tmp_path, capsys, kind, doc):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    argv = COMMANDS[kind] + [str(path)]
+    if argv[0] == "simulate":
+        argv += ["--out", str(tmp_path / "run")]
+    assert run(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
 
 
 def test_freewill_grid(capsys):

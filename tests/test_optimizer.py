@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from singletsim.metrics import chsh_analytic
+from singletsim.metrics import chsh_analytic, chsh_empirical
 from singletsim.optimizer import (
     SearchOptions,
     config_from_angles,
@@ -16,9 +16,10 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 
 def test_options_validation():
     with pytest.raises(ValueError):
-        SearchOptions(mode="exhaustive")
-    with pytest.raises(ValueError):
         SearchOptions(coarse_deg=7.0)  # does not divide 360
+    for coarse in (0.0, -5.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SearchOptions(coarse_deg=coarse)
     with pytest.raises(ValueError):
         SearchOptions(refine_iters=-1)
 
@@ -66,10 +67,9 @@ def test_result_reproducible():
 
 
 def test_empirical_mode_close_to_analytic():
-    opts = SearchOptions(mode="empirical", coarse_deg=15.0, trials_per_eval=20_000)
-    res = maximize_chsh("QM", opts, seed=3)
-    assert res.mode == "empirical"
-    assert abs(res.E - chsh_analytic("QM", res.config).E) < 0.05
+    cfg = maximize_chsh("QM", SearchOptions(coarse_deg=15.0)).config
+    e = chsh_empirical("QM", cfg, 20_000, 3).E
+    assert abs(e - chsh_analytic("QM", cfg).E) < 0.05
 
 
 def test_coplanar_matches_general_configs():
