@@ -34,6 +34,7 @@ from .protocol import (
     ExperimentConfig,
     ProtocolIntegrityError,
     audit_locality,
+    f17,
     read_event_log,
     run_experiment,
     sample_joint_spin_outcomes,
@@ -54,10 +55,6 @@ _GRID_CANDIDATE_CAP = 256
 
 class UsageError(Exception):
     pass
-
-
-def _f17(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _threads(args) -> int:
@@ -93,9 +90,38 @@ def _load_json(path, kind):
     return doc
 
 
+def _number(v) -> bool:
+    """Whether a JSON value is a number (a boolean is not)."""
+    return type(v) in (int, float)
+
+
+def _whole(v) -> bool:
+    """Whether a JSON value is a whole number, such as 7 or 1e6."""
+    return type(v) is int or (type(v) is float and v.is_integer())
+
+
+def _periods(v) -> bool:
+    """Whether a JSON value is the two hand periods of a watch."""
+    return type(v) is list and len(v) == 2 and all(_number(x) and x > 0 for x in v)
+
+
+# what each value of a simulate --config file must be, checked before use
+_CONFIG_KEYS = {
+    "model": ("a string", lambda v: type(v) is str),
+    "trials": ("a whole number", _whole),
+    "seed": ("a whole number", _whole),
+    "delta_t": ("a number", _number),
+    "epoch": ("a number", _number),
+    "watch_driven": ("true or false", lambda v: type(v) is bool),
+    "theta_deg": ("a list of numbers", lambda v: type(v) is list and all(map(_number, v))),
+    "watch_periods": ("an object whose H and T are each two positive numbers",
+                      lambda v: type(v) is dict and all(_periods(v.get(k)) for k in "HT")),
+}
+
+
 def _unit(v) -> UnitVector:
     """The direction of a JSON vector of three numbers."""
-    if not (isinstance(v, list) and len(v) == 3 and all(type(x) in (int, float) for x in v)):
+    if not (isinstance(v, list) and len(v) == 3 and all(map(_number, v))):
         raise ValueError(f"a vector must be three numbers, got {v!r}")
     return UnitVector.normalized(*v)
 
@@ -117,14 +143,13 @@ def _load_settings_file(path):
     return pairs
 
 
-def _config_overrides(path):
-    """A JSON document mirroring the experiment configuration; flags given on
-    the command line take precedence."""
-    return _load_json(path, dict)
-
-
 def _build_experiment_config(args) -> tuple[str, ExperimentConfig]:
-    file_cfg = _config_overrides(args.config) if getattr(args, "config", None) else {}
+    """The model and configuration of a simulate run: flags given on the
+    command line take precedence over a --config file."""
+    file_cfg = _load_json(args.config, dict) if getattr(args, "config", None) else {}
+    for key, (what, ok) in _CONFIG_KEYS.items():
+        if key in file_cfg and not ok(file_cfg[key]):
+            raise ValueError(f"{args.config}: {key!r} must be {what}, got {file_cfg[key]!r}")
 
     def pick(flag, key, default):
         v = getattr(args, flag, None)
@@ -140,17 +165,14 @@ def _build_experiment_config(args) -> tuple[str, ExperimentConfig]:
     trials = int(pick("trials", "trials", 10000))
     seed = int(pick("seed", "seed", 0))
     delta_t = float(pick("delta_t", "delta_t", 1.5))
-    watch_driven = bool(pick("watch_driven", "watch_driven", False))
+    watch_driven = pick("watch_driven", "watch_driven", False)
 
-    if "watch_periods" in file_cfg:
-        wp = file_cfg["watch_periods"]
-        epoch = float(file_cfg.get("epoch", 0.0))
-        bank = wt.WatchBank(
-            wt.WatchSpec(*wp["H"], wt.CLOCKWISE, epoch),
-            wt.WatchSpec(*wp["T"], wt.CLOCKWISE, epoch),
-        )
+    epoch = float(file_cfg.get("epoch", 0.0))
+    wp = file_cfg.get("watch_periods")
+    if wp:
+        bank = wt.WatchBank(*(wt.WatchSpec(*wp[k], wt.CLOCKWISE, epoch) for k in "HT"))
     else:
-        bank = wt.WatchBank.default(float(file_cfg.get("epoch", 0.0)))
+        bank = wt.WatchBank.default(epoch)
 
     if watch_driven:
         pairs = []
@@ -327,7 +349,7 @@ def cmd_chsh(args) -> int:
             print(f"C({lab}) = {res.correlators[lab]:+.6f}")
     for name, v in (("a", cfg.a), ("a'", cfg.a_prime), ("b", cfg.b), ("b'", cfg.b_prime)):
         print(f"{name:2s} = ({v.x:+.6f}, {v.y:+.6f}, {v.z:+.6f})")
-    print(f"E = {_f17(res.E)}")
+    print(f"E = {f17(res.E)}")
     print("bounds: Bell 2, Cirel'son 2*sqrt(2) ~ 2.8284271, algebraic 4")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -376,7 +398,7 @@ def cmd_freewill(args) -> int:
         candidates = _grid_candidate_pairs(args.grid)
     m, best_i = free_will_M(args.model, candidates)
     sa, sb = candidates[best_i]
-    print(f"M = {_f17(m)}  (candidate {best_i} of {len(candidates)})")
+    print(f"M = {f17(m)}  (candidate {best_i} of {len(candidates)})")
     for name, s in (("s ", sa), ("s'", sb)):
         print(f"{name} n_L=({s.n_L.x:+.4f},{s.n_L.y:+.4f},{s.n_L.z:+.4f})"
               f" n_R=({s.n_R.x:+.4f},{s.n_R.y:+.4f},{s.n_R.z:+.4f})")

@@ -35,16 +35,8 @@ class UnitVector:
             raise ValueError("cannot normalize a zero or non-finite vector")
         return UnitVector(x / n, y / n, z / n)
 
-    @staticmethod
-    def from_array(a) -> "UnitVector":
-        a = np.asarray(a, dtype=float)
-        return UnitVector(float(a[0]), float(a[1]), float(a[2]))
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
-
-    def __neg__(self) -> "UnitVector":
-        return UnitVector(-self.x, -self.y, -self.z)
 
 
 def dot(a: UnitVector, b: UnitVector) -> float:
@@ -55,16 +47,6 @@ def dot(a: UnitVector, b: UnitVector) -> float:
     """
     d = a.x * b.x + a.y * b.y + a.z * b.z
     return min(1.0, max(-1.0, d))
-
-
-def from_angles(theta: float, phi: float) -> UnitVector:
-    """Unit vector from polar angle theta in [0, pi] and azimuth phi in [0, 2*pi)."""
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta out of range [0, pi]: {theta}")
-    if not 0.0 <= phi < 2.0 * math.pi:
-        raise ValueError(f"phi out of range [0, 2*pi): {phi}")
-    st = math.sin(theta)
-    return UnitVector.normalized(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
 
 
 def sample_uniform_sphere_array(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .geometry import UnitVector, sample_uniform_sphere_array, sign_array
-from .models import MODEL_KINDS, SettingsPair, hall_f_array, hall_g, hall_g_array, joint_analytic
+from .models import MODEL_KINDS, SettingsPair, hall_f_array, hall_g_array, joint_analytic
 from .protocol import OUTCOMES, CountTable, ExperimentConfig, run_experiment
 
 _ATOM_MERGE_TOL = 1e-9
@@ -155,8 +155,8 @@ def normalization_check(
     if method == "quadrature":
         c = s.cos_angle()
         e = sign_moment2(s.n_L.as_array(), s.n_R.as_array())
-        val = sum(2.0 * math.pi * (1.0 + p * e) * hall_g(-p * c) for p in (1, -1))
-        return val, 0.0
+        g = hall_g_array([-c, c]).tolist()  # the density where p = 1, -1
+        return sum(2.0 * math.pi * (1.0 + p * e) * gp for p, gp in zip((1, -1), g)), 0.0
     if method == "monte_carlo":
         rng = rng if rng is not None else np.random.default_rng(0)
         u = sample_uniform_sphere_array(rng, mc_samples)
@@ -171,7 +171,7 @@ def joint_from_hall_density(sigma: int, tau: int, s: SettingsPair) -> float:
     sigma = sgn(u.n_L), tau = sgn(-u.n_R) against the Hall density; should
     reproduce the singlet law."""
     e = sign_moment2(s.n_L.as_array(), s.n_R.as_array())
-    return math.pi * (1.0 - sigma * tau * e) * hall_g(sigma * tau * s.cos_angle())
+    return math.pi * (1.0 - sigma * tau * e) * float(hall_g_array(sigma * tau * s.cos_angle()))
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +209,11 @@ def _total_variation_hall(s: SettingsPair, s2: SettingsPair) -> float:
     e1 = sign_moment2(normals[0], normals[1])
     e2 = sign_moment2(normals[2], normals[3])
     e4 = sign_moment4(*normals)
+    # g1[p1] = g(-p1 c1) and g2[p2] = g(-p2 c2), from one call
+    g = hall_g_array([-c1, c1, -c2, c2]).tolist()
+    g1, g2 = {1: g[0], -1: g[1]}, {1: g[2], -1: g[3]}
     return sum(
-        math.pi * (1.0 + p1 * e1 + p2 * e2 + p1 * p2 * e4)
-        * abs(hall_g(-p1 * c1) - hall_g(-p2 * c2))
+        math.pi * (1.0 + p1 * e1 + p2 * e2 + p1 * p2 * e4) * abs(g1[p1] - g2[p2])
         for p1 in (1, -1)
         for p2 in (1, -1)
     )

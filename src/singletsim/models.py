@@ -48,17 +48,9 @@ def hall_f_array(u, n_L, n_R) -> np.ndarray:
     return sign_array(rowdot(u, n_L)) * sign_array(-rowdot(u, n_R)) * c
 
 
-def hall_g(f: float) -> float:
-    """Density amplitude (1 - f) / (8 arccos f), with the limits g(1) = 0 and
-    g(-1) = 1/(4 pi) taken explicitly."""
-    if f >= 1.0:
-        return 0.0
-    if f <= -1.0:
-        return 1.0 / FOUR_PI
-    return (1.0 - f) / (8.0 * math.acos(f))
-
-
-def hall_g_array(f: np.ndarray) -> np.ndarray:
+def hall_g_array(f) -> np.ndarray:
+    """Density amplitude (1 - f) / (8 arccos f), elementwise, with the limits
+    g(1) = 0 and g(-1) = 1/(4 pi) taken explicitly."""
     f = np.asarray(f, dtype=float)
     out = np.empty_like(f)
     hi = f >= 1.0
@@ -72,8 +64,8 @@ def hall_g_array(f: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def rejection_bound() -> float:
-    """Global bound on hall_g over [-1, 1], found by golden-section search and
-    inflated by 1% so no proposal is ever silently truncated.
+    """Global bound on hall_g_array over [-1, 1], found by golden-section
+    search and inflated by 1% so no proposal is ever silently truncated.
 
     Never hard-code this number: it is derived at runtime.
     """
@@ -81,7 +73,7 @@ def rejection_bound() -> float:
     a, b = -1.0, 1.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = hall_g(c), hall_g(d)
+    fc, fd = hall_g_array([c, d]).tolist()
     # each step shrinks [a, b] by invphi: 50 steps take it from 2 below 1e-10
     for _ in range(64):
         if b - a <= 1e-10:
@@ -89,11 +81,11 @@ def rejection_bound() -> float:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = hall_g(c)
+            fc = float(hall_g_array(c))
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = hall_g(d)
+            fd = float(hall_g_array(d))
     return 1.01 * max(fc, fd)
 
 
@@ -159,7 +151,7 @@ def sample_settings_B2_array(
 
     ``u`` holds the spins, of shape (n, 3), or (3,) for one spin shared by
     every row.  The density differs from the uniform product only through
-    hall_g, so the B1 bound applies.
+    hall_g_array, so the B1 bound applies.
     """
     u = np.asarray(u, dtype=float)
 

@@ -96,16 +96,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class Message:
-    seq: int
-    t_send: float
-    sender: str
-    receiver: str
-    kind: str  # 'ball' or 'result_report'
-    payload: dict
-
-
-@dataclass(frozen=True)
 class Chunk:
     """One chunk of trials as columns.  The left ball spins along ``spin``,
     the right ball along its negation; QM trials pitch no balls.  Outcomes
@@ -127,7 +117,8 @@ class Chunk:
 class EventLog:
     """The messages of a logged run, as a view: iterating re-runs the run's
     chunks one at a time and spells each trial out as its balls at the pitch
-    time, then its result reports at the arrival time."""
+    time, then its result reports at the arrival time.  Each message is the
+    JSON object of its event-log line."""
 
     kind: str
     config: ExperimentConfig
@@ -142,10 +133,8 @@ class EventLog:
             for ci in range(self.config.chunks()):
                 # the message generator holds the only reference to the chunk,
                 # so each chunk is freed before the next one is simulated
-                chunk = _chunk_messages(run_chunk(self.kind, self.config, si, ci),
-                                        self.config.delta_t)
-                for fields in chunk:
-                    yield Message(next(seq), *fields)
+                yield from _chunk_messages(run_chunk(self.kind, self.config, si, ci),
+                                           self.config.delta_t, seq)
 
 
 @dataclass
@@ -282,10 +271,9 @@ def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int) -> C
     return Chunk(first_id, t_pitch, u, sigma, tau)
 
 
-def _chunk_messages(ch: Chunk, dt: float):
-    """(t_send, sender, receiver, kind, payload) of each message of a chunk's
-    trials, in log order; only _LOG_ROWS trials at a time become Python
-    objects."""
+def _chunk_messages(ch: Chunk, dt: float, seq):
+    """The messages of a chunk's trials in log order, numbered from the
+    counter ``seq``; only _LOG_ROWS trials at a time become Python objects."""
     for lo in range(0, ch.t_pitch.size, _LOG_ROWS):
         rows = slice(lo, lo + _LOG_ROWS)
         times = ch.t_pitch[rows].tolist()
@@ -295,10 +283,13 @@ def _chunk_messages(ch: Chunk, dt: float):
                                          ch.sigma[rows].tolist(), ch.tau[rows].tolist()):
             if u is not None:
                 for receiver, spin in ((BATTER_L, u), (BATTER_R, [-x for x in u])):
-                    yield (t, PITCHER, receiver, "ball",
-                           {"trial_id": tid, "spin": spin, "t_pitch": t, "delta_t": dt})
-            yield t + dt, BATTER_L, COORDINATOR, "result_report", {"trial_id": tid, "outcome": sigma}
-            yield t + dt, BATTER_R, COORDINATOR, "result_report", {"trial_id": tid, "outcome": tau}
+                    yield {"seq": next(seq), "t_send": t, "sender": PITCHER,
+                           "receiver": receiver, "kind": "ball",
+                           "payload": {"trial_id": tid, "spin": spin, "t_pitch": t, "delta_t": dt}}
+            for sender, outcome in ((BATTER_L, sigma), (BATTER_R, tau)):
+                yield {"seq": next(seq), "t_send": t + dt, "sender": sender,
+                       "receiver": COORDINATOR, "kind": "result_report",
+                       "payload": {"trial_id": tid, "outcome": outcome}}
 
 
 def sample_joint_spin_outcomes(kind: str, n: int, seed: int):
@@ -364,9 +355,10 @@ def audit_locality(log, kind: str) -> AuditReport:
     (none for the analytic QM reference); (5) result reports flow only to the
     coordinator.
 
-    ``log`` is any iterable of messages and is read once.  Besides the
-    violations, the audit keeps only an integer per trial and per ball, so a
-    log streamed from disk is never held in memory.
+    ``log`` is any iterable of messages, each the JSON object of its
+    event-log line, and is read once.  Besides the violations, the audit
+    keeps only an integer per trial and per ball, so a log streamed from disk
+    is never held in memory.
     """
     violations = []
     batters = (BATTER_L, BATTER_R)
@@ -376,28 +368,27 @@ def audit_locality(log, kind: str) -> AuditReport:
     n_messages = n_balls = 0
     for m in log:
         n_messages += 1
-        if m.sender in batters and m.receiver in batters:
-            violations.append((m.seq, 1, f"batter-to-batter message {m.sender}->{m.receiver}"))
-        if m.sender in batters and m.receiver == PITCHER:
-            violations.append((m.seq, 2, f"batter-to-pitcher message from {m.sender}"))
-        tid = m.payload.get("trial_id")
+        seq, sender, receiver, payload = m["seq"], m["sender"], m["receiver"], m["payload"]
+        if sender in batters and receiver in batters:
+            violations.append((seq, 1, f"batter-to-batter message {sender}->{receiver}"))
+        if sender in batters and receiver == PITCHER:
+            violations.append((seq, 2, f"batter-to-pitcher message from {sender}"))
+        tid = payload.get("trial_id")
         if not (isinstance(tid, int) and -(1 << 63) <= tid < 1 << 63):
             tid = None
         elif not trial_ids or trial_ids[-1] != tid:
             trial_ids.append(tid)
-        if m.kind == "ball":
+        if m["kind"] == "ball":
             n_balls += 1
-            extra = set(m.payload) - allowed_ball_keys
+            extra = set(payload) - allowed_ball_keys
             if extra:
                 violations.append(
-                    (m.seq, 3, f"ball payload carries forbidden fields {sorted(extra)}")
+                    (seq, 3, f"ball payload carries forbidden fields {sorted(extra)}")
                 )
-            if tid is not None and m.receiver in ball_ids:
-                ball_ids[m.receiver].append(tid)
-        if m.kind == "result_report" and m.receiver != COORDINATOR:
-            violations.append(
-                (m.seq, 5, f"result report routed to {m.receiver}")
-            )
+            if tid is not None and receiver in ball_ids:
+                ball_ids[receiver].append(tid)
+        if m["kind"] == "result_report" and receiver != COORDINATOR:
+            violations.append((seq, 5, f"result report routed to {receiver}"))
     if kind != "QM":
         tids = np.unique(np.asarray(trial_ids, dtype=np.int64))
         got = np.stack([
@@ -415,38 +406,45 @@ def audit_locality(log, kind: str) -> AuditReport:
 
 
 def write_event_log(log, path):
-    """One message per line, JSON-encoded with a fixed field order."""
+    """One message per line, as its JSON object."""
     with open(path, "w", encoding="utf-8") as fh:
         for m in log:
-            fh.write(json.dumps(
-                {"seq": m.seq, "t_send": m.t_send, "sender": m.sender,
-                 "receiver": m.receiver, "kind": m.kind, "payload": m.payload},
-                sort_keys=False) + "\n")
+            fh.write(json.dumps(m) + "\n")
+
+
+# the JSON types each field of an event-log line may take (a bool is no int)
+_FIELD_TYPES = {"seq": (int,), "t_send": (int, float), "sender": (str,),
+                "receiver": (str,), "kind": (str,), "payload": (dict,)}
 
 
 def read_event_log(path):
     """The messages of an event-log file, parsed one line at a time as they
-    are iterated; a malformed line raises ValueError naming its number."""
+    are iterated; a line that is not JSON, not an object, or has a field
+    missing or of the wrong type raises ValueError naming its number."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                d = json.loads(line)
-                m = Message(
-                    int(d["seq"]), float(d["t_send"]), str(d["sender"]),
-                    str(d["receiver"]), str(d["kind"]), dict(d["payload"]))
-            except (ValueError, KeyError, TypeError) as exc:
+                m = json.loads(line)
+                if type(m) is not dict:
+                    raise ValueError("a message must be a JSON object")
+                bad = [k for k, types in _FIELD_TYPES.items() if type(m.get(k)) not in types]
+                if bad:
+                    raise ValueError(f"missing or ill-typed fields {bad}")
+            except ValueError as exc:
                 raise ValueError(f"malformed event log at line {lineno}: {exc}") from exc
             yield m
 
 
+def f17(x) -> str:
+    """A float at 17 significant digits, enough to round-trip it exactly."""
+    return format(float(x), ".17g")
+
+
 def write_counts_csv(tables, path):
     """Fixed column order; floats at 17 significant digits for diff-stable output."""
-    def f17(x):
-        return format(float(x), ".17g")
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("model,pair_label,nL_x,nL_y,nL_z,nR_x,nR_y,nR_z,"
                  "sigma,tau,count,frequency,analytic\n")

@@ -265,6 +265,7 @@ def test_grid_candidate_pairs_match_nested_reference():
 
 
 PAIR = {"n_L": [0, 0, 1], "n_R": [1, 0, 0]}
+CONFIG = {"model": "A", "trials": 200, "seed": 1, "theta_deg": [60.0]}
 VECTORS = {"a": [0, 0, 1], "a_prime": [1, 0, 0], "b": [0, 1, 0], "b_prime": [1, 1, 0]}
 MALFORMED = [
     ("settings", PAIR),
@@ -286,12 +287,30 @@ MALFORMED = [
     ("chsh", {k: v for k, v in VECTORS.items() if k != "b_prime"}),
     ("config", ["model", "A"]),
     ("config", "A"),
+    # ill-typed values inside a simulate --config object
+    *(("config", {**CONFIG, **v}) for v in (
+        {"theta_deg": 60},
+        {"theta_deg": ["60"]},
+        {"trials": [100]},
+        {"trials": 2.9},
+        {"trials": True},
+        {"seed": "1"},
+        {"model": 5},
+        {"delta_t": "1.5"},
+        {"epoch": None},
+        {"watch_driven": "no"},
+        {"watch_driven": 0},
+        {"watch_periods": {"H": 5, "T": [1, 2]}},
+        {"watch_periods": {"H": [100.0, 900.0]}},
+        {"watch_periods": {"H": [100.0, -900.0], "T": [130.0, 1700.0]}},
+        {"watch_periods": [[100.0, 900.0], [130.0, 1700.0]]},
+    )),
 ]
 COMMANDS = {
     "settings": ["simulate", "--model", "A", "--trials", "200", "--settings-file"],
     "pairs": ["freewill", "--model", "A", "--pairs"],
     "chsh": ["chsh", "--model", "QM", "--config"],
-    "config": ["simulate", "--theta-deg", "60", "--config"],
+    "config": ["simulate", "--config"],
 }
 
 
@@ -305,6 +324,17 @@ def test_malformed_input_file_is_config_error(tmp_path, capsys, kind, doc):
     assert run(argv) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
+def test_config_whole_number_floats_accepted(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CONFIG, "trials": 2e3, "seed": 4.0, "delta_t": 2,
+                                "epoch": 0, "watch_driven": False}))
+    out = tmp_path / "run"
+    assert run(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["trials"], manifest["seed"]) == (2000, 4)
+    assert "N=2000" in capsys.readouterr().out
 
 
 def test_freewill_grid(capsys):

@@ -1,12 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from singletsim.geometry import (
     UnitVector,
     dot,
-    from_angles,
     sample_uniform_sphere_array,
     sign_array,
 )
@@ -33,16 +30,16 @@ def test_normalized_constructor():
 def test_dot_identity_antipodal_orthogonal():
     rng = np.random.default_rng(42)
     for row in sample_uniform_sphere_array(rng, 50):
-        a = UnitVector.from_array(row)
+        a = UnitVector(*row)
         assert dot(a, a) == pytest.approx(1.0, abs=1e-12)
-        assert dot(a, -a) == pytest.approx(-1.0, abs=1e-12)
+        assert dot(a, UnitVector(*-row)) == pytest.approx(-1.0, abs=1e-12)
     assert dot(UnitVector(1, 0, 0), UnitVector(0, 1, 0)) == 0.0
 
 
 def test_dot_symmetric_and_clamped():
     rng = np.random.default_rng(7)
     for ra, rb in zip(sample_uniform_sphere_array(rng, 200), sample_uniform_sphere_array(rng, 200)):
-        a, b = UnitVector.from_array(ra), UnitVector.from_array(rb)
+        a, b = UnitVector(*ra), UnitVector(*rb)
         assert dot(a, b) == dot(b, a)
         assert -1.0 <= dot(a, b) <= 1.0
 
@@ -64,26 +61,10 @@ def test_sign_array_matches_scalar():
     assert list(sign_array(xs)) == [sign_oracle(x) for x in xs]
 
 
-def test_from_angles_cardinal_points():
-    v = from_angles(0.0, 1.0)
-    assert (v.x, v.y, v.z) == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
-    v = from_angles(math.pi / 2, 0.0)
-    assert (v.x, v.y, v.z) == pytest.approx((1.0, 0.0, 0.0), abs=1e-15)
-    v = from_angles(math.pi / 2, math.pi / 2)
-    assert (v.x, v.y, v.z) == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
-
-
-def test_from_angles_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        from_angles(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        from_angles(0.5, 2.0 * math.pi)
-
-
 def test_sampled_vectors_are_unit():
     rng = np.random.default_rng(3)
     for row in sample_uniform_sphere_array(rng, 100):
-        v = UnitVector.from_array(row)
+        v = UnitVector(*row)
         assert v.x**2 + v.y**2 + v.z**2 == pytest.approx(1.0, abs=1e-12)
     u = sample_uniform_sphere_array(rng, 1000)
     assert np.allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-12)

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from singletsim import models
-from singletsim.geometry import UnitVector, from_angles, sample_uniform_sphere_array
+from singletsim.geometry import UnitVector, sample_uniform_sphere_array
 from singletsim.models import (
     MODEL_KINDS,
     SamplerFailure,
     SettingsPair,
     correlator_law,
     hall_f_array,
-    hall_g,
     hall_g_array,
     joint_analytic,
     rejection_bound,
@@ -33,6 +32,16 @@ def pair(deg):
     return SettingsPair(Z, planar(deg))
 
 
+def hall_g_oracle(f):
+    """(1 - f) / (8 arccos f) in scalar arithmetic, with the limits g(1) = 0
+    and g(-1) = 1/(4 pi)."""
+    if f >= 1.0:
+        return 0.0
+    if f <= -1.0:
+        return 1.0 / (4.0 * math.pi)
+    return (1.0 - f) / (8.0 * math.acos(f))
+
+
 def arrays(s):
     return s.n_L.as_array(), s.n_R.as_array()
 
@@ -50,8 +59,8 @@ def test_hidden_state_antialignment():
     _, log = run_experiment("B1", cfg)
     spins = {}
     for m in log:
-        if m.kind == "ball":
-            spins.setdefault(m.payload["trial_id"], []).append(np.array(m.payload["spin"]))
+        if m["kind"] == "ball":
+            spins.setdefault(m["payload"]["trial_id"], []).append(np.array(m["payload"]["spin"]))
     assert len(spins) == 50
     for u, v in spins.values():
         assert u @ v == pytest.approx(-1.0, abs=1e-12)
@@ -118,33 +127,33 @@ def test_hall_f_examples():
     f = hall_f_array(u, nl, nr)
     sgn = lambda x: 1 if x >= 0.0 else -1  # noqa: E731
     for i in range(0, 1000, 37):
-        s = SettingsPair(UnitVector.from_array(nl[i]), UnitVector.from_array(nr[i]))
+        s = SettingsPair(UnitVector(*nl[i]), UnitVector(*nr[i]))
         expect = sgn(u[i] @ nl[i]) * sgn(-(u[i] @ nr[i])) * s.cos_angle()
         assert f[i] == pytest.approx(expect, abs=1e-12)
 
 
 def test_hall_g_limits_and_values():
     four_pi = 4.0 * math.pi
-    assert hall_g(0.0) == pytest.approx(1.0 / four_pi, abs=1e-15)
-    assert hall_g(-1.0) == pytest.approx(1.0 / four_pi, abs=1e-15)
-    assert hall_g(1.0) == 0.0
+    assert hall_g_array(0.0) == pytest.approx(1.0 / four_pi, abs=1e-15)
+    assert hall_g_array(-1.0) == pytest.approx(1.0 / four_pi, abs=1e-15)
+    assert hall_g_array(1.0) == 0.0
     # series oracle near f = 1: arccos(1 - eps) ~ sqrt(2 eps), so
     # g(1 - eps) ~ sqrt(eps) / (8 sqrt(2))
     eps = 1e-6
     expected = math.sqrt(eps) / (8.0 * math.sqrt(2.0))
-    assert hall_g(1.0 - eps) == pytest.approx(expected, rel=1e-3)
+    assert hall_g_array(1.0 - eps) == pytest.approx(expected, rel=1e-3)
 
 
 def test_hall_g_array_matches_scalar():
     f = np.array([-1.0, -0.5, 0.0, 0.5, 1.0 - 1e-9, 1.0])
-    assert np.allclose(hall_g_array(f), [hall_g(x) for x in f], atol=1e-15)
+    assert np.allclose(hall_g_array(f), [hall_g_oracle(x) for x in f], atol=1e-15)
 
 
 def test_hall_density_reports_f():
     s = pair(120.0)
     f = hall_f_array(s.n_L.as_array(), *arrays(s))
     assert f == pytest.approx(-0.5, abs=1e-12)
-    assert hall_g_array(f) == pytest.approx(hall_g(-0.5), abs=1e-15)
+    assert hall_g_array(f) == pytest.approx(hall_g_oracle(-0.5), abs=1e-15)
 
 
 def test_rejection_bound_dominates_density():
@@ -214,6 +223,7 @@ def test_b2_joint_outcome_law_against_analytic():
 def test_sampler_failure_when_bound_broken(monkeypatch):
     # a density that never accepts must exhaust the round bound loudly, with
     # shared settings or spin and with settings or spins per row
+    rejection_bound()  # cache the true bound; a bound of 0 would outlive the patch
     monkeypatch.setattr(models, "hall_g_array", lambda f: np.zeros_like(np.asarray(f)))
     rng = np.random.default_rng(0)
     rows = sample_uniform_sphere_array(rng, 4)
@@ -269,9 +279,3 @@ def test_joint_analytic_normalizes():
             joint_analytic(kind, so, to, s) for so in (1, -1) for to in (1, -1)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_from_angles_matches_planar_helper():
-    v = from_angles(math.radians(60.0), 0.0)
-    w = planar(60.0)
-    assert (v.x, v.y, v.z) == pytest.approx((w.x, w.y, w.z), abs=1e-12)

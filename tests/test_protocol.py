@@ -1,9 +1,12 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from singletsim import protocol
+from singletsim.cli import EXIT_OK, EXIT_USAGE, main
 from singletsim.geometry import UnitVector
 from singletsim.models import SettingsPair
 from singletsim.protocol import (
@@ -11,7 +14,6 @@ from singletsim.protocol import (
     BATTER_R,
     PITCHER,
     ExperimentConfig,
-    Message,
     ProtocolIntegrityError,
     audit_locality,
     read_event_log,
@@ -70,7 +72,7 @@ def test_model_a_hidden_state_is_atom():
     pair = cfg.settings_pairs[0][1]
     atoms = [tuple(d * a for a in v.as_array()) for v in (pair.n_L, pair.n_R) for d in (1.0, -1.0)]
     _, log = run_experiment("A", cfg)
-    spins = [tuple(m.payload["spin"]) for m in log if m.kind == "ball"]
+    spins = [tuple(m["payload"]["spin"]) for m in log if m["kind"] == "ball"]
     assert len(spins) == 400
     assert set(spins) == set(atoms)
 
@@ -81,13 +83,13 @@ def test_model_c_outcomes_are_signs():
     _, log = run_experiment("C", cfg)
     spin = {}
     for m in log:
-        if m.kind == "ball":
-            spin[(m.payload["trial_id"], m.receiver)] = np.array(m.payload["spin"])
+        if m["kind"] == "ball":
+            spin[(m["payload"]["trial_id"], m["receiver"])] = np.array(m["payload"]["spin"])
         else:
-            n = pair.n_L if m.sender == BATTER_L else pair.n_R
+            n = pair.n_L if m["sender"] == BATTER_L else pair.n_R
             # each batter sees its own ball, spinning along u (left) or -u (right)
-            u = spin[(m.payload["trial_id"], m.sender)]
-            assert m.payload["outcome"] == (1 if u @ n.as_array() >= 0.0 else -1)
+            u = spin[(m["payload"]["trial_id"], m["sender"])]
+            assert m["payload"]["outcome"] == (1 if u @ n.as_array() >= 0.0 else -1)
     assert len(spin) == 200
 
 
@@ -128,8 +130,9 @@ def test_bulk_matches_logged_in_law():
         assert bulk[0].counts == logged[0].counts
         tally = {}
         for m in log:
-            if m.kind == "result_report":
-                tally.setdefault(m.payload["trial_id"], {})[m.sender] = m.payload["outcome"]
+            if m["kind"] == "result_report":
+                p = m["payload"]
+                tally.setdefault(p["trial_id"], {})[m["sender"]] = p["outcome"]
         cells = [(o[BATTER_L], o[BATTER_R]) for o in tally.values()]
         assert {c: cells.count(c) for c in bulk[0].counts} == bulk[0].counts
 
@@ -191,7 +194,8 @@ def _logged_log(kind="A", trials=20):
 
 
 def _forged(log, sender, receiver, kind, payload):
-    return Message(len(log), 1.0, sender, receiver, kind, payload)
+    return {"seq": len(log), "t_send": 1.0, "sender": sender, "receiver": receiver,
+            "kind": kind, "payload": payload}
 
 
 def test_audit_flags_batter_to_batter():
@@ -211,26 +215,26 @@ def test_audit_flags_batter_to_pitcher():
 
 def test_audit_flags_setting_leak_in_ball():
     log = _logged_log()
-    m = next(m for m in log if m.kind == "ball")
-    m.payload["setting"] = [0.0, 0.0, 1.0]
+    m = next(m for m in log if m["kind"] == "ball")
+    m["payload"]["setting"] = [0.0, 0.0, 1.0]
     report = audit_locality(log, "A")
     assert any(rule == 3 for _, rule, _ in report.violations)
 
 
 def test_audit_flags_duplicate_ball():
     log = _logged_log()
-    m = next(m for m in log if m.kind == "ball")
-    log.append(_forged(log, m.sender, m.receiver, "ball", dict(m.payload)))
+    m = next(m for m in log if m["kind"] == "ball")
+    log.append(_forged(log, m["sender"], m["receiver"], "ball", dict(m["payload"])))
     report = audit_locality(log, "A")
     assert [v for v in report.violations if v[1] == 4] == [
-        (-1, 4, f"trial {m.payload['trial_id']}: 2 balls to {m.receiver}, expected 1")]
+        (-1, 4, f"trial {m['payload']['trial_id']}: 2 balls to {m['receiver']}, expected 1")]
 
 
 def test_audit_flags_misrouted_report():
     log = _logged_log()
-    i = next(i for i, m in enumerate(log) if m.kind == "result_report")
+    i = next(i for i, m in enumerate(log) if m["kind"] == "result_report")
     m = log[i]
-    log[i] = Message(m.seq, m.t_send, m.sender, PITCHER, m.kind, m.payload)
+    log[i] = {**m, "receiver": PITCHER}
     report = audit_locality(log, "A")
     assert any(rule in (2, 5) for _, rule, _ in report.violations)
 
@@ -245,7 +249,7 @@ def test_audit_qm_expects_no_balls():
 
 def test_log_timestamps_non_decreasing():
     log = _logged_log("A", trials=50)
-    ts = [m.t_send for m in log]
+    ts = [m["t_send"] for m in log]
     assert all(b >= a for a, b in zip(ts, ts[1:]))
 
 
@@ -255,8 +259,7 @@ def test_event_log_round_trip(tmp_path):
     write_event_log(log, p)
     back = list(read_event_log(p))
     assert len(back) == len(log) == 80
-    for a, b in zip(log, back):
-        assert a == b
+    assert back == list(log)
 
 
 def test_read_event_log_rejects_malformed(tmp_path):
@@ -269,6 +272,64 @@ def test_read_event_log_rejects_malformed(tmp_path):
     p.write_text(good.read_text() + "{{{ not json\n")
     with pytest.raises(ValueError, match="line 5"):
         list(read_event_log(p))
+
+
+# SHA-256 of events.ndjson from `simulate --theta-deg 60 45 --trials 300 --seed 3
+# --log-events`, recorded when each message was still a dataclass
+EVENT_LOG_SHA256 = {
+    "A": "0ed7b0d0f190a1f220aecb8afd44b957a57f702d2cba013089bfdb702500d687",
+    "B1": "ed94549facab3a24f4527bad2a8564323b52ba7b5b28e6d8fa61f68d7e9a7aa1",
+    "B2": "8350cf0a00bd77fe789f95607740aceca0854f0913f81d60b0db44e8de529de0",
+    "C": "a34df00eba98f54db725c450e57eede38529158086a28d1f062f51735b7a235e",
+    "QM": "fba5b7dc84ec64f77d71a150ef57d74f3c73d8307e59cf94e3eb611dc646457c",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EVENT_LOG_SHA256))
+def test_event_log_bytes_pinned(tmp_path, capsys, kind):
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", kind, "--theta-deg", "60", "45", "--trials", "300",
+                 "--seed", "3", "--log-events", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    digest = hashlib.sha256((out / "events.ndjson").read_bytes()).hexdigest()
+    assert digest == EVENT_LOG_SHA256[kind]
+
+
+REPORT = {"seq": 2, "t_send": 1.5, "sender": BATTER_L, "receiver": "coordinator",
+          "kind": "result_report", "payload": {"trial_id": 0, "outcome": 1}}
+
+
+def _retyped(**fields):
+    return {**REPORT, **fields}
+
+
+ILL_TYPED = {
+    "seq string": _retyped(seq="5"),
+    "seq bool": _retyped(seq=True),
+    "seq float": _retyped(seq=1.5),
+    "t_send string": _retyped(t_send="x"),
+    "sender number": _retyped(sender=3),
+    "payload list": _retyped(payload=[["trial_id", 0]]),
+    "top-level list": [],
+    "no kind": {k: v for k, v in REPORT.items() if k != "kind"},
+}
+
+
+@pytest.mark.parametrize("name", ILL_TYPED)
+def test_event_log_rejects_ill_typed_line(tmp_path, capsys, name):
+    good = tmp_path / "events.ndjson"
+    write_event_log(_logged_log(trials=1), good)
+    lines = good.read_text().splitlines()
+    lines[2] = json.dumps(ILL_TYPED[name])
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 3"):
+        list(read_event_log(bad))
+    assert main(["audit", "--log", str(bad), "--model", "A"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cannot read event log:") and "line 3" in err[0]
 
 
 def test_counts_csv_format(tmp_path):
