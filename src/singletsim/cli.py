@@ -28,9 +28,10 @@ from .metrics import (
     normalization_check,
     two_sample_chi_square,
 )
-from .models import MODEL_KINDS, SamplerFailure, SettingsPair
+from .models import MODEL_KINDS, SettingsPair
 from .optimizer import SearchOptions, maximize_chsh
 from .protocol import (
+    OUTCOMES,
     ExperimentConfig,
     ProtocolIntegrityError,
     audit_locality,
@@ -71,12 +72,8 @@ def _threads(args) -> int:
 def _theta_pairs(theta_list):
     """Fixed settings pairs for a list of relative angles: n_L on the z axis,
     n_R rotated by theta in the x-z plane."""
-    pairs = []
-    for deg in theta_list:
-        pairs.append(
-            (f"theta={deg:g}", SettingsPair(UnitVector(0.0, 0.0, 1.0), planar_vector(deg)))
-        )
-    return pairs
+    return [(f"theta={deg:g}", SettingsPair(UnitVector(0.0, 0.0, 1.0), planar_vector(deg)))
+            for deg in theta_list]
 
 
 def _load_json(path, kind):
@@ -228,7 +225,7 @@ def cmd_simulate(args) -> int:
     _write_manifest(args.out, args, extra)
     for tb in tables:
         print(f"{model} {tb.label}: N={tb.n_total}", end="")
-        for (s, t) in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        for (s, t) in OUTCOMES:
             print(f"  P({s:+d},{t:+d})={tb.frequency(s, t):.5f}", end="")
         print()
     return EXIT_OK
@@ -299,12 +296,11 @@ def cmd_verify(args) -> int:
         all_rows += [(m,) + r for r in rows]
         overall &= ok
         if m in ("B1", "B2"):
-            for deg in (1.0, 60.0, 90.0, 179.0):
-                s = SettingsPair(UnitVector(0.0, 0.0, 1.0), planar_vector(deg))
+            for label, s in _theta_pairs((1.0, 60.0, 90.0, 179.0)):
                 v, _ = normalization_check(s, "quadrature")
                 ok_n = abs(v - 1.0) <= 1e-12
                 overall &= ok_n
-                all_rows.append((m, f"norm quad theta={deg:g}", f"err={abs(v - 1.0):.2e}", ok_n))
+                all_rows.append((m, f"norm quad {label}", f"err={abs(v - 1.0):.2e}", ok_n))
     w_rows, w_ok = _verify_watches(args.seed)
     all_rows += [("watches",) + r for r in w_rows]
     overall &= w_ok
@@ -378,12 +374,8 @@ def _grid_candidate_pairs(k: int):
     angles; the candidates are all pairs of two different settings pairs,
     thinned by a fixed stride to at most _GRID_CANDIDATE_CAP."""
     degs = [180.0 * i / k for i in range(k)]
-    settings = [
-        SettingsPair(planar_vector(a), planar_vector(b))
-        for a in degs
-        for b in degs
-        if a != b
-    ]
+    settings = [SettingsPair(planar_vector(a), planar_vector(b))
+                for a in degs for b in degs if a != b]
     n = len(settings) * (len(settings) - 1) // 2
     stride = n // _GRID_CANDIDATE_CAP + 1 if n > _GRID_CANDIDATE_CAP else 1
     return list(itertools.islice(itertools.combinations(settings, 2), 0, None, stride))
@@ -506,7 +498,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SamplerFailure, ProtocolIntegrityError) as exc:
+    except ProtocolIntegrityError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

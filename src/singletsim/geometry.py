@@ -71,6 +71,16 @@ def rowdot(a, b) -> np.ndarray:
     return np.einsum("...j,...j->...", a, b)
 
 
+def cross_rows(a, b) -> np.ndarray:
+    """Row-wise cross products, shaped as rowdot's arguments; built one
+    component at a time, where np.cross allocates (n, 3) temporaries."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[..., j], b[..., k], out=out[..., i])
+        out[..., i] -= a[..., k] * b[..., j]
+    return out
+
+
 def sign_array(x) -> np.ndarray:
     """Elementwise sign with the boundary convention sign(0) = +1 (also for
     -0.0).

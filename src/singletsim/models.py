@@ -19,15 +19,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import UnitVector, dot, rowdot, sample_uniform_sphere_array, sign_array
+from .geometry import UnitVector, cross_rows, dot, rowdot, sample_uniform_sphere_array, sign_array
 
 MODEL_KINDS = ("A", "B1", "B2", "C", "QM")
 
 FOUR_PI = 4.0 * math.pi
-
-
-class SamplerFailure(RuntimeError):
-    """Rejection sampler exhausted its proposal budget; the bound is broken."""
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ def hall_g_array(f) -> np.ndarray:
 @lru_cache(maxsize=1)
 def rejection_bound() -> float:
     """Global bound on hall_g_array over [-1, 1], found by golden-section
-    search and inflated by 1% so no proposal is ever silently truncated.
+    search and inflated by 1%; the test suite's rejection oracle uses it.
 
     Never hard-code this number: it is derived at runtime.
     """
@@ -89,58 +85,63 @@ def rejection_bound() -> float:
     return 1.01 * max(fc, fd)
 
 
-_MAX_ROUNDS = 64
+def _lune_azimuth(c, rng: np.random.Generator, n: int):
+    """Azimuths phi of n Hall spins in their settings plane, counted from n_L
+    towards n_R, and gamma = arccos c.  The density is constant on the lunes
+    cut by the planes orthogonal to n_L and n_R: the two where sgn(u.n_L) and
+    sgn(u.n_R) differ lie at (pi/2, pi/2 + gamma) and antipodal, with mass
+    4 gamma g(c) = (1 - c)/2, the other two at (gamma - pi/2, pi/2) and
+    antipodal.  Area is uniform in azimuth (Archimedes), and so is phi in
+    its lune."""
+    gamma = np.arccos(c)
+    opposite = rng.uniform(size=n) < 0.5 * (1.0 - c)
+    phi = rng.uniform(size=n)
+    phi *= np.where(opposite, gamma, math.pi - gamma)
+    phi += np.where(opposite, 0.5 * math.pi, gamma - 0.5 * math.pi)
+    phi += math.pi * (rng.uniform(size=n) < 0.5)  # the antipodal lune
+    return phi, gamma
 
 
-def _sample_rows(n, parts, rng, propose):
-    """Per-row rejection sampling against the Hall density bound.
-
-    ``propose(rows)`` draws one uniform proposal for each pending row index in
-    ``rows``: a list of ``parts`` (m, 3) arrays and their Hall overlaps f.
-    Returns the accepted proposals as ``parts`` (n, 3) arrays.
-
-    Each round gives every pending row one proposal, which it accepts with
-    probability 1/(4 pi U) ~ 0.870, U = rejection_bound(), whatever its
-    settings or spin, because the density integrates to 1 against the uniform
-    proposal.  A row survives all _MAX_ROUNDS = 64 rounds with chance
-    0.1302**64 ~ 2.1e-57.  So even 2**63 sampled rows, the int64 limit on the
-    trial count the CLI accepts, raise a false SamplerFailure with chance
-    below 2e-38.
-    """
-    bound = rejection_bound()
-    out = [np.empty((n, 3)) for _ in range(parts)]
-    pending = np.arange(n)
-    for _ in range(_MAX_ROUNDS):
-        props, f = propose(pending)
-        ok = rng.uniform(0.0, bound, size=pending.size) < hall_g_array(f)
-        for o, p in zip(out, props):
-            o[pending[ok]] = p[ok]
-        pending = pending[~ok]
-        if not pending.size:
-            return out
-    raise SamplerFailure(f"{pending.size} rows rejected {_MAX_ROUNDS} proposals each; "
-                         "the density bound is broken")
+def _plane_frame(a, b):
+    """Unit rows e, f making (a, e, f) a right-handed orthonormal frame with
+    b.f = 0 <= b.e, for (n, 3) or (1, 3) rows a and b.  e is built as
+    (a x b) x a, orthogonal to a to rounding however close b is to +-a; rows
+    with b = +-a exactly, where any plane through a will do, use a x (the
+    axis least aligned with a)."""
+    e = cross_rows(cross_rows(a, b), a)
+    norm = np.sqrt(rowdot(e, e))
+    flat = norm == 0.0
+    if flat.any():
+        a_flat = np.broadcast_to(a, e.shape)[flat]
+        e[flat] = cross_rows(a_flat, np.eye(3)[np.argmin(np.abs(a_flat), axis=1)])
+        norm[flat] = np.sqrt(rowdot(e[flat], e[flat]))
+    e /= norm[:, None]
+    return e, cross_rows(a, e)
 
 
-def _rows(a, rows):
-    """The pending rows of a per-row array, copied only once some rows are
-    done; a shared (3,) vector as it is."""
-    return a if a.ndim == 1 or rows.size == len(a) else a[rows]
+def _combine(*terms) -> np.ndarray:
+    """Sum of w * v over (w, v) terms, (n,) weights times (n, 3) or (1, 3)
+    rows, built one column at a time."""
+    out = np.zeros((terms[0][0].size, 3))
+    for w, v in terms:
+        for j in range(3):
+            out[:, j] += w * v[:, j]
+    return out
 
 
 def sample_hidden_B1_array(s, rng: np.random.Generator, n: int) -> np.ndarray:
     """n spins from the Hall density given the settings, as an (n, 3) array.
 
     ``s`` is the pair (n_L, n_R), each of shape (3,) for one settings pair
-    shared by every row or (n, 3) for settings per row.
+    shared by every row or (n, 3) for settings per row.  A spin sits at its
+    lune azimuth and a uniform height along n_L x n_R.
     """
-    n_L, n_R = (np.asarray(x, dtype=float) for x in s)
-
-    def propose(rows):
-        u = sample_uniform_sphere_array(rng, rows.size)
-        return [u], hall_f_array(u, _rows(n_L, rows), _rows(n_R, rows))
-
-    return _sample_rows(n, 1, rng, propose)[0]
+    n_L, n_R = (np.atleast_2d(np.asarray(x, dtype=float)) for x in s)
+    phi, _ = _lune_azimuth(np.clip(rowdot(n_L, n_R), -1.0, 1.0), rng, n)
+    e2, e3 = _plane_frame(n_L, n_R)
+    h = rng.uniform(-1.0, 1.0, size=n)
+    r = np.sqrt(1.0 - h * h)
+    return _combine((r * np.cos(phi), n_L), (r * np.sin(phi), e2), (h, e3))
 
 
 def sample_settings_B2_array(
@@ -150,17 +151,17 @@ def sample_settings_B2_array(
     (1/4 pi) * Pi(u | n_L, n_R) on S2 x S2, as two (n, 3) arrays.
 
     ``u`` holds the spins, of shape (n, 3), or (3,) for one spin shared by
-    every row.  The density differs from the uniform product only through
-    hall_g_array, so the B1 bound applies.
+    every row.  The joint law is rotation invariant, so the settings plane
+    has a uniform normal e3 independent of u, and c = n_L.n_R is uniform.
+    n_L and n_R sit at azimuths phi and phi - gamma from u's projection on
+    the plane, phi from B1's lune law: the mirror image of B1's frame, which
+    keeps every dot product and so the law.
     """
-    u = np.asarray(u, dtype=float)
-
-    def propose(rows):
-        n_L = sample_uniform_sphere_array(rng, rows.size)
-        n_R = sample_uniform_sphere_array(rng, rows.size)
-        return [n_L, n_R], hall_f_array(_rows(u, rows), n_L, n_R)
-
-    return tuple(_sample_rows(n, 2, rng, propose))
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    phi, gamma = _lune_azimuth(rng.uniform(-1.0, 1.0, size=n), rng, n)
+    e1, e2 = _plane_frame(sample_uniform_sphere_array(rng, n), u)
+    n_R = _combine((np.cos(phi - gamma), e1), (np.sin(phi - gamma), e2))
+    return _combine((np.cos(phi), e1), (np.sin(phi), e2)), n_R
 
 
 def correlator_law(kind: str, c):

@@ -352,7 +352,8 @@ def audit_locality(log, kind: str) -> AuditReport:
     Rules: (1) no batter-to-batter traffic; (2) no batter-to-pitcher traffic;
     (3) ball payloads carry only the spin, pitch time, time of flight, and
     trial id, never settings; (4) exactly one ball per batter per trial
-    (none for the analytic QM reference); (5) result reports flow only to the
+    (none for the analytic QM reference), and every ball and result report
+    names its trial by a JSON integer; (5) result reports flow only to the
     coordinator.
 
     ``log`` is any iterable of messages, each the JSON object of its
@@ -374,7 +375,11 @@ def audit_locality(log, kind: str) -> AuditReport:
         if sender in batters and receiver == PITCHER:
             violations.append((seq, 2, f"batter-to-pitcher message from {sender}"))
         tid = payload.get("trial_id")
-        if not (isinstance(tid, int) and -(1 << 63) <= tid < 1 << 63):
+        if not (type(tid) is int and -(1 << 63) <= tid < 1 << 63):
+            if m["kind"] in ("ball", "result_report"):
+                got = json.dumps(tid) if "trial_id" in payload else "none"
+                violations.append(
+                    (seq, 4, f"{m['kind']} has trial id {got}, not a 64-bit integer"))
             tid = None
         elif not trial_ids or trial_ids[-1] != tid:
             trial_ids.append(tid)

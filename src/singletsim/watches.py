@@ -7,7 +7,7 @@ reading without any message.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,22 +60,14 @@ class WatchBank:
             self.watch_T.period_small,
             self.watch_T.period_large,
         ]
-        report = check_incommensurable(periods)
-        if not report.passed:
-            raise ValueError(
-                "watch periods are commensurable: " + "; ".join(report.failures)
-            )
+        failures = check_incommensurable(periods)
+        if failures:
+            raise ValueError("watch periods are commensurable: " + "; ".join(failures))
 
     @staticmethod
     def default(epoch: float = 0.0) -> "WatchBank":
         mk = lambda k: WatchSpec(*DEFAULT_PERIODS[k], CLOCKWISE, epoch)
         return WatchBank(mk("H"), mk("T"))
-
-
-@dataclass
-class IncommensurabilityReport:
-    passed: bool
-    failures: list = field(default_factory=list)
 
 
 def _frac_array(x):
@@ -138,13 +130,11 @@ def batter_vectors_array(mirror: WatchSpec, t_arrival, delta_t) -> np.ndarray:
         *(_frac_array(-(r + delta_t / tau)) for r, tau in zip(raw, taus)))
 
 
-def check_incommensurable(
-    periods, max_den: int = 64, tol: float = 1e-9
-) -> IncommensurabilityReport:
-    """Check that no pair of periods has a ratio within ``tol`` of a rational
-    p/q with p, q <= ``max_den``.
+def check_incommensurable(periods, max_den: int = 64, tol: float = 1e-9) -> list[str]:
+    """The pairs of periods whose ratio lies within ``tol`` of a rational p/q
+    with p, q <= ``max_den``, one line each; an empty list means they pass.
 
-    Failure is a report, not an exception; construction-time validation decides
+    Failure is a list, not an exception; construction-time validation decides
     what to do with it.
     """
     periods = list(periods)
@@ -161,4 +151,4 @@ def check_incommensurable(
                         f"periods[{i}]/periods[{j}] = {r!r} ~ {p}/{q}"
                     )
                     break
-    return IncommensurabilityReport(passed=not failures, failures=failures)
+    return failures

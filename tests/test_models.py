@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from singletsim import models
-from singletsim.geometry import UnitVector, sample_uniform_sphere_array
+from singletsim.geometry import UnitVector, rowdot, sample_uniform_sphere_array
+from singletsim.metrics import two_sample_chi_square
 from singletsim.models import (
     MODEL_KINDS,
-    SamplerFailure,
     SettingsPair,
     correlator_law,
     hall_f_array,
@@ -210,7 +210,8 @@ def test_b2_outcome_marginals_are_fair():
 
 def test_b2_joint_outcome_law_against_analytic():
     # conditioned on the sampled settings, the deterministic outcomes must
-    # reproduce the singlet law on average: E[sigma tau] = -E[c | accepted]
+    # reproduce the singlet law on average: E[sigma tau] = -E[c], the mean
+    # overlap of the settings drawn given the spin
     rng = np.random.default_rng(77)
     u = Z
     nl, nr = sample_settings_B2_array(u.as_array(), rng, 200_000)
@@ -220,21 +221,116 @@ def test_b2_joint_outcome_law_against_analytic():
     assert np.mean(sig * tau) == pytest.approx(-np.mean(c), abs=0.01)
 
 
-def test_sampler_failure_when_bound_broken(monkeypatch):
-    # a density that never accepts must exhaust the round bound loudly, with
-    # shared settings or spin and with settings or spins per row
-    rejection_bound()  # cache the true bound; a bound of 0 would outlive the patch
-    monkeypatch.setattr(models, "hall_g_array", lambda f: np.zeros_like(np.asarray(f)))
-    rng = np.random.default_rng(0)
-    rows = sample_uniform_sphere_array(rng, 4)
-    with pytest.raises(SamplerFailure):
-        sample_hidden_B1_array(arrays(pair(60.0)), rng, 4)
-    with pytest.raises(SamplerFailure):
-        sample_hidden_B1_array((rows, rows[::-1]), rng, 4)
-    with pytest.raises(SamplerFailure):
-        sample_settings_B2_array(Z.as_array(), rng, 4)
-    with pytest.raises(SamplerFailure):
-        sample_settings_B2_array(rows, rng, 4)
+def rejection_B1(s, rng, n):
+    """Oracle: n spins by per-row rejection against the uniform proposal,
+    accepting u with probability hall_g(f(u)) / rejection_bound()."""
+    n_L, n_R = s
+    out = np.empty((n, 3))
+    pending = np.arange(n)
+    while pending.size:
+        u = sample_uniform_sphere_array(rng, pending.size)
+        f = hall_f_array(u, *(a if a.ndim == 1 else a[pending] for a in (n_L, n_R)))
+        ok = rng.uniform(0.0, rejection_bound(), size=pending.size) < hall_g_array(f)
+        out[pending[ok]] = u[ok]
+        pending = pending[~ok]
+    return out
+
+
+def rejection_B2(u, rng, n):
+    """Oracle: n settings pairs by per-row rejection against uniform
+    independent proposals, with the same acceptance as rejection_B1."""
+    n_L, n_R = np.empty((n, 3)), np.empty((n, 3))
+    pending = np.arange(n)
+    while pending.size:
+        pl = sample_uniform_sphere_array(rng, pending.size)
+        pr = sample_uniform_sphere_array(rng, pending.size)
+        f = hall_f_array(u if u.ndim == 1 else u[pending], pl, pr)
+        ok = rng.uniform(0.0, rejection_bound(), size=pending.size) < hall_g_array(f)
+        n_L[pending[ok]], n_R[pending[ok]] = pl[ok], pr[ok]
+        pending = pending[~ok]
+    return n_L, n_R
+
+
+def octant(v):
+    return (v[:, 0] >= 0) * 4 + (v[:, 1] >= 0) * 2 + (v[:, 2] >= 0)
+
+
+def outcome_cell(u, n_L, n_R):
+    """(sigma, tau) of the deterministic responses as a bin index 0..3."""
+    return 2 * (rowdot(u, n_L) < 0.0) + (-rowdot(u, n_R) < 0.0)
+
+
+def assert_same_law(bins_a, bins_b, minlength):
+    _, p, _ = two_sample_chi_square(np.bincount(bins_a, minlength=minlength),
+                                    np.bincount(bins_b, minlength=minlength))
+    assert p > 1e-3, p
+
+
+SAME_LAW_N = 400_000
+ANTIPARALLEL = SettingsPair(Z, UnitVector(0.0, 0.0, -1.0))
+
+
+@pytest.mark.parametrize("s", [pair(d) for d in (0.0, 1.0, 60.0, 90.0, 179.0, 180.0)]
+                         + [ANTIPARALLEL],
+                         ids=["0", "1", "60", "90", "179", "180", "antiparallel"])
+def test_b1_fixed_settings_match_rejection_oracle(s):
+    # binned as criterion 8 does: the octant of u and (sigma, tau)
+    s = arrays(s)
+    u_exact = sample_hidden_B1_array(s, np.random.default_rng(41), SAME_LAW_N)
+    u_oracle = rejection_B1(s, np.random.default_rng(42), SAME_LAW_N)
+    assert_same_law(*(4 * octant(u) + outcome_cell(u, *s) for u in (u_exact, u_oracle)), 32)
+
+
+def test_b1_per_row_settings_match_rejection_oracle():
+    def bins(sampler, seed):
+        rng = np.random.default_rng(seed)
+        s = tuple(sample_uniform_sphere_array(rng, SAME_LAW_N) for _ in range(2))
+        u = sampler(s, rng, SAME_LAW_N)
+        return 4 * octant(u) + outcome_cell(u, *s)
+    assert_same_law(bins(sample_hidden_B1_array, 43), bins(rejection_B1, 44), 32)
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["shared_spin", "per_row_spins"])
+def test_b2_matches_rejection_oracle(per_row):
+    # binned on the octants of n_L and n_R and (sigma, tau)
+    def bins(sampler, seed):
+        rng = np.random.default_rng(seed)
+        u = sample_uniform_sphere_array(rng, SAME_LAW_N) if per_row else planar(23.0).as_array()
+        n_L, n_R = sampler(u, rng, SAME_LAW_N)
+        return 32 * octant(n_L) + 4 * octant(n_R) + outcome_cell(u, n_L, n_R)
+    assert_same_law(bins(sample_settings_B2_array, 45), bins(rejection_B2, 46), 256)
+
+
+def assert_unit_rows(*arrays_):
+    for a in arrays_:
+        assert np.all(np.isfinite(a))
+        assert np.max(np.abs(np.sqrt(rowdot(a, a)) - 1.0)) <= 1e-12
+
+
+def test_b1_degenerate_settings_give_unit_spins():
+    # exactly parallel or antiparallel settings have n_L x n_R = 0; shared,
+    # and per row mixed with ordinary and nearly parallel rows
+    rng = np.random.default_rng(5)
+    v = sample_uniform_sphere_array(rng, 6)
+    near = v[0] + 1e-9 * v[1]
+    near /= np.linalg.norm(near)
+    for n_L, n_R in ((v[0], v[0]), (v[0], -v[0]), (Z.as_array(), -Z.as_array())):
+        assert_unit_rows(sample_hidden_B1_array((n_L, n_R), rng, 1000))
+    n_L = np.stack([v[0], v[1], v[2], v[0], X.as_array()])
+    n_R = np.stack([v[0], -v[1], v[3], near, -X.as_array()])
+    assert_unit_rows(sample_hidden_B1_array((n_L, n_R), rng, 5))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_b2_spin_on_plane_normal_gives_unit_settings(monkeypatch, sign):
+    # a spin equal to +-e3 has no projection on the settings plane
+    rng = np.random.default_rng(6)
+    v = sample_uniform_sphere_array(rng, 4)
+    for u in (v[0], v):
+        monkeypatch.setattr(models, "sample_uniform_sphere_array",
+                            lambda rng, n, u=u: np.broadcast_to(sign * u, (n, 3)).copy())
+        n_L, n_R = sample_settings_B2_array(u, rng, 4)
+        assert_unit_rows(n_L, n_R)
 
 
 def test_joint_analytic_examples():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from singletsim import protocol
-from singletsim.cli import EXIT_OK, EXIT_USAGE, main
+from singletsim.cli import EXIT_AUDIT, EXIT_OK, EXIT_USAGE, main
 from singletsim.geometry import UnitVector
 from singletsim.models import SettingsPair
 from singletsim.protocol import (
@@ -247,6 +247,30 @@ def test_audit_qm_expects_no_balls():
     assert not audit_locality(log, "QM").passed
 
 
+TRIAL_ONE_IDS = {
+    "true": lambda payload: payload.update(trial_id=True),
+    "string": lambda payload: payload.update(trial_id="1"),
+    "missing": lambda payload: payload.pop("trial_id"),
+}
+
+
+@pytest.mark.parametrize("name", TRIAL_ONE_IDS)
+def test_audit_flags_trial_id_not_an_integer(tmp_path, capsys, name):
+    # a ball or result report must name its trial by a JSON integer: JSON
+    # true is no trial 1, and a message naming no trial is not dropped
+    log = _logged_log(trials=2)
+    for m in log:
+        if m["payload"]["trial_id"] == 1:
+            TRIAL_ONE_IDS[name](m["payload"])
+    path = tmp_path / "events.ndjson"
+    write_event_log(log, path)
+    assert main(["audit", "--log", str(path), "--model", "A"]) == EXIT_AUDIT
+    got = {"true": "true", "string": '"1"', "missing": "none"}[name]
+    assert capsys.readouterr().out.splitlines() == ["audit: FAIL (4 violations)"] + [
+        f"  rule 4 (seq {m['seq']}): {m['kind']} has trial id {got}, not a 64-bit integer"
+        for m in log[4:]]
+
+
 def test_log_timestamps_non_decreasing():
     log = _logged_log("A", trials=50)
     ts = [m["t_send"] for m in log]
@@ -275,11 +299,12 @@ def test_read_event_log_rejects_malformed(tmp_path):
 
 
 # SHA-256 of events.ndjson from `simulate --theta-deg 60 45 --trials 300 --seed 3
-# --log-events`, recorded when each message was still a dataclass
+# --log-events`, recorded when each message was still a dataclass (B1 and B2
+# re-recorded when the exact lune samplers replaced rejection sampling)
 EVENT_LOG_SHA256 = {
     "A": "0ed7b0d0f190a1f220aecb8afd44b957a57f702d2cba013089bfdb702500d687",
-    "B1": "ed94549facab3a24f4527bad2a8564323b52ba7b5b28e6d8fa61f68d7e9a7aa1",
-    "B2": "8350cf0a00bd77fe789f95607740aceca0854f0913f81d60b0db44e8de529de0",
+    "B1": "c99910ae29f77d4e9a1949bda47c03745b78bf21ae27a3fa69ae722e502334b6",
+    "B2": "af590cbe19e2c0a0a0531b6f44a6360c3c0d67150263d4598aecada51b16610c",
     "C": "a34df00eba98f54db725c450e57eede38529158086a28d1f062f51735b7a235e",
     "QM": "fba5b7dc84ec64f77d71a150ef57d74f3c73d8307e59cf94e3eb611dc646457c",
 }

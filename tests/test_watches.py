@@ -122,16 +122,13 @@ def _cf_convergents(x, max_den):
 
 
 def test_check_incommensurable_failures():
-    rep = check_incommensurable([60.0, 30.0])
-    assert not rep.passed
-    rep = check_incommensurable([1.0, 1.0 + 1e-12])
-    assert not rep.passed
+    assert check_incommensurable([60.0, 30.0]) == ["periods[0]/periods[1] = 2.0 ~ 2/1"]
+    assert check_incommensurable([1.0, 1.0 + 1e-12])
 
 
 def test_check_incommensurable_passes_prime_roots():
     periods = [s * 13.7 for s in (math.sqrt(2), math.sqrt(3), math.sqrt(5), math.sqrt(7))]
-    rep = check_incommensurable(periods)
-    assert rep.passed
+    assert check_incommensurable(periods) == []
     # continued-fraction oracle agrees: no convergent with q <= 64 lands
     # within 1e-9 of any pairwise ratio
     for i in range(len(periods)):
@@ -151,11 +148,10 @@ def test_check_incommensurable_needs_two():
 
 def test_default_bank_passes_check():
     bank = WatchBank.default()
-    rep = check_incommensurable([
+    assert check_incommensurable([
         bank.watch_H.period_small, bank.watch_H.period_large,
         bank.watch_T.period_small, bank.watch_T.period_large,
-    ])
-    assert rep.passed
+    ]) == []
 
 
 def test_bank_rejects_commensurable_periods():
