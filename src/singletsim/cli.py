@@ -134,7 +134,10 @@ def _load_settings_file(path):
     pairs = []
     for i, entry in enumerate(_load_json(path, list)):
         pair = _pair(entry)  # checks that the entry is an object
-        pairs.append((entry.get("label", f"pair{i}"), pair))
+        label = entry.get("label", f"pair{i}")
+        if type(label) is not str:
+            raise ValueError(f"{path}: a label must be a string, got {label!r}")
+        pairs.append((label, pair))
     if not pairs:
         raise UsageError(f"no settings pairs in {path}")
     return pairs
@@ -477,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     au = sub.add_parser("audit", help="check an event log for locality violations")
     au.add_argument("--log", required=True)
-    au.add_argument("--model", default="A",
+    au.add_argument("--model", default="A", choices=MODEL_KINDS,
                     help="model the log came from (QM logs carry no balls)")
     au.set_defaults(func=cmd_audit)
     return p

@@ -1,5 +1,5 @@
-"""Unit vectors on the 2-sphere: construction, dot products, sign convention,
-and uniform sampling.
+"""Unit vectors on the 2-sphere: construction, row-wise dot and cross
+products, sign convention, and uniform sampling.
 
 Only the S2 operations the simulator needs live here; anything fancier is out
 of scope.
@@ -36,17 +36,7 @@ class UnitVector:
         return UnitVector(x / n, y / n, z / n)
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
-def dot(a: UnitVector, b: UnitVector) -> float:
-    """Inner product of two unit vectors, clamped to [-1, 1].
-
-    The clamp guards downstream arccos calls against 1 + epsilon rounding.
-    Summation order is fixed (x, y, z) so dot(a, b) == dot(b, a) exactly.
-    """
-    d = a.x * b.x + a.y * b.y + a.z * b.z
-    return min(1.0, max(-1.0, d))
+        return np.array([self.x, self.y, self.z], dtype=float)
 
 
 def sample_uniform_sphere_array(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .geometry import UnitVector, sample_uniform_sphere_array, sign_array
-from .models import MODEL_KINDS, SettingsPair, hall_f_array, hall_g_array, joint_analytic
+from .models import MODEL_KINDS, SettingsPair, correlator_law, hall_f_array, hall_g_array
 from .protocol import OUTCOMES, CountTable, ExperimentConfig, run_experiment
 
 _ATOM_MERGE_TOL = 1e-9
@@ -66,18 +66,15 @@ def correlator(table: CountTable) -> float:
     return acc / n
 
 
-def analytic_correlator(kind: str, s: SettingsPair) -> float:
-    """Correlator of the analytic joint law: -n_L.n_R for the singlet-law
-    models, -sgn(n_L.n_R) for the mixed model."""
-    return sum(
-        sg * tu * joint_analytic(kind, sg, tu, s) for sg, tu in OUTCOMES
-    )
+def chsh_E(ab, a_b, ab_, a_b_):
+    """E = |C(a,b) + C(a',b) + C(a,b') - C(a',b')|, for floats or for arrays
+    of correlators."""
+    return abs(ab + a_b + ab_ - a_b_)
 
 
 def _chsh_result(c: dict) -> MetricsResult:
-    """E = |C(a,b) + C(a',b) + C(a,b') - C(a',b')| from the four labeled
-    correlators."""
-    return MetricsResult(correlators=c, E=abs(c["ab"] + c["a'b"] + c["ab'"] - c["a'b'"]))
+    """The CHSH result of the four correlators labeled by CHSH_LABELS."""
+    return MetricsResult(correlators=c, E=chsh_E(*(c[lab] for lab in CHSH_LABELS)))
 
 
 def chsh(tables: dict) -> MetricsResult:
@@ -89,7 +86,7 @@ def chsh(tables: dict) -> MetricsResult:
 
 def chsh_analytic(kind: str, config: ChshConfig) -> MetricsResult:
     """CHSH parameter of the model's analytic law at ``config``."""
-    return _chsh_result({lab: analytic_correlator(kind, pair)
+    return _chsh_result({lab: float(correlator_law(kind, pair.cos_angle()))
                          for lab, pair in config.pairs().items()})
 
 
@@ -256,18 +253,21 @@ def chi_square_p(stat: float, dof: int) -> float:
 
 
 def chi_square_gof(table: CountTable, kind: str):
-    """Pearson test of a count table against the model's analytic law.
+    """Pearson test of a count table against the analytic law of its model,
+    which must be ``kind``.
 
     Cells with zero analytic mass must be empty; any count there is a hard
     mismatch reported as p = 0.  Returns (statistic, p_value, dof).
     """
+    if kind != table.model:
+        raise ValueError(f"a model {table.model} table scored as model {kind}")
     n = table.n_total
     if n < 100:
         raise ValueError("need at least 100 trials for the asymptotic test")
     stat = 0.0
     cells = 0
     for sg, tu in OUTCOMES:
-        p = joint_analytic(kind, sg, tu, table.settings) if table.settings else 0.25
+        p = table.analytic(sg, tu)
         cnt = table.counts.get((sg, tu), 0)
         if p == 0.0:
             if cnt > 0:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import planar_vector
-from .metrics import ChshConfig, chsh_analytic
-from .models import MODEL_KINDS, correlator_law
+from .metrics import ChshConfig, chsh_analytic, chsh_E
+from .models import correlator_law
 
 _EPS = 1e-12
 
@@ -55,8 +55,7 @@ def _scores(kind: str, a, a_p, b, b_p):
     over array arguments.  The margin is the smallest |cos| over the four
     pairs, used to break plateau ties away from the sign boundaries."""
     c = [np.cos(x - y) for x, y in ((a, b), (a_p, b), (a, b_p), (a_p, b_p))]
-    ab, apb, abp, apbp = (correlator_law(kind, x) for x in c)
-    e = np.abs(ab + apb + abp - apbp)
+    e = chsh_E(*(correlator_law(kind, x) for x in c))
     margin = np.minimum(np.minimum(np.abs(c[0]), np.abs(c[1])),
                         np.minimum(np.abs(c[2]), np.abs(c[3])))
     return e, margin
@@ -113,8 +112,6 @@ def _pattern_search(kind: str, angles, step_deg: float, iters: int):
 def maximize_chsh(kind: str, opts: SearchOptions = SearchOptions()) -> SearchResult:
     """Best CHSH configuration found for the model, scored on its analytic
     correlators, with its E."""
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind: {kind!r}")
     best, evals = _coarse_scan(kind, opts.coarse_deg)
     if opts.refine_iters > 0:
         refined, extra = _pattern_search(kind, best[2], opts.coarse_deg / 2.0, opts.refine_iters)

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import watches as wt
-from .geometry import rowdot, sample_uniform_sphere_array, sign_array
+from .geometry import rowdot, sample_uniform_sphere_array
 from .models import (
     MODEL_KINDS,
     SettingsPair,
@@ -73,16 +73,18 @@ class ExperimentConfig:
     watch_driven: bool = False
     delta_t: float = 1.5
     bank: wt.WatchBank = field(default_factory=wt.WatchBank.default)
-    # mean spacing between pitches; much larger than any hand period so each
-    # trial's hand phases are effectively fresh uniform draws, and strictly
-    # increasing in trial id so the event log stays time-ordered
-    pitch_gap: float = 1.0e5
     log_events: bool = False
     threads: int = 1
+    # a class constant, not a field: the mean spacing between pitches, much
+    # larger than any hand period so each trial's hand phases are effectively
+    # fresh uniform draws, and increasing in trial id so the log stays ordered
+    pitch_gap = 1.0e5
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not (np.isfinite(self.delta_t) and self.delta_t >= 0.0):
+            raise ValueError(f"time of flight must be finite and >= 0, got {self.delta_t}")
         if not self.watch_driven and not self.settings_pairs:
             raise ValueError("fixed-settings mode needs at least one settings pair")
 
@@ -106,11 +108,6 @@ class Chunk:
     spin: Optional[np.ndarray]
     sigma: np.ndarray
     tau: np.ndarray
-
-    @property
-    def trial_id(self) -> np.ndarray:
-        """The chunk's trial ids, consecutive from ``first_id``."""
-        return np.arange(self.first_id, self.first_id + self.t_pitch.size)
 
 
 @dataclass(frozen=True)
@@ -202,6 +199,12 @@ def _outcome(plus):
     return np.where(plus, np.int8(1), np.int8(-1))
 
 
+def _sign_responses(u, n_L, n_R):
+    """The deterministic responses sigma = sgn(u.n_L) and tau = sgn(-u.n_R),
+    with sgn(0) = +1."""
+    return _outcome(rowdot(u, n_L) >= 0.0), _outcome(-rowdot(u, n_R) >= 0.0)
+
+
 def _atom_spins(rng, k, n_L, n_R):
     """Model A and C spins u = d * n_w from the pitcher's two fair coins: the
     watch w (1 -> H, the right setting; 0 -> T, the left) and the direction d."""
@@ -265,9 +268,7 @@ def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int) -> C
         sigma = _outcome(batter_l.uniform(size=k) < 0.5 * (1.0 + rowdot(u, n_L)))
         tau = _outcome(batter_r.uniform(size=k) < 0.5 * (1.0 - rowdot(u, n_R)))
     else:
-        # deterministic responses sign(u.n), with sign(0) = +1
-        sigma = _outcome(rowdot(u, n_L) >= 0.0)
-        tau = _outcome(-rowdot(u, n_R) >= 0.0)
+        sigma, tau = _sign_responses(u, n_L, n_R)
     return Chunk(first_id, t_pitch, u, sigma, tau)
 
 
@@ -310,7 +311,7 @@ def sample_joint_spin_outcomes(kind: str, n: int, seed: int):
     else:
         u = sample_uniform_sphere_array(rng, n)
         n_L, n_R = sample_settings_B2_array(u, rng, n)
-    return u, sign_array(rowdot(u, n_L)), sign_array(-rowdot(u, n_R))
+    return (u, *_sign_responses(u, n_L, n_R))
 
 
 def run_experiment(kind: str, config: ExperimentConfig):
@@ -320,8 +321,6 @@ def run_experiment(kind: str, config: ExperimentConfig):
     Returns (tables, log) where ``log`` is None unless event logging was
     requested, and otherwise the :class:`EventLog` view of the same trials.
     """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind: {kind!r}")
     streams = config.streams()
     # one job per (stream, chunk); merged by index, so scheduling-free
     jobs = [(si, ci) for si in range(len(streams)) for ci in range(config.chunks())]
@@ -449,19 +448,17 @@ def f17(x) -> str:
 
 
 def write_counts_csv(tables, path):
-    """Fixed column order; floats at 17 significant digits for diff-stable output."""
+    """Fixed column order; floats at 17 significant digits for diff-stable
+    output; a label holding a comma, quote or line break is quoted."""
+    import csv  # only this writer needs it
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("model,pair_label,nL_x,nL_y,nL_z,nR_x,nR_y,nR_z,"
-                 "sigma,tau,count,frequency,analytic\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow("model,pair_label,nL_x,nL_y,nL_z,nR_x,nR_y,nR_z,"
+                     "sigma,tau,count,frequency,analytic".split(","))
         for tb in tables:
+            st = tb.settings
+            comps = [""] * 6 if st is None else [
+                f17(v) for v in (st.n_L.x, st.n_L.y, st.n_L.z, st.n_R.x, st.n_R.y, st.n_R.z)]
             for (s, t) in OUTCOMES:
-                if tb.settings is None:
-                    comps = [""] * 6
-                else:
-                    comps = [f17(v) for v in (
-                        tb.settings.n_L.x, tb.settings.n_L.y, tb.settings.n_L.z,
-                        tb.settings.n_R.x, tb.settings.n_R.y, tb.settings.n_R.z)]
-                fh.write(",".join(
-                    [tb.model, tb.label] + comps +
-                    [str(s), str(t), str(tb.counts.get((s, t), 0)),
-                     f17(tb.frequency(s, t)), f17(tb.analytic(s, t))]) + "\n")
+                out.writerow([tb.model, tb.label, *comps, s, t, tb.counts.get((s, t), 0),
+                              f17(tb.frequency(s, t)), f17(tb.analytic(s, t))])

@@ -32,8 +32,10 @@ class WatchSpec:
     epoch: float = 0.0
 
     def __post_init__(self):
-        if self.period_small <= 0.0 or self.period_large <= 0.0:
-            raise ValueError("hand periods must be strictly positive")
+        if not all(0.0 < p < math.inf for p in (self.period_small, self.period_large)):
+            raise ValueError("hand periods must be finite and strictly positive")
+        if not math.isfinite(self.epoch):
+            raise ValueError("the watch epoch must be finite")
         if self.period_small == self.period_large:
             raise ValueError("hand periods must be distinct")
         if self.direction not in (CLOCKWISE, COUNTERCLOCKWISE):

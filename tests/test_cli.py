@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ from singletsim import protocol
 from singletsim.cli import (
     EXIT_AUDIT,
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_USAGE,
     EXIT_VERIFY,
     _grid_candidate_pairs,
@@ -305,6 +307,7 @@ MALFORMED = [
         {"watch_periods": {"H": [100.0, -900.0], "T": [130.0, 1700.0]}},
         {"watch_periods": [[100.0, 900.0], [130.0, 1700.0]]},
     )),
+    ("settings", [{**PAIR, "label": 5}]),
 ]
 COMMANDS = {
     "settings": ["simulate", "--model", "A", "--trials", "200", "--settings-file"],
@@ -404,3 +407,124 @@ def test_chsh_empirical_independent_of_threads(tmp_path, capsys):
         outs.append(capsys.readouterr().out)
     assert "E = " in outs[0]
     assert outs[0] == outs[1]
+
+
+def read_counts(out):
+    with open(out / "counts.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_settings_file_labels_and_vectors(tmp_path, capsys):
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps([{"n_L": [0, 0, 2], "n_R": [1, 0, 0]},
+                                {"label": "tilted", "n_L": [1, 0, 0], "n_R": [1, 1, 0]}]))
+    out = tmp_path / "run"
+    assert run(["simulate", "--model", "A", "--trials", "200", "--settings-file", str(path),
+                "--out", str(out)]) == EXIT_OK
+    rows = read_counts(out)
+    assert [r["pair_label"] for r in rows] == ["pair0"] * 4 + ["tilted"] * 4
+    assert [float(rows[0][k]) for k in ("nL_x", "nL_y", "nL_z")] == [0.0, 0.0, 1.0]
+    assert float(rows[4]["nR_y"]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    assert "A pair0: N=200" in capsys.readouterr().out
+
+
+def test_settings_label_with_comma_and_quote_round_trips(tmp_path, capsys):
+    label = 'a,b "q"\nx'
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps([{**PAIR, "label": label}]))
+    out = tmp_path / "run"
+    assert run(["simulate", "--model", "B1", "--trials", "200", "--settings-file", str(path),
+                "--out", str(out)]) == EXIT_OK
+    rows = read_counts(out)
+    assert len(rows) == 4
+    assert all(r["pair_label"] == label and float(r["nL_z"]) == 1.0 for r in rows)
+    assert all(None not in r for r in rows)  # no row has extra fields
+    capsys.readouterr()
+
+
+BAD_TIMES = {
+    "delta_t=nan": {"delta_t": math.nan},
+    "delta_t=-1": {"delta_t": -1.0},
+    "delta_t=inf": {"delta_t": math.inf},
+    "epoch=nan": {"epoch": math.nan},
+    "epoch=-inf": {"epoch": -math.inf},
+    "period=inf": {"watch_periods": {"H": [math.inf, 5.0], "T": [130.0, 1700.0]}},
+}
+
+
+@pytest.mark.parametrize("watch_driven", [False, True], ids=["fixed", "watch-driven"])
+@pytest.mark.parametrize("bad", BAD_TIMES.values(), ids=BAD_TIMES.keys())
+def test_bad_time_in_config_is_config_error(tmp_path, capsys, bad, watch_driven):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CONFIG, "watch_driven": watch_driven, **bad}))
+    out = tmp_path / "run"
+    assert run(["simulate", "--config", str(path), "--log-events", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", [["--theta-deg", "60"], ["--watch-driven"]],
+                         ids=["fixed", "watch-driven"])
+@pytest.mark.parametrize("delta_t", ["nan", "-1", "inf"])
+def test_bad_delta_t_flag_is_config_error(tmp_path, capsys, mode, delta_t):
+    out = tmp_path / "run"
+    assert run(["simulate", "--model", "A", "--trials", "200", f"--delta-t={delta_t}",
+                "--log-events", "--out", str(out)] + mode) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert not out.exists()
+
+
+def test_custom_watch_periods_drive_the_settings(tmp_path, capsys):
+    periods = {"H": [61.0 * math.sqrt(11.0), 700.0 * math.sqrt(13.0)],
+               "T": [59.0 * math.sqrt(17.0), 710.0 * math.sqrt(19.0)]}
+    outs = []
+    for extra in ({}, {"watch_periods": periods}):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**CONFIG, "trials": 2000, "watch_driven": True, **extra}))
+        outs.append(tmp_path / f"run{len(outs)}")
+        assert run(["simulate", "--config", str(path), "--out", str(outs[-1])]) == EXIT_OK
+    default, custom = (read_counts(o) for o in outs)
+    assert sum(int(r["count"]) for r in custom) == 2000
+    assert [r["count"] for r in default] != [r["count"] for r in custom]
+    capsys.readouterr()
+
+
+def test_watch_mismatch_is_runtime_failure(tmp_path, capsys, monkeypatch):
+    # the batters read their watches 1e-6 off the pitcher's setting
+    read = protocol.wt.batter_vectors_array
+    monkeypatch.setattr(protocol.wt, "batter_vectors_array", lambda *a: read(*a) + 1e-6)
+    out = tmp_path / "run"
+    assert run(["simulate", "--model", "A", "--watch-driven", "--log-events",
+                "--trials", "50", "--out", str(out)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime failure:"), err
+    assert not (out / "counts.csv").exists()
+
+
+def test_verify_hall_rows(capsys):
+    assert run(["verify", "--model", "B1,B2", "--grid", "3", "--trials", "20000",
+                "--seed", "0"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    for kind in ("B1", "B2"):
+        norms = [ln for ln in lines if ln.startswith(f"[PASS] {kind} norm quad theta=")]
+        assert len(norms) == 4
+    assert sum(ln.startswith("[PASS] B1/B2 equivalence in law p=") for ln in lines) == 1
+    assert lines[-1] == "overall: PASS"
+
+
+def test_freewill_out_report(tmp_path, capsys):
+    report = tmp_path / "fw.json"
+    assert run(["freewill", "--model", "B1", "--grid", "4", "--out", str(report)]) == EXIT_OK
+    printed = float(capsys.readouterr().out.split()[2])
+    assert json.loads(report.read_text()) == {"metric": "free_will_M", "model": "B1",
+                                              "M": printed}
+
+
+def test_audit_unknown_model_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["simulate", "--model", "A", "--theta-deg", "60", "--trials", "20",
+                "--log-events", "--out", str(out)]) == EXIT_OK
+    assert run(["audit", "--log", str(out / "events.ndjson"), "--model", "Z"]) == EXIT_USAGE
+    assert "PASS" not in capsys.readouterr().out

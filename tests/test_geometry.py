@@ -3,10 +3,14 @@ import pytest
 
 from singletsim.geometry import (
     UnitVector,
-    dot,
     sample_uniform_sphere_array,
     sign_array,
 )
+from singletsim.models import SettingsPair
+
+
+def dot(a, b):
+    return SettingsPair(a, b).cos_angle()
 
 
 def sign_oracle(x):

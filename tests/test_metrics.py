@@ -10,7 +10,6 @@ from singletsim.geometry import UnitVector
 from singletsim.metrics import (
     CHSH_LABELS,
     ChshConfig,
-    analytic_correlator,
     chi_square_gof,
     chi_square_p,
     chsh,
@@ -23,7 +22,7 @@ from singletsim.metrics import (
     sign_moment4,
     two_sample_chi_square,
 )
-from singletsim.models import SettingsPair, joint_analytic
+from singletsim.models import SettingsPair, correlator_law, joint_analytic
 from singletsim.protocol import CountTable
 
 Z = UnitVector(0.0, 0.0, 1.0)
@@ -52,6 +51,9 @@ def test_correlator_examples():
 
 
 def test_analytic_correlator():
+    def analytic_correlator(kind, s):
+        return correlator_law(kind, s.cos_angle())
+
     assert analytic_correlator("A", pair(60.0)) == pytest.approx(-0.5)
     assert analytic_correlator("QM", pair(180.0)) == pytest.approx(1.0)
     assert analytic_correlator("C", pair(60.0)) == pytest.approx(-1.0)

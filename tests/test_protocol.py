@@ -51,10 +51,21 @@ def test_chunk_deterministic():
     for kind in ("A", "B1", "C", "QM"):
         a = run_chunk(kind, cfg, 0, 0)
         b = run_chunk(kind, cfg, 0, 0)
-        for col in ("trial_id", "t_pitch", "spin", "sigma", "tau"):
+        for col in ("first_id", "t_pitch", "spin", "sigma", "tau"):
             assert np.array_equal(getattr(a, col), getattr(b, col))
-    assert list(a.trial_id) == list(range(100))
+    assert (a.first_id, a.t_pitch.size) == (0, 100)
     assert np.all(np.diff(a.t_pitch) > 0.0)  # pitch times increase with trial id
+
+
+@pytest.mark.parametrize("kind", ["A", "B1", "B2", "C", "QM"])
+def test_integer_components_run(kind):
+    def counts(*xs):
+        pair = SettingsPair(UnitVector(*xs[:3]), UnitVector(*xs[3:]))
+        cfg = ExperimentConfig(trials=500, seed=3, settings_pairs=[("p", pair)])
+        return run_experiment(kind, cfg)[0][0].counts
+
+    assert UnitVector(0, 0, 1).as_array().dtype == np.float64
+    assert counts(0, 0, 1, 1, 0, 0) == counts(0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
 
 
 def test_run_experiment_rejects_unknown_kind():
