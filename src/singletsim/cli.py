@@ -235,7 +235,7 @@ def cmd_simulate(args) -> int:
 
 
 def _verify_model(model, grid, trials, seed, inject_bias, threads):
-    degs = [180.0 * k / (grid - 1) for k in range(grid)] if grid > 1 else [90.0]
+    degs = [180.0 * k / (grid - 1) for k in range(grid)]
     pairs = _theta_pairs(degs)
     config = ExperimentConfig(
         trials=trials, seed=seed, settings_pairs=pairs, threads=threads
@@ -291,6 +291,8 @@ def cmd_verify(args) -> int:
     for m in models:
         if m not in MODEL_KINDS:
             raise UsageError(f"unknown model {m!r}")
+    if args.grid < 2:
+        raise UsageError(f"--grid must be >= 2 to span 0..180 degrees, got {args.grid}")
     threads = _threads(args)
     all_rows = []
     overall = True

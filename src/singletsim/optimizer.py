@@ -20,6 +20,7 @@ from .metrics import ChshConfig, chsh_analytic, chsh_E
 from .models import correlator_law
 
 _EPS = 1e-12
+_SLACK = 1e-13  # the coarse scan's rounding allowance; see _coarse_scan
 
 
 @dataclass(frozen=True)
@@ -63,15 +64,50 @@ def _scores(kind: str, a, a_p, b, b_p):
 
 def _coarse_scan(kind: str, step_deg: float):
     """Exhaustive coplanar scan with the first angle pinned at 0; returns the
-    best (E, margin, angles) in deterministic lexicographic order."""
+    best (E, margin, angles) in deterministic lexicographic order.
+
+    Every grid configuration is covered, but only the b rows that can still
+    win or tie are scored.  For a fixed a', with r_b = C(a,b) + C(a',b) and
+    d_b' = C(a,b') - C(a',b'), the float E[b, b'] = |(r_b + C(a,b')) - C(a',b')|
+    and the float |r_b + d_b'| each round twice on values of magnitude <= 4,
+    so they differ by at most 2 ulp(4) ~ 2e-15, far below _SLACK.  |r + d| is
+    convex in d, so max over b' of |r_b + d_b'| is
+    max(r_b + max d, -(r_b + min d)): an O(1) bound per row.  A slice or row
+    whose bound falls short of the tie window by more than _SLACK cannot hold
+    a winning or tying configuration.  The rows that remain are scored
+    exactly, in the same order and with the same tie rules as a full scan."""
     grid = np.arange(0.0, 360.0, step_deg)
     rad = np.radians(grid)
     best = (-1.0, -1.0, (0.0, 0.0, 0.0, 0.0))
-    evals = 0
+    c_a = np.cos(0.0 - rad)
+    law_a, abs_a = correlator_law(kind, c_a), np.abs(c_a)
     for ap in rad:
+        c_ap = np.cos(ap - rad)
+        law_ap = correlator_law(kind, c_ap)
+        # the margin of (b, b') is min(pair_m[b], pair_m[b'])
+        pair_m = np.minimum(abs_a, np.abs(c_ap))
+        r = law_a + law_ap
+        d = law_a - law_ap
+        bound = np.maximum(r + d.max(), -(r + d.min()))
+        top = bound.max()
+        if top < best[0] - _EPS - _SLACK:
+            continue  # every E in the slice is below the best by more than _EPS
+        rows = np.flatnonzero(bound >= top - _EPS - _SLACK)
+        if top < best[0] + _EPS - _SLACK:
+            # at best a tie: bound the largest margin among each row's columns
+            # with |r + d| >= thr, a prefix and a suffix of the columns by d
+            thr = max(top, best[0]) - _EPS - _SLACK
+            order = np.argsort(d, kind="stable")
+            d_sorted, m_sorted = d[order], pair_m[order]
+            head = np.concatenate(([-1.0], np.maximum.accumulate(m_sorted)))
+            tail = np.concatenate((np.maximum.accumulate(m_sorted[::-1])[::-1], [-1.0]))
+            reach = np.maximum(head[np.searchsorted(d_sorted, -thr - r[rows], side="right")],
+                               tail[np.searchsorted(d_sorted, thr - r[rows], side="left")])
+            if np.minimum(pair_m[rows], reach).max() <= best[1] + _EPS:
+                continue
         # b down the rows, b' across the columns
-        e, m = _scores(kind, 0.0, ap, rad[:, None], rad[None, :])
-        evals += e.size
+        e = chsh_E(law_a[rows, None], law_ap[rows, None], law_a[None, :], law_ap[None, :])
+        m = np.minimum(pair_m[rows, None], pair_m[None, :])
         # scan the plateau of the max for the largest margin, lexicographic first
         ties = np.argwhere(e >= e.max() - _EPS)
         mi = ties[np.argmax(m[ties[:, 0], ties[:, 1]])]
@@ -81,8 +117,8 @@ def _coarse_scan(kind: str, step_deg: float):
             abs(cand_e - best[0]) <= _EPS and cand_m > best[1] + _EPS
         ):
             best = (cand_e, cand_m,
-                    (0.0, math.degrees(ap), float(grid[mi[0]]), float(grid[mi[1]])))
-    return best, evals
+                    (0.0, math.degrees(ap), float(grid[rows[mi[0]]]), float(grid[mi[1]])))
+    return best, grid.size ** 3
 
 
 def _pattern_search(kind: str, angles, step_deg: float, iters: int):

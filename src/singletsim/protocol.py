@@ -87,6 +87,11 @@ class ExperimentConfig:
             raise ValueError(f"time of flight must be finite and >= 0, got {self.delta_t}")
         if not self.watch_driven and not self.settings_pairs:
             raise ValueError("fixed-settings mode needs at least one settings pair")
+        seen = set()
+        for label, _ in self.settings_pairs:
+            if label in seen:  # counts.csv keys its rows by pair label
+                raise ValueError(f"settings pair label {label!r} is used twice")
+            seen.add(label)
 
     def streams(self) -> list[tuple[str, Optional[SettingsPair]]]:
         """The independent trial streams: one per settings pair, or the single

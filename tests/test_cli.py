@@ -161,6 +161,23 @@ def test_verify_passes_small_grid(capsys):
     assert "overall: PASS" in out
 
 
+@pytest.mark.parametrize("grid", ["1", "0", "-3"])
+def test_verify_grid_below_two_is_usage_error(capsys, grid):
+    assert run(["verify", "--model", "A", "--grid", grid, "--trials", "1000"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert "overall" not in out
+    assert "--grid must be >= 2" in err
+
+
+def test_theta_labels_that_print_alike_are_config_error(tmp_path, capsys):
+    # both angles print as theta=60 under :g
+    assert run(["simulate", "--model", "QM", "--theta-deg", "60", "60.00001",
+                "--trials", "200", "--out", str(tmp_path / "run")]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: settings pair label 'theta=60' is used twice"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_verify_inject_bias_fails(capsys):
     code = run(["verify", "--model", "A", "--grid", "5",
                 "--trials", "50000", "--seed", "0", "--inject-bias"])
@@ -308,6 +325,10 @@ MALFORMED = [
         {"watch_periods": [[100.0, 900.0], [130.0, 1700.0]]},
     )),
     ("settings", [{**PAIR, "label": 5}]),
+    # two pairs with one label, which counts.csv readers would merge
+    ("settings", [{**PAIR, "label": "x"}, {**PAIR, "label": "x"}]),
+    ("settings", [PAIR, {**PAIR, "label": "pair0"}]),
+    ("config", {**CONFIG, "theta_deg": [60.0, 60.00001]}),
 ]
 COMMANDS = {
     "settings": ["simulate", "--model", "A", "--trials", "200", "--settings-file"],

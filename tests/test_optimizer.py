@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from singletsim import optimizer
+from singletsim.cli import EXIT_OK, main
 from singletsim.metrics import chsh_analytic, chsh_empirical
 from singletsim.optimizer import (
     SearchOptions,
@@ -123,3 +125,58 @@ def test_search_outputs_pinned(kind, coarse, refine, angles, e, evals):
         opts = SearchOptions(coarse_deg=coarse, refine_iters=refine)
     res = maximize_chsh(kind, opts)
     assert (res.angles_deg, res.E, res.evaluations) == (angles, e, evals)
+
+
+def brute_force_scan(kind, step_deg):
+    """Oracle: the coarse scan as it was before pruning, scoring every
+    configuration of every a' slice."""
+    grid = np.arange(0.0, 360.0, step_deg)
+    rad = np.radians(grid)
+    best = (-1.0, -1.0, (0.0, 0.0, 0.0, 0.0))
+    evals = 0
+    for ap in rad:
+        # b down the rows, b' across the columns
+        e, m = optimizer._scores(kind, 0.0, ap, rad[:, None], rad[None, :])
+        evals += e.size
+        # scan the plateau of the max for the largest margin, lexicographic first
+        ties = np.argwhere(e >= e.max() - optimizer._EPS)
+        mi = ties[np.argmax(m[ties[:, 0], ties[:, 1]])]
+        cand_e = float(e[mi[0], mi[1]])
+        cand_m = float(m[mi[0], mi[1]])
+        if cand_e > best[0] + optimizer._EPS or (
+            abs(cand_e - best[0]) <= optimizer._EPS and cand_m > best[1] + optimizer._EPS
+        ):
+            best = (cand_e, cand_m,
+                    (0.0, math.degrees(ap), float(grid[mi[0]]), float(grid[mi[1]])))
+    return best, evals
+
+
+@pytest.mark.parametrize("kind", ["A", "B1", "B2", "C", "QM"])
+@pytest.mark.parametrize("step", [2.0, 3.0, 5.0, 7.2, 15.0, 45.0, 90.0, 120.0, 360.0])
+def test_pruned_scan_matches_brute_force(kind, step):
+    assert optimizer._coarse_scan(kind, step) == brute_force_scan(kind, step)
+
+
+@pytest.mark.parametrize("kind", ["C", "QM"])
+def test_pruned_scan_matches_brute_force_at_one_degree(kind):
+    assert optimizer._coarse_scan(kind, 1.0) == brute_force_scan(kind, 1.0)
+
+
+# chsh --model <kind> --optimize --coarse-deg 1, as printed by the brute-force scan
+OPTIMIZE_1DEG_STDOUT = """\
+angles_deg: (0.0, 90.0, 225.0, 135.0)  evaluations: 46656138
+a  = (+0.000000, +0.000000, +1.000000)
+a' = (+1.000000, +0.000000, +0.000000)
+b  = (-0.707107, +0.000000, -0.707107)
+b' = (+0.707107, +0.000000, -0.707107)
+E = {E}
+bounds: Bell 2, Cirel'son 2*sqrt(2) ~ 2.8284271, algebraic 4
+"""
+
+
+@pytest.mark.parametrize("kind,e", [("A", "2.8284271247461903"), ("B1", "2.8284271247461903"),
+                                    ("B2", "2.8284271247461903"), ("C", "4"),
+                                    ("QM", "2.8284271247461903")])
+def test_optimize_one_degree_stdout_pinned(capsys, kind, e):
+    assert main(["chsh", "--model", kind, "--optimize", "--coarse-deg", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == OPTIMIZE_1DEG_STDOUT.format(E=e)

@@ -44,6 +44,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(trials=10, seed=1)  # fixed mode needs a pair
     ExperimentConfig(trials=10, seed=1, watch_driven=True)
+    pair = SettingsPair(Z, planar(60.0))
+    with pytest.raises(ValueError, match="'x' is used twice"):
+        ExperimentConfig(trials=10, seed=1, settings_pairs=[("x", pair), ("y", pair), ("x", pair)])
 
 
 def test_chunk_deterministic():
