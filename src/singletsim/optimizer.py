@@ -97,7 +97,7 @@ def _coarse_scan(kind: str, step_deg: float):
             # at best a tie: bound the largest margin among each row's columns
             # with |r + d| >= thr, a prefix and a suffix of the columns by d
             thr = max(top, best[0]) - _EPS - _SLACK
-            order = np.argsort(d, kind="stable")
+            order = np.argsort(d)
             d_sorted, m_sorted = d[order], pair_m[order]
             head = np.concatenate(([-1.0], np.maximum.accumulate(m_sorted)))
             tail = np.concatenate((np.maximum.accumulate(m_sorted[::-1])[::-1], [-1.0]))
