@@ -17,15 +17,14 @@ Each role draws only from its own counter-based stream, keyed by
 
 Counts are a bincount of the sigma and tau columns.  The event log is a view
 that re-runs the same chunks when it is iterated and spells each trial out as
-messages, so logging never changes the counts and a run's log is never held
-in memory.  Output is a pure function of (kind, config); the thread count
+its log lines, so logging never changes the counts and a run's log is never
+held in memory.  Output is a pure function of (kind, config); the thread count
 only affects wall time.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 from array import array
@@ -55,7 +54,7 @@ OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 SETTING_AGREEMENT_TOL = 1e-9
 
 _CHUNK = 1 << 17
-_LOG_ROWS = 4096  # trials turned into Python objects at a time when logging
+_LOG_ROWS = 1024  # trials turned into Python objects at a time when logging
 
 
 class ProtocolIntegrityError(RuntimeError):
@@ -120,7 +119,8 @@ class EventLog:
     """The messages of a logged run, as a view: iterating re-runs the run's
     chunks one at a time and spells each trial out as its balls at the pitch
     time, then its result reports at the arrival time.  Each message is the
-    JSON object of its event-log line."""
+    JSON object of its event-log line, parsed from that line as
+    :func:`read_event_log` parses it."""
 
     kind: str
     config: ExperimentConfig
@@ -130,13 +130,19 @@ class EventLog:
         return per_trial * self.config.trials * len(self.config.streams())
 
     def __iter__(self):
-        seq = itertools.count()
+        for text in self.trial_lines():
+            for line in text.splitlines():
+                yield _message(line)
+
+    def trial_lines(self):
+        """The event-log text of each trial in log order: its lines as one
+        string, each line ended by a line break."""
         for si in range(len(self.config.streams())):
             for ci in range(self.config.chunks()):
-                # the message generator holds the only reference to the chunk,
+                # the line generator holds the only reference to the chunk,
                 # so each chunk is freed before the next one is simulated
-                yield from _chunk_messages(run_chunk(self.kind, self.config, si, ci),
-                                           self.config.delta_t, seq)
+                yield from _chunk_lines(run_chunk(self.kind, self.config, si, ci),
+                                        self.config.delta_t)
 
 
 @dataclass
@@ -277,25 +283,44 @@ def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int) -> C
     return Chunk(first_id, t_pitch, u, sigma, tau)
 
 
-def _chunk_messages(ch: Chunk, dt: float, seq):
-    """The messages of a chunk's trials in log order, numbered from the
-    counter ``seq``; only _LOG_ROWS trials at a time become Python objects."""
+def _chunk_lines(ch: Chunk, dt):
+    """The event-log text of each trial of a chunk, spelled from one line
+    template per message kind exactly as ``json.dumps`` spells the message's
+    object (default separators, floats by repr).  Trial ids are consecutive
+    over the run, so a trial's first message has seq = messages per trial *
+    trial id.  Only _LOG_ROWS trials at a time become Python objects."""
+    # float(): the repr of a NumPy float is no JSON number
+    dt_json, dt = json.dumps(dt), float(dt)
     for lo in range(0, ch.t_pitch.size, _LOG_ROWS):
         rows = slice(lo, lo + _LOG_ROWS)
         times = ch.t_pitch[rows].tolist()
-        ids = range(ch.first_id + lo, ch.first_id + lo + len(times))
-        spins = [None] * len(times) if ch.spin is None else ch.spin[rows].tolist()
-        for tid, t, u, sigma, tau in zip(ids, times, spins,
-                                         ch.sigma[rows].tolist(), ch.tau[rows].tolist()):
-            if u is not None:
-                for receiver, spin in ((BATTER_L, u), (BATTER_R, [-x for x in u])):
-                    yield {"seq": next(seq), "t_send": t, "sender": PITCHER,
-                           "receiver": receiver, "kind": "ball",
-                           "payload": {"trial_id": tid, "spin": spin, "t_pitch": t, "delta_t": dt}}
-            for sender, outcome in ((BATTER_L, sigma), (BATTER_R, tau)):
-                yield {"seq": next(seq), "t_send": t + dt, "sender": sender,
-                       "receiver": COORDINATOR, "kind": "result_report",
-                       "payload": {"trial_id": tid, "outcome": outcome}}
+        trials = zip(range(ch.first_id + lo, ch.first_id + lo + len(times)), times,
+                     ch.sigma[rows].tolist(), ch.tau[rows].tolist())
+        if ch.spin is None:
+            for tid, t, sigma, tau in trials:
+                yield _report_lines(2 * tid, tid, t + dt, sigma, tau)
+            continue
+        for (tid, t, sigma, tau), (x, y, z) in zip(trials, ch.spin[rows].tolist()):
+            s = 4 * tid
+            yield (
+                f'{{"seq": {s}, "t_send": {t!r}, "sender": "pitcher", "receiver": "batter_L", '
+                f'"kind": "ball", "payload": {{"trial_id": {tid}, "spin": [{x!r}, {y!r}, {z!r}], '
+                f'"t_pitch": {t!r}, "delta_t": {dt_json}}}}}\n'
+                f'{{"seq": {s + 1}, "t_send": {t!r}, "sender": "pitcher", "receiver": "batter_R", '
+                f'"kind": "ball", "payload": {{"trial_id": {tid}, "spin": [{-x!r}, {-y!r}, {-z!r}], '
+                f'"t_pitch": {t!r}, "delta_t": {dt_json}}}}}\n'
+                + _report_lines(s + 2, tid, t + dt, sigma, tau)
+            )
+
+
+def _report_lines(s, tid, t_send, sigma, tau):
+    """A trial's two result reports, numbered s and s + 1."""
+    return (
+        f'{{"seq": {s}, "t_send": {t_send!r}, "sender": "batter_L", "receiver": "coordinator", '
+        f'"kind": "result_report", "payload": {{"trial_id": {tid}, "outcome": {sigma}}}}}\n'
+        f'{{"seq": {s + 1}, "t_send": {t_send!r}, "sender": "batter_R", "receiver": "coordinator", '
+        f'"kind": "result_report", "payload": {{"trial_id": {tid}, "outcome": {tau}}}}}\n'
+    )
 
 
 def sample_joint_spin_outcomes(kind: str, n: int, seed: int):
@@ -414,34 +439,60 @@ def audit_locality(log, kind: str) -> AuditReport:
     return AuditReport(passed=not violations, violations=violations, messages=n_messages)
 
 
-def write_event_log(log, path):
-    """One message per line, as its JSON object."""
+def write_event_log(log: EventLog, path):
+    """One message per line, as its JSON object; each trial's lines are
+    written as they are spelled, so the log is never held in memory."""
     with open(path, "w", encoding="utf-8") as fh:
-        for m in log:
-            fh.write(json.dumps(m) + "\n")
+        fh.writelines(log.trial_lines())
 
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# strict JSON: the NaN, Infinity and -Infinity that json.loads accepts are no
+# JSON numbers, and an event log holding one is malformed
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 # the JSON types each field of an event-log line may take (a bool is no int)
 _FIELD_TYPES = {"seq": (int,), "t_send": (int, float), "sender": (str,),
                 "receiver": (str,), "kind": (str,), "payload": (dict,)}
 
 
+def _message(line):
+    """The message of one event-log line, given without its line break.
+    Raises ValueError unless the line is one strict JSON object holding every
+    field of _FIELD_TYPES with its type.  A line the scanner cannot take
+    whole is parsed again by the same decoder, so the error is the parser's
+    own."""
+    try:
+        m, end = _DECODER.scan_once(line, 0)
+    except StopIteration:
+        end = -1
+    if end != len(line):
+        m = _DECODER.decode(line)
+    if type(m) is not dict:
+        raise ValueError("a message must be a JSON object")
+    get = m.get
+    if not (type(get("seq")) is int and type(get("t_send")) in (float, int)
+            and type(get("sender")) is str and type(get("receiver")) is str
+            and type(get("kind")) is str and type(get("payload")) is dict):
+        bad = [k for k, types in _FIELD_TYPES.items() if type(get(k)) not in types]
+        raise ValueError(f"missing or ill-typed fields {bad}")
+    return m
+
+
 def read_event_log(path):
     """The messages of an event-log file, parsed one line at a time as they
-    are iterated; a line that is not JSON, not an object, or has a field
-    missing or of the wrong type raises ValueError naming its number."""
+    are iterated; a line that is not strict JSON, not an object, or has a
+    field missing or of the wrong type raises ValueError naming its number."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                m = json.loads(line)
-                if type(m) is not dict:
-                    raise ValueError("a message must be a JSON object")
-                bad = [k for k, types in _FIELD_TYPES.items() if type(m.get(k)) not in types]
-                if bad:
-                    raise ValueError(f"missing or ill-typed fields {bad}")
+                m = _message(line)
             except ValueError as exc:
                 raise ValueError(f"malformed event log at line {lineno}: {exc}") from exc
             yield m

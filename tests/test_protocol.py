@@ -207,6 +207,13 @@ def _logged_log(kind="A", trials=20):
     return list(log)
 
 
+def _write_messages(messages, path):
+    """A hand-forged log: one message per line, as json.dumps spells it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for m in messages:
+            fh.write(json.dumps(m) + "\n")
+
+
 def _forged(log, sender, receiver, kind, payload):
     return {"seq": len(log), "t_send": 1.0, "sender": sender, "receiver": receiver,
             "kind": kind, "payload": payload}
@@ -277,7 +284,7 @@ def test_audit_flags_trial_id_not_an_integer(tmp_path, capsys, name):
         if m["payload"]["trial_id"] == 1:
             TRIAL_ONE_IDS[name](m["payload"])
     path = tmp_path / "events.ndjson"
-    write_event_log(log, path)
+    _write_messages(log, path)
     assert main(["audit", "--log", str(path), "--model", "A"]) == EXIT_AUDIT
     got = {"true": "true", "string": '"1"', "missing": "none"}[name]
     assert capsys.readouterr().out.splitlines() == ["audit: FAIL (4 violations)"] + [
@@ -306,10 +313,33 @@ def test_read_event_log_rejects_malformed(tmp_path):
     with pytest.raises(ValueError, match="line 1"):
         list(read_event_log(p))
     good = (tmp_path / "events.ndjson")
-    write_event_log(_logged_log(trials=1), good)
+    _write_messages(_logged_log(trials=1), good)
     p.write_text(good.read_text() + "{{{ not json\n")
     with pytest.raises(ValueError, match="line 5"):
         list(read_event_log(p))
+
+
+@pytest.mark.parametrize("delta_t", [2, 0.0])
+@pytest.mark.parametrize("kind", ["A", "B1", "B2", "C", "QM"])
+def test_event_log_spelled_as_json_dumps(tmp_path, monkeypatch, kind, delta_t):
+    # small chunks and line blocks, so the run spans several of each and the
+    # two streams; at 90 degrees the atom spins carry +-0.0
+    monkeypatch.setattr(protocol, "_CHUNK", 8)
+    monkeypatch.setattr(protocol, "_LOG_ROWS", 3)
+    x, y = UnitVector(1.0, 0.0, 0.0), UnitVector(0.0, 1.0, 0.0)
+    cfg = ExperimentConfig(trials=19, seed=5, delta_t=delta_t, log_events=True,
+                           settings_pairs=[("zx", SettingsPair(Z, x)), ("yz", SettingsPair(y, Z))])
+    _, log = run_experiment(kind, cfg)
+    path = tmp_path / "events.ndjson"
+    write_event_log(log, path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == len(log) == (2 if kind == "QM" else 4) * 38
+    assert all(line == json.dumps(json.loads(line)) for line in lines)
+    assert [json.loads(line)["seq"] for line in lines] == list(range(len(lines)))
+    assert list(log) == list(read_event_log(path))
+    # an integer time of flight is spelled as one, as json.dumps spells it
+    assert {json.dumps(m["payload"]["delta_t"]) for m in log if m["kind"] == "ball"} \
+        <= {json.dumps(delta_t)}
 
 
 # SHA-256 of events.ndjson from `simulate --theta-deg 60 45 --trials 300 --seed 3
@@ -347,6 +377,10 @@ ILL_TYPED = {
     "seq bool": _retyped(seq=True),
     "seq float": _retyped(seq=1.5),
     "t_send string": _retyped(t_send="x"),
+    # json.dumps spells these NaN, Infinity and -Infinity: no JSON numbers
+    "t_send NaN": _retyped(t_send=math.nan),
+    "t_send Infinity": _retyped(t_send=math.inf),
+    "t_send -Infinity": _retyped(t_send=-math.inf),
     "sender number": _retyped(sender=3),
     "payload list": _retyped(payload=[["trial_id", 0]]),
     "top-level list": [],
@@ -357,7 +391,7 @@ ILL_TYPED = {
 @pytest.mark.parametrize("name", ILL_TYPED)
 def test_event_log_rejects_ill_typed_line(tmp_path, capsys, name):
     good = tmp_path / "events.ndjson"
-    write_event_log(_logged_log(trials=1), good)
+    _write_messages(_logged_log(trials=1), good)
     lines = good.read_text().splitlines()
     lines[2] = json.dumps(ILL_TYPED[name])
     bad = tmp_path / "bad.ndjson"
@@ -369,6 +403,36 @@ def test_event_log_rejects_ill_typed_line(tmp_path, capsys, name):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("cannot read event log:") and "line 3" in err[0]
+
+
+REPORT_LINE = json.dumps(REPORT)
+
+NOT_ONE_OBJECT = {
+    "two objects": REPORT_LINE + REPORT_LINE,
+    "two objects, spaced": REPORT_LINE + " " + REPORT_LINE,
+    "trailing garbage": REPORT_LINE + " x",
+    "unterminated": REPORT_LINE[:-1],
+    "top-level array": f"[{REPORT_LINE}]",
+}
+
+
+@pytest.mark.parametrize("name", NOT_ONE_OBJECT)
+def test_read_event_log_needs_one_whole_object_per_line(tmp_path, name):
+    path = tmp_path / "events.ndjson"
+    _write_messages(_logged_log(trials=1), path)
+    lines = path.read_text().splitlines()
+    lines[2] = NOT_ONE_OBJECT[name]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 3"):
+        list(read_event_log(path))
+
+
+def test_read_event_log_skips_blank_lines_and_takes_crlf(tmp_path):
+    messages = _logged_log(trials=2)
+    lines = [json.dumps(m) for m in messages]
+    path = tmp_path / "events.ndjson"
+    path.write_bytes(("\r\n".join(lines[:3] + ["", "  "] + lines[3:]) + "\r\n").encode())
+    assert list(read_event_log(path)) == messages
 
 
 def test_counts_csv_format(tmp_path):
