@@ -13,11 +13,11 @@ by the one cell that linear dependence of the normals leaves empty.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .geometry import UnitVector, sample_uniform_sphere_array, sign_array
 from .models import MODEL_KINDS, SettingsPair, correlator_law, hall_f_array, hall_g_array
@@ -245,11 +245,32 @@ def free_will_M(kind: str, candidate_pairs):
 # goodness of fit
 
 def chi_square_p(stat: float, dof: int) -> float:
-    """Survival function of the chi-square distribution via the regularized
-    upper incomplete gamma function."""
+    """Survival function of the chi-square distribution with a whole number
+    ``dof`` of degrees of freedom: Q(dof/2, x) at x = stat/2, the regularized
+    upper incomplete gamma function, by its finite series (Abramowitz and
+    Stegun, Handbook of Mathematical Functions, sections 6.5 and 26.4)
+
+        Q(a, x) = [erfc(sqrt x) if a is a half-integer]
+                  + sum over b = a-1, a-2, ... >= 0 of e^-x x^b / Gamma(b+1).
+
+    Each term is one exp, so a large statistic underflows the terms one at a
+    time.  NaN stays NaN, as in SciPy's gammaincc, so no threshold test
+    passes.  A p below the smallest normal float is 0, where gammaincc gives
+    0 or, in a narrow band, a subnormal."""
     if dof < 1:
         return 1.0
-    return float(gammaincc(dof / 2.0, stat / 2.0))
+    x = stat / 2.0
+    if not x > 0.0:
+        return 1.0 if x == 0.0 else math.nan
+    if x == math.inf:
+        return 0.0
+    half, lx = dof / 2.0, math.log(x)
+    terms = [math.exp((half - k) * lx - x - math.lgamma(half - k + 1.0))
+             for k in range(1, dof // 2 + 1)]
+    if dof % 2:
+        terms.append(math.erfc(math.sqrt(x)))
+    p = min(1.0, math.fsum(terms))
+    return p if p >= sys.float_info.min else 0.0
 
 
 def chi_square_gof(table: CountTable, kind: str):

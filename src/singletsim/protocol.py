@@ -458,13 +458,17 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 _FIELD_TYPES = {"seq": (int,), "t_send": (int, float), "sender": (str,),
                 "receiver": (str,), "kind": (str,), "payload": (dict,)}
 
+# a float spelled past the largest double, such as 1e400, parses to infinity;
+# an integer of any size compares below it
+_INF = float("inf")
+
 
 def _message(line):
     """The message of one event-log line, given without its line break.
     Raises ValueError unless the line is one strict JSON object holding every
-    field of _FIELD_TYPES with its type.  A line the scanner cannot take
-    whole is parsed again by the same decoder, so the error is the parser's
-    own."""
+    field of _FIELD_TYPES with its type, and a finite t_send.  A line the
+    scanner cannot take whole is parsed again by the same decoder, so the
+    error is the parser's own."""
     try:
         m, end = _DECODER.scan_once(line, 0)
     except StopIteration:
@@ -474,18 +478,20 @@ def _message(line):
     if type(m) is not dict:
         raise ValueError("a message must be a JSON object")
     get = m.get
-    if not (type(get("seq")) is int and type(get("t_send")) in (float, int)
+    if not (type(get("seq")) is int and type(t := get("t_send")) in (float, int)
+            and -_INF < t < _INF
             and type(get("sender")) is str and type(get("receiver")) is str
             and type(get("kind")) is str and type(get("payload")) is dict):
         bad = [k for k, types in _FIELD_TYPES.items() if type(get(k)) not in types]
-        raise ValueError(f"missing or ill-typed fields {bad}")
+        raise ValueError(f"missing or ill-typed fields {bad}" if bad else "t_send is not finite")
     return m
 
 
 def read_event_log(path):
     """The messages of an event-log file, parsed one line at a time as they
-    are iterated; a line that is not strict JSON, not an object, or has a
-    field missing or of the wrong type raises ValueError naming its number."""
+    are iterated; a line that is not strict JSON, not an object, nested too
+    deeply to parse, or has a field missing, of the wrong type or (t_send)
+    not finite raises ValueError naming its number."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -493,7 +499,7 @@ def read_event_log(path):
                 continue
             try:
                 m = _message(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ValueError(f"malformed event log at line {lineno}: {exc}") from exc
             yield m
 

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -549,3 +552,14 @@ def test_audit_unknown_model_is_usage_error(tmp_path, capsys):
                 "--log-events", "--out", str(out)]) == EXIT_OK
     assert run(["audit", "--log", str(out / "events.ndjson"), "--model", "Z"]) == EXIT_USAGE
     assert "PASS" not in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, so no other test's import of SciPy is seen
+    import singletsim
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(singletsim.__file__)))
+    code = "import sys, singletsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

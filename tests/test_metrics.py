@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -285,6 +286,34 @@ def test_chi_square_p_values():
     # oracle: chi2 survival at dof=2 is exp(-x/2)
     for x in (0.5, 2.0, 10.0):
         assert chi_square_p(x, 2) == pytest.approx(math.exp(-x / 2.0), abs=1e-12)
+    # closed forms: e^-x at dof 2 and erfc(sqrt x) at dof 1, x = stat/2
+    for stat in (1e-9, 0.3, 1.0, 7.5, 60.0, 900.0):
+        x = stat / 2.0
+        assert chi_square_p(stat, 2) == pytest.approx(math.exp(-x), rel=1e-14)
+        assert chi_square_p(stat, 1) == pytest.approx(math.erfc(math.sqrt(x)), rel=1e-14)
+    for dof in (1, 2, 3, 12, 63):
+        assert chi_square_p(0.0, dof) == 1.0
+        assert chi_square_p(1e-300, dof) <= 1.0
+        assert chi_square_p(math.inf, dof) == 0.0
+        # NaN stays NaN, so no p > threshold test passes on it
+        assert math.isnan(chi_square_p(math.nan, dof))
+    assert chi_square_p(5.0, 0) == 1.0
+
+
+def test_chi_square_p_matches_scipy_gammaincc():
+    # SciPy is the oracle only: the package computes the finite series
+    from scipy.special import gammaincc
+
+    stats = np.concatenate([np.geomspace(1e-12, 5000.0, 1500), np.linspace(0.0, 5000.0, 1001)[1:]])
+    for dof in range(1, 64):
+        want = gammaincc(dof / 2.0, stats / 2.0)
+        for stat, q in zip(stats.tolist(), want.tolist()):
+            p = chi_square_p(stat, dof)
+            if q >= 1e-290:
+                assert abs(p - q) <= 1e-12 * q, (dof, stat, p, q)
+            elif q < sys.float_info.min:
+                # SciPy gives 0 or a subnormal there; the series gives 0
+                assert p == 0.0, (dof, stat, p, q)
 
 
 def test_chi_square_gof_exact_proportions():

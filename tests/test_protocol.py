@@ -405,6 +405,43 @@ def test_event_log_rejects_ill_typed_line(tmp_path, capsys, name):
     assert len(err) == 1 and err[0].startswith("cannot read event log:") and "line 3" in err[0]
 
 
+def _audit_one_line(tmp_path, capsys, line):
+    """Exit code, stdout and stderr lines of `audit --model QM` on a one-line
+    log."""
+    path = tmp_path / "events.ndjson"
+    path.write_text(line + "\n")
+    code = main(["audit", "--log", str(path), "--model", "QM"])
+    captured = capsys.readouterr()
+    return code, captured.out.splitlines(), captured.err.splitlines()
+
+
+NESTED = "[" * 100_000 + "]" * 100_000
+
+# lines json.dumps does not write: a t_send spelled past the largest double,
+# which parses to infinity, and lines nested past the parser's recursion limit
+UNREADABLE = {
+    **{f"t_send {v}": json.dumps(REPORT).replace("1.5", v) for v in ("1e400", "-1e400", "2e308")},
+    "nested": NESTED,
+    "nested in payload": json.dumps(_retyped(payload={"trial_id": 0, "x": 0})).replace(
+        '"x": 0', f'"x": {NESTED}'),
+}
+
+
+@pytest.mark.parametrize("name", UNREADABLE)
+def test_audit_refuses_unreadable_line(tmp_path, capsys, name):
+    code, out, err = _audit_one_line(tmp_path, capsys, UNREADABLE[name])
+    assert code == EXIT_USAGE and out == []
+    assert len(err) == 1 and err[0].startswith("cannot read event log:") and "line 1" in err[0]
+
+
+def test_event_log_takes_an_integer_t_send_of_any_size(tmp_path, capsys):
+    line = json.dumps(_retyped(t_send=10 ** 400))
+    code, out, err = _audit_one_line(tmp_path, capsys, line)
+    assert (code, out, err) == (EXIT_OK, ["audit: PASS (1 messages, 0 violations)"], [])
+    (m,) = read_event_log(tmp_path / "events.ndjson")
+    assert m["t_send"] == 10 ** 400
+
+
 REPORT_LINE = json.dumps(REPORT)
 
 NOT_ONE_OBJECT = {
