@@ -364,6 +364,74 @@ def test_event_log_bytes_pinned(tmp_path, capsys, kind):
     assert digest == EVENT_LOG_SHA256[kind]
 
 
+# SHA-256 of events.ndjson from `simulate --theta-deg 60 45 --trials 303 --seed 3
+# --log-events`: 303 = 4 * 75 + 3 trials end each stream's chunk inside a
+# four-word Philox block, so the pitch times of the logged trials are pinned
+# at a partial block
+PARTIAL_BLOCK_LOG_SHA256 = {
+    "A": "38ee8803fb947c4cf1ad8bb9113913978ff68d01b08c1cf0eab8e7200ce6cf89",
+    "B1": "08a12daeb7732a115b40cc9cdeb6f85c7e868751dbd8a54fe6a251609bb9e56a",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PARTIAL_BLOCK_LOG_SHA256))
+def test_partial_block_event_log_bytes_pinned(tmp_path, capsys, kind):
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", kind, "--theta-deg", "60", "45", "--trials", "303",
+                 "--seed", "3", "--log-events", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    digest = hashlib.sha256((out / "events.ndjson").read_bytes()).hexdigest()
+    assert digest == PARTIAL_BLOCK_LOG_SHA256[kind]
+
+
+# SHA-256 of the three counts.csv files of `simulate --seed 11 --trials n` with
+# `--theta-deg 0 45 90 180`, with one non-coplanar `--settings-file` pair and
+# with `--watch-driven`, concatenated in that order.  The trial counts cover
+# every remainder mod 4 and a chunk boundary; at 90 degrees the atom spins of
+# A and C lie on the other batter's boundary, where sgn(0) = +1
+COUNTS_CSV_SHA256 = {
+    ("A", 1): "d8b2bb2186b8392c45d23abe6831677b8cd44bb4d72b4a8a06dd7db90b0723ba",
+    ("A", 2): "84644e834aa4bd431365086dd4b3b9d0ea9acf87a1d92d24519ce9246d9bf1d4",
+    ("A", 3): "6c5770e01a68d168437a171efc2000c47b18cd1b0b9dc0ef759ec3e9d9b415f5",
+    ("A", 5): "f1bbe3e0f85afdaced3cb81eaa225a48b2ba773e1b8bbca470e0bfca87192a92",
+    ("A", 131073): "09357b17259c232123e422862a723b3944a06e8a86cbd9a848dcda34ca9062ad",
+    ("B1", 1): "01e1c75cb71a095867e53def75bbbaa9160c25e0effa789788dcac04d3a09d45",
+    ("B1", 2): "3b8575342fe577b25d686559e8cfb13da40e46bd3588be02411a1317389c68d2",
+    ("B1", 3): "67b878f1253504a16be75d37321121430259dac221d835c6a98c14e3589881d8",
+    ("B1", 5): "de4bf35f9b766add0e8d5c5e5ac0960a8accb21562c52a910c1f9e581481ff2a",
+    ("B1", 131073): "7857eaa873dfc2225460782396216530ec842b43f7fa71abc97f3372ba65bd99",
+    ("B2", 1): "883eb32657e4e1d6b9bd8b748aa6ad92ad1fccda9348e137bed77fe9df2679e4",
+    ("B2", 2): "8bb513b9da16f57a096a447113372480e2c8ec49363f680a26e7457b4c9aa857",
+    ("B2", 3): "fad04f6af8dd00b45367732177a034b76f4cb9449de8abf8a13c205fb98909fa",
+    ("B2", 5): "8c09ca8eedd2c5eb56d162d408950186c35236f8669b32091fcb6387cec00267",
+    ("B2", 131073): "f9336ef07b9f71bc631d9f5a380dc04a31c309faa8b76d8ace56896b18dd3433",
+    ("C", 1): "1d118a8a233d5384cd4122336155b372845568f267b44f20851e50d009a645a3",
+    ("C", 2): "6b2c60d234876fe711ed68fa10158640b402319f31bad576c15d3015c1cf754c",
+    ("C", 3): "3ab1b52d26425d50594d5bb3d13d8391bff55758d05bb36cb0dc1815c3615b6c",
+    ("C", 5): "ad052f852fbb53c65cdf2f4616346c894a380f5585a7959527db50e580a19e1e",
+    ("C", 131073): "5ec58bffa80da5c86fa3c06cc612d8ed3e80a0d46b466d4794108339b356c93f",
+    ("QM", 1): "ae1c35ece374a8415e0e8e8c5399c69b5afee1293829425e6f175ca26cae0eef",
+    ("QM", 2): "5c381c0ab7cda23ec213fe5c80da0fac8294e0f036819923630de1f30c0ec80c",
+    ("QM", 3): "0473c7b2de7133be2071895dfd259aa5c16cbe394d57967c8f98ae32f5e6b95b",
+    ("QM", 5): "30a2b0356b3e8abe3c4f63e27eb415f5c6998567d82f5231d3c5c7f1fbe7e712",
+    ("QM", 131073): "74e8cbb15d89b17c35cc0b2d9a5f8c59c9c5735352174638e30f721776a67833",
+}
+
+
+@pytest.mark.parametrize("kind, trials", sorted(COUNTS_CSV_SHA256))
+def test_counts_bytes_pinned(tmp_path, capsys, kind, trials):
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps([{"label": "skew", "n_L": [1, 2, 2], "n_R": [2, -1, 3]}]))
+    digest = hashlib.sha256()
+    for settings in (["--theta-deg", "0", "45", "90", "180"],
+                     ["--settings-file", str(pair_file)], ["--watch-driven"]):
+        out = tmp_path / "run"
+        assert main(["simulate", "--model", kind, "--trials", str(trials), "--seed", "11",
+                     *settings, "--out", str(out)]) == EXIT_OK
+        digest.update((out / "counts.csv").read_bytes())
+    capsys.readouterr()
+    assert digest.hexdigest() == COUNTS_CSV_SHA256[kind, trials]
+
 REPORT = {"seq": 2, "t_send": 1.5, "sender": BATTER_L, "receiver": "coordinator",
           "kind": "result_report", "payload": {"trial_id": 0, "outcome": 1}}
 
