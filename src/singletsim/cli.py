@@ -200,9 +200,9 @@ def _build_experiment_config(args) -> tuple[str, ExperimentConfig]:
 def _write_manifest(out_dir, args, extra=None):
     manifest = {
         "artifact_version": __version__,
-        "command": sys.argv[1:],
+        "command": args.argv,
         "options": {
-            k: v for k, v in vars(args).items() if k != "func" and v is not None
+            k: v for k, v in vars(args).items() if k not in ("func", "argv") and v is not None
         },
     }
     if extra:
@@ -288,9 +288,11 @@ def _joint_cells(kind, n, seed):
 
 def cmd_verify(args) -> int:
     models = args.model.split(",")
-    for m in models:
+    for i, m in enumerate(models):
         if m not in MODEL_KINDS:
             raise UsageError(f"unknown model {m!r}")
+        if m in models[:i]:  # its rows would print twice
+            raise UsageError(f"model {m!r} is named twice")
     if args.grid < 2:
         raise UsageError(f"--grid must be >= 2 to span 0..180 degrees, got {args.grid}")
     threads = _threads(args)
@@ -490,11 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the documented code
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    args.argv = argv  # the manifest's record of the command
     try:
         return args.func(args)
     except UsageError as exc:

@@ -5,8 +5,11 @@ testable.
 One execution path serves every run.  :func:`run_chunk` simulates a chunk of
 up to 2^17 trials of one settings pair, or of the free-running watch-driven
 stream, and returns its columns: trial id, pitch time, spin, sigma and tau.
-Each role draws only from its own counter-based stream, keyed by
-(seed, tag, chunk, role):
+It computes only what the counts read, sigma and tau, and what those need
+(watch settings need the pitch times; B1, B2 and watch-driven A and C need
+the spins); any other pitch-time or spin column is computed on first read,
+as the event log reads them.  Each role draws only from its own
+counter-based stream, keyed by (seed, tag, chunk, role):
 
 * the pitcher draws the pitch-time jitter, the coins and the spin;
 * each batter draws only its own response uniforms, and sees only the ball
@@ -14,6 +17,11 @@ Each role draws only from its own counter-based stream, keyed by
 * the coordinator draws what no station may: the settings it installs in the
   batters' watches for B2 driven by a free-ticking spin, and the joint
   outcomes of the analytic QM reference.
+
+The pitch-time jitter is the pitcher's first draws, one per trial.  A chunk
+that does not need its pitch times skips them: Philox is counter-based, so
+advancing its counter past them leaves the stream exactly where drawing them
+would, and a read re-derives them from a freshly keyed pitcher stream.
 
 Counts are a bincount of the sigma and tau columns.  The event log is a view
 that re-runs the same chunks when it is iterated and spells each trial out as
@@ -30,7 +38,8 @@ import os
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -105,13 +114,23 @@ class ExperimentConfig:
 class Chunk:
     """One chunk of trials as columns.  The left ball spins along ``spin``,
     the right ball along its negation; QM trials pitch no balls.  Outcomes
-    are int8 +-1."""
+    are int8 +-1.  ``t_pitch`` and ``spin`` are computed by ``make_t_pitch``
+    and ``make_spin`` on first read and then kept, so a chunk that is only
+    counted need not build them."""
 
     first_id: int
-    t_pitch: np.ndarray
-    spin: Optional[np.ndarray]
     sigma: np.ndarray
     tau: np.ndarray
+    make_t_pitch: Callable[[], np.ndarray] = field(repr=False)
+    make_spin: Callable[[], Optional[np.ndarray]] = field(repr=False)
+
+    @cached_property
+    def t_pitch(self) -> np.ndarray:
+        return self.make_t_pitch()
+
+    @cached_property
+    def spin(self) -> Optional[np.ndarray]:
+        return self.make_spin()
 
 
 @dataclass(frozen=True)
@@ -206,8 +225,10 @@ def _watch_settings(config, first_id, t_pitch):
 
 
 def _outcome(plus):
-    """+1 where ``plus`` holds, else -1, one byte per trial."""
-    return np.where(plus, np.int8(1), np.int8(-1))
+    """+1 where the boolean array ``plus`` holds, else -1, one byte per trial."""
+    out = plus.view(np.int8) * 2
+    out -= 1
+    return out
 
 
 def _sign_responses(u, n_L, n_R):
@@ -218,12 +239,30 @@ def _sign_responses(u, n_L, n_R):
 
 def _atom_spins(rng, k, n_L, n_R):
     """Model A and C spins u = d * n_w from the pitcher's two fair coins: the
-    watch w (1 -> H, the right setting; 0 -> T, the left) and the direction d."""
+    watch w (1 -> H, the right setting; 0 -> T, the left) and the direction d,
+    with the rows of u that each trial takes.  Fixed settings (n_L and n_R
+    one vector each) leave four atoms: u is (-n_L, n_L, -n_R, n_R) and a
+    trial takes row 2w + (1 if d = +1 else 0), so the batters respond once
+    per atom.  Otherwise u holds each trial's spin."""
     w = rng.integers(0, 2, size=k)
+    if n_L.ndim == 1:
+        w *= 2
+        w += rng.integers(0, 2, size=k)
+        return np.stack((-n_L, n_L, -n_R, n_R)), w
     d = np.where(rng.integers(0, 2, size=k) == 1, 1.0, -1.0)
     u = np.where(w[:, None] == 1, n_R, n_L)
     u *= d[:, None]
-    return u
+    return u, slice(None)
+
+
+def _pitch_times(pitcher, first_id, k, config):
+    """epoch + (trial id + jitter) * pitch_gap, in place, with the jitter the
+    first k draws of the pitcher's stream."""
+    t_pitch = pitcher.uniform(size=k)
+    t_pitch += np.arange(first_id, first_id + k)
+    t_pitch *= config.pitch_gap
+    t_pitch += config.bank.watch_H.epoch
+    return t_pitch
 
 
 def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int) -> Chunk:
@@ -244,11 +283,16 @@ def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int) -> C
         for role in (PITCHER, BATTER_L, BATTER_R, COORDINATOR)
     )
     first_id = stream * n + chunk * _CHUNK
-    # epoch + (trial id + jitter) * pitch_gap, in place
-    t_pitch = pitcher.uniform(size=k)
-    t_pitch += np.arange(first_id, first_id + k)
-    t_pitch *= config.pitch_gap
-    t_pitch += config.bank.watch_H.epoch
+    if pair is None and kind != "B2":  # the settings come off the watches
+        t_pitch = _pitch_times(pitcher, first_id, k, config)
+        make_t_pitch = lambda: t_pitch  # noqa: E731
+    else:
+        # skip the jitter draws: a fresh Philox stream yields four words per
+        # counter step, so k draws are k // 4 steps and k % 4 words more
+        pitcher.bit_generator.advance(k // 4)
+        pitcher.bit_generator.random_raw(k % 4)
+        make_t_pitch = lambda: _pitch_times(  # noqa: E731
+            _stream(config.seed, tag, chunk, PITCHER), first_id, k, config)
     u = None
     if pair is not None:
         n_L, n_R = pair.n_L.as_array(), pair.n_R.as_array()
@@ -268,19 +312,20 @@ def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int) -> C
         r = coordinator.uniform(size=k)
         sigma = _outcome(r < 0.5)
         tau = _outcome(r < np.where(r < 0.5, 0.25 * (1.0 - c), 0.25 * (3.0 + c)))
-        return Chunk(first_id, t_pitch, None, sigma, tau)
+        return Chunk(first_id, sigma, tau, make_t_pitch, lambda: None)
+    rows = slice(None)  # each trial's row of u, and of its responses
     if kind in ("A", "C"):
-        u = _atom_spins(pitcher, k, n_L, n_R)
+        u, rows = _atom_spins(pitcher, k, n_L, n_R)
     elif u is None:
         # fixed-settings B2 conditions the clock coupling on the pinned
         # settings, which is the same spin law as B1
         u = sample_hidden_B1_array((n_L, n_R), pitcher, k)
     if kind == "A":
-        sigma = _outcome(batter_l.uniform(size=k) < 0.5 * (1.0 + rowdot(u, n_L)))
-        tau = _outcome(batter_r.uniform(size=k) < 0.5 * (1.0 - rowdot(u, n_R)))
+        sigma = _outcome(batter_l.uniform(size=k) < (0.5 * (1.0 + rowdot(u, n_L)))[rows])
+        tau = _outcome(batter_r.uniform(size=k) < (0.5 * (1.0 - rowdot(u, n_R)))[rows])
     else:
-        sigma, tau = _sign_responses(u, n_L, n_R)
-    return Chunk(first_id, t_pitch, u, sigma, tau)
+        sigma, tau = (s[rows] for s in _sign_responses(u, n_L, n_R))
+    return Chunk(first_id, sigma, tau, make_t_pitch, lambda: u[rows])
 
 
 def _chunk_lines(ch: Chunk, dt):

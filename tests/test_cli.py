@@ -51,6 +51,25 @@ def test_simulate_writes_counts_and_manifest(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_manifest_records_the_command_main_parsed(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["simulate", "--model", "QM", "--theta-deg", "60", "--trials", "10",
+            "--seed", "2", "--out", str(out)]
+    assert run(argv) == EXIT_OK
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == argv
+    assert "argv" not in manifest["options"]
+    # without an argv, main parses and records the process's arguments
+    import singletsim
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(singletsim.__file__)))
+    argv[-1] = str(tmp_path / "proc")
+    subprocess.run([sys.executable, "-m", "singletsim.cli", *argv], check=True,
+                   env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+    assert json.loads((tmp_path / "proc" / "manifest.json").read_text())["command"] == argv
+
+
 def test_simulate_unknown_model_is_usage_error(tmp_path, capsys):
     code = run(["simulate", "--model", "Z", "--theta-deg", "60",
                 "--out", str(tmp_path / "x")])
@@ -170,6 +189,14 @@ def test_verify_grid_below_two_is_usage_error(capsys, grid):
     out, err = capsys.readouterr()
     assert "overall" not in out
     assert "--grid must be >= 2" in err
+
+
+@pytest.mark.parametrize("models", ["A,A", "B1,A,B1"])
+def test_verify_repeated_model_is_usage_error(capsys, models):
+    assert run(["verify", "--model", models, "--grid", "3", "--trials", "100"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"usage error: model {models.split(',')[-1]!r} is named twice"]
 
 
 def test_theta_labels_that_print_alike_are_config_error(tmp_path, capsys):

@@ -159,6 +159,32 @@ def test_thread_count_does_not_change_counts():
     assert t1[0].counts == t4[0].counts
 
 
+def test_counts_build_only_the_columns_they_read(monkeypatch):
+    built = []
+    pitch_times = protocol._pitch_times
+    monkeypatch.setattr(protocol, "_pitch_times",
+                        lambda *a: built.append(1) or pitch_times(*a))
+
+    def pitch_time_builds(kind, config):
+        built.clear()
+        _, log = run_experiment(kind, config)
+        if log is not None:
+            assert len(list(log)) == len(log)
+        return len(built)
+
+    for kind in ("A", "B1", "B2", "C", "QM"):
+        fixed, logged = fixed_config(trials=300), fixed_config(trials=300, log_events=True)
+        watch = ExperimentConfig(trials=300, seed=7, watch_driven=True)
+        assert pitch_time_builds(kind, fixed) == 0
+        assert pitch_time_builds(kind, logged) >= 1
+        # every watch-driven model but B2 reads its settings at the pitch times
+        assert (pitch_time_builds(kind, watch) >= 1) == (kind != "B2")
+    for kind in ("A", "C"):
+        ch = run_chunk(kind, fixed_config(), 0, 0)
+        assert "spin" not in vars(ch) and "t_pitch" not in vars(ch)
+        assert ch.spin.shape == (100, 3) and "spin" in vars(ch)
+
+
 def test_watch_driven_settings_agree():
     cfg = ExperimentConfig(trials=50, seed=3, watch_driven=True, log_events=True)
     for kind in ("A", "B1", "C"):
