@@ -397,6 +397,7 @@ def test_event_log_bytes_pinned(tmp_path, capsys, kind):
 PARTIAL_BLOCK_LOG_SHA256 = {
     "A": "38ee8803fb947c4cf1ad8bb9113913978ff68d01b08c1cf0eab8e7200ce6cf89",
     "B1": "08a12daeb7732a115b40cc9cdeb6f85c7e868751dbd8a54fe6a251609bb9e56a",
+    "B2": "6271c734e802374cd6205f0e916a80ca660cc8c06d014a1b63335a4ce0b8f956",
 }
 
 
@@ -408,6 +409,28 @@ def test_partial_block_event_log_bytes_pinned(tmp_path, capsys, kind):
     capsys.readouterr()
     digest = hashlib.sha256((out / "events.ndjson").read_bytes()).hexdigest()
     assert digest == PARTIAL_BLOCK_LOG_SHA256[kind]
+
+
+# SHA-256 of events.ndjson from `simulate --watch-driven --trials 303 --seed 3
+# --log-events`: the logged trials of the free-running stream, whose settings
+# come off the watches (B2: from the coordinator, given the spin)
+WATCH_LOG_SHA256 = {
+    "A": "e354072d89b65f0e5296575e26633c8763c44fffeacb26784fa3b3465e611f41",
+    "B1": "b4da3bcdb0236877cac53ae42093caa4e05069e804432f9f72e79ad59abb3449",
+    "B2": "c4fa894982438a81d22b953d9ed4a3d4254f08ead8f875b5b5c495e6df8bc726",
+    "C": "164f90d83ff6e00772a02aafa634511cfdfab76ded729bd50c0e74dcaa3e0a2a",
+    "QM": "e39842a69b5c92188c6b214ac17b2c7e0dabc9f1c91f78323198bfd0769081a9",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WATCH_LOG_SHA256))
+def test_watch_driven_event_log_bytes_pinned(tmp_path, capsys, kind):
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", kind, "--watch-driven", "--trials", "303",
+                 "--seed", "3", "--log-events", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    digest = hashlib.sha256((out / "events.ndjson").read_bytes()).hexdigest()
+    assert digest == WATCH_LOG_SHA256[kind]
 
 
 # SHA-256 of the three counts.csv files of `simulate --seed 11 --trials n` with
