@@ -336,18 +336,20 @@ def cmd_chsh(args) -> int:
     if args.model not in MODEL_KINDS:
         raise UsageError(f"unknown model {args.model!r}")
     threads = _threads(args)
-    # where the configuration comes from, then how it is scored
+    # where the configuration comes from, then how it is scored; nothing is
+    # printed until both are done, so a config error leaves stdout empty
     if args.optimize:
         result = maximize_chsh(args.model, SearchOptions(coarse_deg=args.coarse_deg))
         cfg = result.config
-        print(f"angles_deg: {result.angles_deg}  evaluations: {result.evaluations}")
     else:
         cfg = _load_chsh_config(args.config)
     if args.mode == "analytic":
         res = chsh_analytic(args.model, cfg)
     else:
         res = chsh_empirical(args.model, cfg, args.trials, args.seed, threads)
-    if args.config:
+    if args.optimize:
+        print(f"angles_deg: {result.angles_deg}  evaluations: {result.evaluations}")
+    else:
         for lab in CHSH_LABELS:
             print(f"C({lab}) = {res.correlators[lab]:+.6f}")
     for name, v in (("a", cfg.a), ("a'", cfg.a_prime), ("b", cfg.b), ("b'", cfg.b_prime)):

@@ -66,6 +66,35 @@ def rejection_bound() -> float:
     return 1.01 * float(hall_g_array(np.linspace(-1.0, 1.0, 4097)).max())
 
 
+def outcome_int8(plus) -> np.ndarray:
+    """+1 where the boolean array ``plus`` holds, else -1, one byte per trial."""
+    out = plus.view(np.int8) * 2
+    out -= 1
+    return out
+
+
+def settings_overlap(s) -> np.ndarray:
+    """c = n_L.n_R of the pair ``s`` = (n_L, n_R), each of shape (3,) or
+    (n, 3), per row of the (1, 3) or (n, 3) rows and clipped to [-1, 1]."""
+    n_L, n_R = (np.atleast_2d(np.asarray(x, dtype=float)) for x in s)
+    return np.clip(rowdot(n_L, n_R), -1.0, 1.0)
+
+
+def _lune_draws(c, rng: np.random.Generator, n: int, azimuth: bool):
+    """The three words per trial of a Hall lune draw, in their only order:
+    ``opposite`` (U < (1 - c)/2, the spin in a lune where sgn(u.n_L) and
+    sgn(u.n_R) differ), the uniform azimuth within the lune (skipped, and
+    None, unless ``azimuth``), and ``antipodal`` (U < 1/2).  A skip reads
+    the n words as random_raw, so the stream ends where drawing them would
+    at any position in Philox's four-word buffer."""
+    opposite = rng.uniform(size=n) < 0.5 * (1.0 - c)
+    if azimuth:
+        t = rng.uniform(size=n)
+    else:
+        t = rng.bit_generator.random_raw(n, output=False)
+    return opposite, t, rng.uniform(size=n) < 0.5
+
+
 def _lune_azimuth(c, rng: np.random.Generator, n: int):
     """Azimuths phi of n Hall spins in their settings plane, counted from n_L
     towards n_R, and gamma = arccos c.  The density is constant on the lunes
@@ -75,12 +104,33 @@ def _lune_azimuth(c, rng: np.random.Generator, n: int):
     antipodal.  Area is uniform in azimuth (Archimedes), and so is phi in
     its lune."""
     gamma = np.arccos(c)
-    opposite = rng.uniform(size=n) < 0.5 * (1.0 - c)
-    phi = rng.uniform(size=n)
+    opposite, phi, antipodal = _lune_draws(c, rng, n, azimuth=True)
     phi *= np.where(opposite, gamma, math.pi - gamma)
     phi += np.where(opposite, 0.5 * math.pi, gamma - 0.5 * math.pi)
-    phi += math.pi * (rng.uniform(size=n) < 0.5)  # the antipodal lune
+    phi += math.pi * antipodal
     return phi, gamma
+
+
+def lune_outcomes(c, rng: np.random.Generator, n: int):
+    """The deterministic Hall outcomes sigma = sgn(u.n_L), tau = sgn(-u.n_R)
+    of the n spins that _lune_azimuth would place, as int8 +-1, from the lune
+    choice alone; the azimuth words are skipped, so ``rng`` ends where
+    _lune_azimuth leaves it.
+
+    The outcomes fix only the lune.  With u.n_L = r cos(phi) and
+    u.n_R = r cos(phi - gamma), r > 0 (B1's spins; B2's settings sit at phi
+    and phi - gamma from u's projection, the same two cosines), the lune at
+    (pi/2, pi/2 + gamma) gives sigma = tau = -1 and its antipode +1, +1; the
+    lune at (gamma - pi/2, pi/2) gives (+1, -1) and its antipode (-1, +1).
+    So sigma = +1 iff opposite == antipodal, and tau = +1 iff antipodal.
+
+    The lune signs are exact.  The sign of a rounded dot product of a built
+    spin can differ from them only for a spin within about 1e-16 of a lune
+    boundary, where the azimuth uniform lies within about 1e-16 / (lune
+    width) of 0 or 1 (or a height uniform at -1): about 2^-50 per trial.
+    """
+    opposite, _, antipodal = _lune_draws(c, rng, n, azimuth=False)
+    return outcome_int8(opposite == antipodal), outcome_int8(antipodal)
 
 
 def _plane_frame(a, b):
@@ -118,7 +168,7 @@ def sample_hidden_B1_array(s, rng: np.random.Generator, n: int) -> np.ndarray:
     lune azimuth and a uniform height along n_L x n_R.
     """
     n_L, n_R = (np.atleast_2d(np.asarray(x, dtype=float)) for x in s)
-    phi, _ = _lune_azimuth(np.clip(rowdot(n_L, n_R), -1.0, 1.0), rng, n)
+    phi, _ = _lune_azimuth(settings_overlap((n_L, n_R)), rng, n)
     e2, e3 = _plane_frame(n_L, n_R)
     h = rng.uniform(-1.0, 1.0, size=n)
     r = np.sqrt(1.0 - h * h)

@@ -6,10 +6,13 @@ One execution path serves every run.  :func:`run_chunk` simulates a chunk of
 up to 2^17 trials of one settings pair, or of the free-running watch-driven
 stream, and returns its columns: trial id, pitch time, spin, sigma and tau.
 It computes only what the counts read, sigma and tau, and what those need
-(watch settings need the pitch times; B1, B2 and watch-driven A and C need
-the spins); any other pitch-time or spin column is computed on first read,
-as the event log reads them.  Each role draws only from its own
-counter-based stream, keyed by (seed, tag, chunk, role):
+(watch settings need the pitch times, and watch-driven A and C the spins;
+B1 and B2 take their outcomes from the lune draws of the Hall spin, see
+:func:`models.lune_outcomes`, and need neither a spin nor, for watch-driven
+B2, the settings); any other pitch-time or spin column is computed on first
+read, as the event log reads them, from freshly keyed streams that replay
+the same draws.  Each role draws only from its own counter-based stream,
+keyed by (seed, tag, chunk, role):
 
 * the pitcher draws the pitch-time jitter, the coins and the spin;
 * each batter draws only its own response uniforms, and sees only the ball
@@ -49,8 +52,11 @@ from .models import (
     MODEL_KINDS,
     SettingsPair,
     joint_analytic,
+    lune_outcomes,
+    outcome_int8,
     sample_hidden_B1_array,
     sample_settings_B2_array,
+    settings_overlap,
 )
 
 PITCHER = "pitcher"
@@ -224,17 +230,10 @@ def _watch_settings(config, first_id, t_pitch):
     return n_L, n_R
 
 
-def _outcome(plus):
-    """+1 where the boolean array ``plus`` holds, else -1, one byte per trial."""
-    out = plus.view(np.int8) * 2
-    out -= 1
-    return out
-
-
 def _sign_responses(u, n_L, n_R):
     """The deterministic responses sigma = sgn(u.n_L) and tau = sgn(-u.n_R),
     with sgn(0) = +1."""
-    return _outcome(rowdot(u, n_L) >= 0.0), _outcome(-rowdot(u, n_R) >= 0.0)
+    return outcome_int8(rowdot(u, n_L) >= 0.0), outcome_int8(-rowdot(u, n_R) >= 0.0)
 
 
 def _atom_spins(rng, k, n_L, n_R):
@@ -265,6 +264,15 @@ def _pitch_times(pitcher, first_id, k, config):
     return t_pitch
 
 
+def _skip_jitter(pitcher, k):
+    """The fresh pitcher stream past its k jitter draws, skipped: a fresh
+    Philox stream yields four words per counter step, so k draws are k // 4
+    steps and k % 4 words more."""
+    pitcher.bit_generator.advance(k // 4)
+    pitcher.bit_generator.random_raw(k % 4)
+    return pitcher
+
+
 def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int) -> Chunk:
     """Trials [chunk * 2^17, (chunk + 1) * 2^17) of trial stream ``stream``
     (an index into ``config.streams()``), as columns.
@@ -282,26 +290,25 @@ def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int) -> C
         _stream(config.seed, tag, chunk, role)
         for role in (PITCHER, BATTER_L, BATTER_R, COORDINATOR)
     )
+    fresh_pitcher = lambda: _stream(config.seed, tag, chunk, PITCHER)  # noqa: E731
     first_id = stream * n + chunk * _CHUNK
     if pair is None and kind != "B2":  # the settings come off the watches
         t_pitch = _pitch_times(pitcher, first_id, k, config)
         make_t_pitch = lambda: t_pitch  # noqa: E731
     else:
-        # skip the jitter draws: a fresh Philox stream yields four words per
-        # counter step, so k draws are k // 4 steps and k % 4 words more
-        pitcher.bit_generator.advance(k // 4)
-        pitcher.bit_generator.random_raw(k % 4)
-        make_t_pitch = lambda: _pitch_times(  # noqa: E731
-            _stream(config.seed, tag, chunk, PITCHER), first_id, k, config)
-    u = None
+        _skip_jitter(pitcher, k)
+        make_t_pitch = lambda: _pitch_times(fresh_pitcher(), first_id, k, config)  # noqa: E731
     if pair is not None:
         n_L, n_R = pair.n_L.as_array(), pair.n_R.as_array()
     elif kind == "B2":
-        # A free-ticking spin watch gives a uniform spin; the coordinator
-        # realizes the clock coupling by installing the settings into the
-        # batters' watches before the trial (shared state, not a message).
-        u = sample_uniform_sphere_array(pitcher, k)
-        n_L, n_R = sample_settings_B2_array(u, coordinator, k)
+        # A free-ticking spin watch gives a uniform spin, the pitcher's next
+        # draws; the coordinator realizes the clock coupling by installing
+        # settings given that spin into the batters' watches before the trial
+        # (shared state, not a message).  Their overlap c is its first draw
+        # (see sample_settings_B2_array), and the lune fixes the outcomes.
+        sigma, tau = lune_outcomes(coordinator.uniform(-1.0, 1.0, size=k), coordinator, k)
+        return Chunk(first_id, sigma, tau, make_t_pitch, lambda: sample_uniform_sphere_array(
+            _skip_jitter(fresh_pitcher(), k), k))
     else:
         n_L, n_R = _watch_settings(config, first_id, t_pitch)
 
@@ -310,19 +317,20 @@ def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int) -> C
         # laid out in that order on [0, 1) with widths (1 - sigma tau c) / 4
         c = np.clip(rowdot(n_L, n_R), -1.0, 1.0)
         r = coordinator.uniform(size=k)
-        sigma = _outcome(r < 0.5)
-        tau = _outcome(r < np.where(r < 0.5, 0.25 * (1.0 - c), 0.25 * (3.0 + c)))
+        sigma = outcome_int8(r < 0.5)
+        tau = outcome_int8(r < np.where(r < 0.5, 0.25 * (1.0 - c), 0.25 * (3.0 + c)))
         return Chunk(first_id, sigma, tau, make_t_pitch, lambda: None)
-    rows = slice(None)  # each trial's row of u, and of its responses
-    if kind in ("A", "C"):
-        u, rows = _atom_spins(pitcher, k, n_L, n_R)
-    elif u is None:
-        # fixed-settings B2 conditions the clock coupling on the pinned
-        # settings, which is the same spin law as B1
-        u = sample_hidden_B1_array((n_L, n_R), pitcher, k)
+    if kind in ("B1", "B2"):
+        # the spin given the settings (fixed-settings B2 conditions the clock
+        # coupling on the pinned settings, which is the same spin law as B1);
+        # the lune fixes the outcomes, and a read draws the spin in it
+        sigma, tau = lune_outcomes(settings_overlap((n_L, n_R)), pitcher, k)
+        return Chunk(first_id, sigma, tau, make_t_pitch, lambda: sample_hidden_B1_array(
+            (n_L, n_R), _skip_jitter(fresh_pitcher(), k), k))
+    u, rows = _atom_spins(pitcher, k, n_L, n_R)  # each trial's row of u and of its responses
     if kind == "A":
-        sigma = _outcome(batter_l.uniform(size=k) < (0.5 * (1.0 + rowdot(u, n_L)))[rows])
-        tau = _outcome(batter_r.uniform(size=k) < (0.5 * (1.0 - rowdot(u, n_R)))[rows])
+        sigma = outcome_int8(batter_l.uniform(size=k) < (0.5 * (1.0 + rowdot(u, n_L)))[rows])
+        tau = outcome_int8(batter_r.uniform(size=k) < (0.5 * (1.0 - rowdot(u, n_R)))[rows])
     else:
         sigma, tau = (s[rows] for s in _sign_responses(u, n_L, n_R))
     return Chunk(first_id, sigma, tau, make_t_pitch, lambda: u[rows])

@@ -301,6 +301,20 @@ def test_chsh_bad_coarse_deg_is_config_error(capsys, coarse):
     assert len(err) == 1 and err[0].startswith("config error:")
 
 
+@pytest.mark.parametrize("source", [["--optimize", "--coarse-deg", "90"], ["--config"]])
+def test_chsh_bad_trials_is_config_error_before_any_output(tmp_path, capsys, source):
+    if source == ["--config"]:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a": [0, 0, 1], "a_prime": [1, 0, 0],
+                                   "b": [0, 0, 1], "b_prime": [1, 0, 0]}))
+        source = ["--config", str(cfg)]
+    assert run(["chsh", "--model", "QM", *source, "--mode", "empirical",
+                "--trials", "0"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["config error: trials must be >= 1"]
+
+
 def test_grid_candidate_pairs_match_nested_reference():
     for k in range(26):
         degs = [180.0 * i / k for i in range(k)]

@@ -13,11 +13,13 @@ from singletsim.models import (
     hall_f_array,
     hall_g_array,
     joint_analytic,
+    lune_outcomes,
     rejection_bound,
     sample_hidden_B1_array,
     sample_settings_B2_array,
+    settings_overlap,
 )
-from singletsim.protocol import ExperimentConfig, run_chunk, run_experiment
+from singletsim.protocol import ExperimentConfig, _sign_responses, run_chunk, run_experiment
 
 Z = UnitVector(0.0, 0.0, 1.0)
 X = UnitVector(1.0, 0.0, 0.0)
@@ -299,6 +301,35 @@ def test_b2_matches_rejection_oracle(per_row):
         n_L, n_R = sampler(u, rng, SAME_LAW_N)
         return 32 * octant(n_L) + 4 * octant(n_R) + outcome_cell(u, n_L, n_R)
     assert_same_law(bins(sample_settings_B2_array, 45), bins(rejection_B2, 46), 256)
+
+
+def test_lune_outcomes_are_the_signs_of_the_lune_spins():
+    # per-row settings mixing random rows with axis-aligned, parallel and
+    # antiparallel ones, started at every position in Philox's four-word
+    # buffer: lune_outcomes gives the signs of the spins that
+    # sample_hidden_B1_array draws from the same words, and leaves the stream
+    # where the spin's lune draws leave it (about 5.5e6 trials)
+    rng = np.random.default_rng(8)
+    axes = np.concatenate([np.eye(3), -np.eye(3)])
+    for i, n in enumerate([1, 2, 3, 5] + [(1 << 17) + 1] * 42):
+        n_L, n_R = (sample_uniform_sphere_array(rng, n) for _ in range(2))
+        kind = rng.integers(0, 4, size=n)
+        on_axes = kind == 1
+        n_L[on_axes] = axes[rng.integers(0, 6, size=on_axes.sum())]
+        n_R[on_axes] = axes[rng.integers(0, 6, size=on_axes.sum())]
+        n_R[kind == 2] = n_L[kind == 2]
+        n_R[kind == 3] = -n_L[kind == 3]
+        lune_rng, spin_rng = (np.random.Generator(np.random.Philox(100 + i)) for _ in range(2))
+        for g in (lune_rng, spin_rng):
+            g.bit_generator.random_raw(i % 4)
+        sigma, tau = lune_outcomes(settings_overlap((n_L, n_R)), lune_rng, n)
+        u = sample_hidden_B1_array((n_L, n_R), spin_rng, n)
+        want_sigma, want_tau = _sign_responses(u, n_L, n_R)
+        assert sigma.dtype == tau.dtype == np.int8
+        np.testing.assert_array_equal(sigma, want_sigma)
+        np.testing.assert_array_equal(tau, want_tau)
+        lune_rng.uniform(size=n)  # the heights, the sampler's last draws
+        assert lune_rng.bit_generator.random_raw() == spin_rng.bit_generator.random_raw()
 
 
 def assert_unit_rows(*arrays_):

@@ -8,10 +8,11 @@ import pytest
 from singletsim import protocol
 from singletsim.cli import EXIT_AUDIT, EXIT_OK, EXIT_USAGE, main
 from singletsim.geometry import UnitVector
-from singletsim.models import SettingsPair
+from singletsim.models import SettingsPair, sample_settings_B2_array
 from singletsim.protocol import (
     BATTER_L,
     BATTER_R,
+    COORDINATOR,
     PITCHER,
     ExperimentConfig,
     ProtocolIntegrityError,
@@ -164,25 +165,72 @@ def test_counts_build_only_the_columns_they_read(monkeypatch):
     pitch_times = protocol._pitch_times
     monkeypatch.setattr(protocol, "_pitch_times",
                         lambda *a: built.append(1) or pitch_times(*a))
+    samplers = []
+    for name in ("sample_hidden_B1_array", "sample_settings_B2_array",
+                 "sample_uniform_sphere_array"):
+        monkeypatch.setattr(protocol, name, lambda *a, f=getattr(protocol, name):
+                            samplers.append(1) or f(*a))
 
     def pitch_time_builds(kind, config):
         built.clear()
+        samplers.clear()
         _, log = run_experiment(kind, config)
         if log is not None:
             assert len(list(log)) == len(log)
+        # B1 and B2 count from the lune draws and build spins only for a log
+        assert (len(samplers) > 0) == (kind in ("B1", "B2") and log is not None)
         return len(built)
 
     for kind in ("A", "B1", "B2", "C", "QM"):
         fixed, logged = fixed_config(trials=300), fixed_config(trials=300, log_events=True)
         watch = ExperimentConfig(trials=300, seed=7, watch_driven=True)
+        logged_watch = ExperimentConfig(trials=300, seed=7, watch_driven=True, log_events=True)
         assert pitch_time_builds(kind, fixed) == 0
         assert pitch_time_builds(kind, logged) >= 1
         # every watch-driven model but B2 reads its settings at the pitch times
         assert (pitch_time_builds(kind, watch) >= 1) == (kind != "B2")
-    for kind in ("A", "C"):
-        ch = run_chunk(kind, fixed_config(), 0, 0)
-        assert "spin" not in vars(ch) and "t_pitch" not in vars(ch)
-        assert ch.spin.shape == (100, 3) and "spin" in vars(ch)
+        assert pitch_time_builds(kind, logged_watch) >= 1
+    for kind in ("A", "B1", "B2", "C"):
+        for config in (fixed_config(), ExperimentConfig(trials=100, seed=7, watch_driven=True)):
+            ch = run_chunk(kind, config, 0, 0)
+            assert "spin" not in vars(ch)
+            assert ch.spin.shape == (100, 3) and "spin" in vars(ch)
+        assert "t_pitch" not in vars(run_chunk(kind, fixed_config(), 0, 0))
+
+
+def _settings_of(kind, config, ch, stream, chunk):
+    """The settings of a B1 or B2 chunk's trials: the pair, the watches' read
+    at the chunk's pitch times, or the coordinator's draw given its spins."""
+    pair = config.streams()[stream][1]
+    if pair is not None:
+        return pair.n_L.as_array(), pair.n_R.as_array()
+    if kind == "B1":
+        return protocol._watch_settings(config, ch.first_id, ch.t_pitch)
+    coordinator = protocol._stream(config.seed, "B2:free", chunk, COORDINATOR)
+    return sample_settings_B2_array(ch.spin, coordinator, ch.sigma.size)
+
+
+def test_lune_outcomes_are_the_signs_of_the_spin_on_read():
+    # run_chunk's B1 and B2 outcomes come from the lune draws alone; the spin
+    # built on read, with the settings it was drawn for or with, has the
+    # same signs.  Ten fixed pairs (0, 90 and 180 degrees and seven random
+    # ones) and the watch-driven stream, at remainders 1, 2, 3 and 5 of the
+    # Philox block and across chunk boundaries: about 4.7e6 trials
+    rng = np.random.default_rng(4)
+    pairs = [(f"theta={d:g}", SettingsPair(Z, planar(d))) for d in (0.0, 90.0, 180.0)]
+    pairs += [(f"r{i}", SettingsPair(*(UnitVector.normalized(*rng.normal(size=3))
+                                       for _ in range(2)))) for i in range(7)]
+    for kind in ("B1", "B2"):
+        for trials, big in ((1, 1), (2, 2), (3, 3), (5, 5), ((1 << 17) + 1, (1 << 20) + 1)):
+            for config in (ExperimentConfig(trials=trials, seed=trials, settings_pairs=pairs),
+                           ExperimentConfig(trials=big, seed=trials, watch_driven=True)):
+                for si in range(len(config.streams())):
+                    for ci in range(config.chunks()):
+                        ch = run_chunk(kind, config, si, ci)
+                        want = protocol._sign_responses(
+                            ch.spin, *_settings_of(kind, config, ch, si, ci))
+                        np.testing.assert_array_equal(ch.sigma, want[0])
+                        np.testing.assert_array_equal(ch.tau, want[1])
 
 
 def test_watch_driven_settings_agree():
