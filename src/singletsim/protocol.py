@@ -304,8 +304,9 @@ def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int) -> C
         # A free-ticking spin watch gives a uniform spin, the pitcher's next
         # draws; the coordinator realizes the clock coupling by installing
         # settings given that spin into the batters' watches before the trial
-        # (shared state, not a message).  Their overlap c is its first draw
-        # (see sample_settings_B2_array), and the lune fixes the outcomes.
+        # (shared state, not a message).  The settings' overlap c is the
+        # coordinator's first draw (see sample_settings_B2_array), and the
+        # lune fixes the outcomes; a read draws the spin.
         sigma, tau = lune_outcomes(coordinator.uniform(-1.0, 1.0, size=k), coordinator, k)
         return Chunk(first_id, sigma, tau, make_t_pitch, lambda: sample_uniform_sphere_array(
             _skip_jitter(fresh_pitcher(), k), k))
