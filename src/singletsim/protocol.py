@@ -5,14 +5,24 @@ testable.
 One execution path serves every run.  :func:`run_chunk` simulates a chunk of
 up to 2^17 trials of one settings pair, or of the free-running watch-driven
 stream, and returns its columns: trial id, pitch time, spin, sigma and tau.
-It computes only what the counts read, sigma and tau, and what those need
-(watch settings need the pitch times, and watch-driven A and C the spins;
-B1 and B2 take their outcomes from the lune draws of the Hall spin, see
-:func:`models.lune_outcomes`, and need neither a spin nor, for watch-driven
-B2, the settings); any other pitch-time or spin column is computed on first
-read, as the event log reads them, from freshly keyed streams that replay
-the same draws.  Each role draws only from its own counter-based stream,
-keyed by (seed, tag, chunk, role):
+It computes only what the counts read, sigma and tau, and what those need:
+watch-driven A, B1, C and QM need the pitch times and, of the settings, only
+their overlap n_L.n_R, which the hand phases give without building a setting
+vector (see :func:`watches.phases_overlap`); B1 and B2 take their outcomes
+from the lune draws of the Hall spin (see :func:`models.lune_outcomes`) and
+need no spin, and watch-driven B2 no settings.  The pitch times, setting
+vectors and spins that the counts do not read are computed on first read,
+as the event log reads them, from freshly keyed streams that replay the
+same draws.
+
+The overlap from the phases differs from the rounded dot product of the
+built vectors by up to about 1e-15, so a watch-driven outcome can differ
+from one computed from the vectors only where a uniform lies within about
+5e-16 of its threshold (A, B1, QM) or the overlap within 1e-15 of 0 (C):
+about 2^-50 per trial.
+
+Each role draws only from its own counter-based stream, keyed by (seed,
+tag, chunk, role):
 
 * the pitcher draws the pitch-time jitter, the coins and the spin;
 * each batter draws only its own response uniforms, and sees only the ball
@@ -209,10 +219,20 @@ def _stream(seed: int, *key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
 
 
+def _watch_phases(config, t_pitch):
+    """The hand phases (small, large) of the left and the right setting as
+    the batters read them: the mirrored watch at arrival, corrected by the
+    time of flight."""
+    bank, dt = config.bank, config.delta_t
+    t_arrival = t_pitch + dt
+    return (wt.batter_phases_array(bank.watch_T.mirrored(), t_arrival, dt),
+            wt.batter_phases_array(bank.watch_H.mirrored(), t_arrival, dt))
+
+
 def _watch_settings(config, first_id, t_pitch):
-    """Per-trial settings as the batters read them: the mirrored watch at
-    arrival, corrected by the time of flight.  A logged run also reads the
-    pitcher's clockwise watches, and stops if the two views disagree."""
+    """Per-trial setting vectors as the batters read them, the vectors of
+    :func:`_watch_phases`.  A logged run also reads the pitcher's clockwise
+    watches, and stops if the two views disagree."""
     bank, dt = config.bank, config.delta_t
     t_arrival = t_pitch + dt
     n_L = wt.batter_vectors_array(bank.watch_T.mirrored(), t_arrival, dt)
@@ -236,22 +256,42 @@ def _sign_responses(u, n_L, n_R):
     return outcome_int8(rowdot(u, n_L) >= 0.0), outcome_int8(-rowdot(u, n_R) >= 0.0)
 
 
+def _atom_coins(rng, k):
+    """The pitcher's two fair coins per trial of a model A or C spin
+    u = d * n_w, in their draw order: the watch w (1 -> H, the right
+    setting; 0 -> T, the left) and the direction (1 -> d = +1, 0 -> -1)."""
+    return rng.integers(0, 2, size=k), rng.integers(0, 2, size=k)
+
+
 def _atom_spins(rng, k, n_L, n_R):
-    """Model A and C spins u = d * n_w from the pitcher's two fair coins: the
-    watch w (1 -> H, the right setting; 0 -> T, the left) and the direction d,
-    with the rows of u that each trial takes.  Fixed settings (n_L and n_R
-    one vector each) leave four atoms: u is (-n_L, n_L, -n_R, n_R) and a
-    trial takes row 2w + (1 if d = +1 else 0), so the batters respond once
-    per atom.  Otherwise u holds each trial's spin."""
-    w = rng.integers(0, 2, size=k)
-    if n_L.ndim == 1:
-        w *= 2
-        w += rng.integers(0, 2, size=k)
-        return np.stack((-n_L, n_L, -n_R, n_R)), w
-    d = np.where(rng.integers(0, 2, size=k) == 1, 1.0, -1.0)
+    """Model A and C spins for one settings pair shared by every trial: the
+    coins leave four atoms, u = (-n_L, n_L, -n_R, n_R), and a trial takes
+    row 2w + (1 if d = +1 else 0), so the batters respond once per atom.
+    Returns the atoms and each trial's row."""
+    w, up = _atom_coins(rng, k)
+    w *= 2
+    w += up
+    return np.stack((-n_L, n_L, -n_R, n_R)), w
+
+
+def _atom_spin(rng, k, n_L, n_R):
+    """Each trial's model A or C spin u = d * n_w, shape (k, 3), for
+    per-trial settings."""
+    w, up = _atom_coins(rng, k)
     u = np.where(w[:, None] == 1, n_R, n_L)
-    u *= d[:, None]
-    return u, slice(None)
+    u *= (2.0 * up - 1.0)[:, None]
+    return u
+
+
+def _atom_overlaps(rng, k, c):
+    """u.n_L and u.n_R of the spins _atom_spin builds, from the settings'
+    overlap c alone: u.n_L = d (w ? c : 1) and u.n_R = d (w ? 1 : c), the
+    self-overlap taken as the 1 it is in exact arithmetic."""
+    w, up = _atom_coins(rng, k)
+    d = 2.0 * up - 1.0
+    dc = d * c
+    right = w == 1
+    return np.where(right, dc, d), np.where(right, d, dc)
 
 
 def _pitch_times(pitcher, first_id, k, config):
@@ -300,6 +340,8 @@ def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int) -> C
         make_t_pitch = lambda: _pitch_times(fresh_pitcher(), first_id, k, config)  # noqa: E731
     if pair is not None:
         n_L, n_R = pair.n_L.as_array(), pair.n_R.as_array()
+        settings = lambda: (n_L, n_R)  # noqa: E731
+        c = settings_overlap((n_L, n_R))
     elif kind == "B2":
         # A free-ticking spin watch gives a uniform spin, the pitcher's next
         # draws; the coordinator realizes the clock coupling by installing
@@ -311,12 +353,20 @@ def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int) -> C
         return Chunk(first_id, sigma, tau, make_t_pitch, lambda: sample_uniform_sphere_array(
             _skip_jitter(fresh_pitcher(), k), k))
     else:
-        n_L, n_R = _watch_settings(config, first_id, t_pitch)
+        # the counts read only the settings' overlap, taken from the hand
+        # phases; the vectors are built for a log, whose round-trip check
+        # runs before any outcome, or for a spin read.  Clipping c changes
+        # no A or C outcome: their uniforms lie in [0, 1).
+        if config.log_events:
+            n_L, n_R = _watch_settings(config, first_id, t_pitch)
+            settings = lambda: (n_L, n_R)  # noqa: E731
+        else:
+            settings = lambda: _watch_settings(config, first_id, t_pitch)  # noqa: E731
+        c = np.clip(wt.phases_overlap(*_watch_phases(config, t_pitch)), -1.0, 1.0)
 
     if kind == "QM":
         # one uniform per trial falls in the cells (+,+), (+,-), (-,+), (-,-)
         # laid out in that order on [0, 1) with widths (1 - sigma tau c) / 4
-        c = np.clip(rowdot(n_L, n_R), -1.0, 1.0)
         r = coordinator.uniform(size=k)
         sigma = outcome_int8(r < 0.5)
         tau = outcome_int8(r < np.where(r < 0.5, 0.25 * (1.0 - c), 0.25 * (3.0 + c)))
@@ -325,16 +375,25 @@ def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int) -> C
         # the spin given the settings (fixed-settings B2 conditions the clock
         # coupling on the pinned settings, which is the same spin law as B1);
         # the lune fixes the outcomes, and a read draws the spin in it
-        sigma, tau = lune_outcomes(settings_overlap((n_L, n_R)), pitcher, k)
+        sigma, tau = lune_outcomes(c, pitcher, k)
         return Chunk(first_id, sigma, tau, make_t_pitch, lambda: sample_hidden_B1_array(
-            (n_L, n_R), _skip_jitter(fresh_pitcher(), k), k))
-    u, rows = _atom_spins(pitcher, k, n_L, n_R)  # each trial's row of u and of its responses
+            settings(), _skip_jitter(fresh_pitcher(), k), k))
+    if pair is not None:
+        u, rows = _atom_spins(pitcher, k, n_L, n_R)  # each trial's row of u and of its responses
+        if kind == "A":
+            sigma = outcome_int8(batter_l.uniform(size=k) < (0.5 * (1.0 + rowdot(u, n_L)))[rows])
+            tau = outcome_int8(batter_r.uniform(size=k) < (0.5 * (1.0 - rowdot(u, n_R)))[rows])
+        else:
+            sigma, tau = (s[rows] for s in _sign_responses(u, n_L, n_R))
+        return Chunk(first_id, sigma, tau, make_t_pitch, lambda: u[rows])
+    u_n_L, u_n_R = _atom_overlaps(pitcher, k, c)
     if kind == "A":
-        sigma = outcome_int8(batter_l.uniform(size=k) < (0.5 * (1.0 + rowdot(u, n_L)))[rows])
-        tau = outcome_int8(batter_r.uniform(size=k) < (0.5 * (1.0 - rowdot(u, n_R)))[rows])
+        sigma = outcome_int8(batter_l.uniform(size=k) < 0.5 * (1.0 + u_n_L))
+        tau = outcome_int8(batter_r.uniform(size=k) < 0.5 * (1.0 - u_n_R))
     else:
-        sigma, tau = (s[rows] for s in _sign_responses(u, n_L, n_R))
-    return Chunk(first_id, sigma, tau, make_t_pitch, lambda: u[rows])
+        sigma, tau = outcome_int8(u_n_L >= 0.0), outcome_int8(-u_n_R >= 0.0)
+    return Chunk(first_id, sigma, tau, make_t_pitch, lambda: _atom_spin(
+        _skip_jitter(fresh_pitcher(), k), k, *settings()))
 
 
 def _chunk_lines(ch: Chunk, dt):

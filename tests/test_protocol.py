@@ -7,8 +7,9 @@ import pytest
 
 from singletsim import protocol
 from singletsim.cli import EXIT_AUDIT, EXIT_OK, EXIT_USAGE, main
-from singletsim.geometry import UnitVector
-from singletsim.models import SettingsPair, sample_settings_B2_array
+from singletsim import watches as wt
+from singletsim.geometry import UnitVector, rowdot
+from singletsim.models import SettingsPair, outcome_int8, sample_settings_B2_array
 from singletsim.protocol import (
     BATTER_L,
     BATTER_R,
@@ -170,15 +171,23 @@ def test_counts_build_only_the_columns_they_read(monkeypatch):
                  "sample_uniform_sphere_array"):
         monkeypatch.setattr(protocol, name, lambda *a, f=getattr(protocol, name):
                             samplers.append(1) or f(*a))
+    vectors = []
+    for name in ("phases_to_vectors_array", "batter_vectors_array"):
+        monkeypatch.setattr(wt, name, lambda *a, f=getattr(wt, name):
+                            vectors.append(1) or f(*a))
 
     def pitch_time_builds(kind, config):
         built.clear()
         samplers.clear()
+        vectors.clear()
         _, log = run_experiment(kind, config)
         if log is not None:
             assert len(list(log)) == len(log)
         # B1 and B2 count from the lune draws and build spins only for a log
         assert (len(samplers) > 0) == (kind in ("B1", "B2") and log is not None)
+        # the watch-driven counts read the settings' overlap off the hand
+        # phases; only a log's round-trip check builds the setting vectors
+        assert (len(vectors) > 0) == (config.watch_driven and kind != "B2" and log is not None)
         return len(built)
 
     for kind in ("A", "B1", "B2", "C", "QM"):
@@ -192,10 +201,57 @@ def test_counts_build_only_the_columns_they_read(monkeypatch):
         assert pitch_time_builds(kind, logged_watch) >= 1
     for kind in ("A", "B1", "B2", "C"):
         for config in (fixed_config(), ExperimentConfig(trials=100, seed=7, watch_driven=True)):
+            vectors.clear()
             ch = run_chunk(kind, config, 0, 0)
-            assert "spin" not in vars(ch)
+            assert "spin" not in vars(ch) and not vectors
             assert ch.spin.shape == (100, 3) and "spin" in vars(ch)
+            # the spin on read of A, B1 and C takes the watches' setting vectors
+            assert (len(vectors) > 0) == (config.watch_driven and kind != "B2")
         assert "t_pitch" not in vars(run_chunk(kind, fixed_config(), 0, 0))
+
+
+def _vector_kernel(kind, config, chunk):
+    """Oracle: the watch-driven (sigma, tau, spin) of one chunk as computed
+    from the built setting vectors, each role's stream keyed and drawn as
+    run_chunk keys and draws it: the batters' corrected vectors, then the
+    pitcher's coins w and d with u = d * n_w, then rowdot thresholds against
+    the batter uniforms (A), the signs of rowdot (C), or clip(rowdot) cell
+    widths for the coordinator's uniform (QM)."""
+    k = min(protocol._CHUNK, config.trials - chunk * protocol._CHUNK)
+    pitcher, batter_l, batter_r, coordinator = (
+        protocol._stream(config.seed, f"{kind}:free", chunk, role)
+        for role in (PITCHER, BATTER_L, BATTER_R, COORDINATOR))
+    t_arrival = protocol._pitch_times(pitcher, chunk * protocol._CHUNK, k, config)
+    t_arrival += config.delta_t
+    n_L = wt.batter_vectors_array(config.bank.watch_T.mirrored(), t_arrival, config.delta_t)
+    n_R = wt.batter_vectors_array(config.bank.watch_H.mirrored(), t_arrival, config.delta_t)
+    if kind == "QM":
+        c = np.clip(rowdot(n_L, n_R), -1.0, 1.0)
+        r = coordinator.uniform(size=k)
+        return (outcome_int8(r < 0.5),
+                outcome_int8(r < np.where(r < 0.5, 0.25 * (1.0 - c), 0.25 * (3.0 + c))), None)
+    w = pitcher.integers(0, 2, size=k)
+    d = np.where(pitcher.integers(0, 2, size=k) == 1, 1.0, -1.0)
+    u = np.where(w[:, None] == 1, n_R, n_L) * d[:, None]
+    if kind == "A":
+        return (outcome_int8(batter_l.uniform(size=k) < 0.5 * (1.0 + rowdot(u, n_L))),
+                outcome_int8(batter_r.uniform(size=k) < 0.5 * (1.0 - rowdot(u, n_R))), u)
+    return (*protocol._sign_responses(u, n_L, n_R), u)
+
+
+def test_overlap_kernel_matches_the_vector_kernel():
+    # remainders 1, 2, 3 and 5 of the Philox block, a chunk boundary and
+    # sixteen full chunks: about 6.7e6 trials over the three models
+    for kind in ("A", "C", "QM"):
+        for trials in (1, 2, 3, 5, (1 << 17) + 1, 1 << 21):
+            config = ExperimentConfig(trials=trials, seed=trials, watch_driven=True)
+            for ci in range(config.chunks()):
+                ch = run_chunk(kind, config, 0, ci)
+                sigma, tau, u = _vector_kernel(kind, config, ci)
+                np.testing.assert_array_equal(ch.sigma, sigma)
+                np.testing.assert_array_equal(ch.tau, tau)
+                if trials < 10:
+                    np.testing.assert_array_equal(ch.spin, u)
 
 
 def _settings_of(kind, config, ch, stream, chunk):

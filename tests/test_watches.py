@@ -8,8 +8,10 @@ from singletsim import watches as wt
 from singletsim.watches import (
     WatchBank,
     WatchSpec,
+    batter_phases_array,
     batter_vectors_array,
     check_incommensurable,
+    phases_overlap,
     phases_to_vectors_array,
     read_phases_array,
     watch_vectors_array,
@@ -93,6 +95,40 @@ def test_batter_vector_trivial_cases():
         batter_vectors_array(w.mirrored(), [0.0], -1.0)
     with pytest.raises(ValueError):
         batter_vectors_array(w, [0.0], 1.0)  # not a mirror
+
+
+@pytest.mark.parametrize("delta_t", [math.nan, math.inf, -math.inf, [1.0, math.nan]])
+def test_non_finite_time_of_flight_rejected(delta_t):
+    mirror = WatchBank.default().watch_H.mirrored()
+    for read in (batter_phases_array, batter_vectors_array):
+        with pytest.raises(ValueError, match="time of flight"):
+            read(mirror, np.array([10.0, 20.0]), delta_t)
+
+
+def test_batter_vectors_are_the_vectors_of_the_batter_phases():
+    mirror = WatchBank.default().watch_T.mirrored()
+    t = np.random.default_rng(2).uniform(0.0, 1e9, size=1000)
+    phases = batter_phases_array(mirror, t, 1.5)
+    assert all(((p >= 0.0) & (p < 1.0)).all() for p in phases)
+    assert np.array_equal(batter_vectors_array(mirror, t, 1.5), phases_to_vectors_array(*phases))
+
+
+def test_phases_overlap_is_the_dot_product_of_the_vectors():
+    rng = np.random.default_rng(6)
+    a, b = rng.uniform(size=(2, 2, 200_000))
+    dot = lambda p, q: np.einsum("ij,ij->i", phases_to_vectors_array(*p),  # noqa: E731
+                                 phases_to_vectors_array(*q))
+    assert np.max(np.abs(phases_overlap(a, b) - dot(a, b))) < 2e-15
+    # a pole (st = 0) leaves only the ct products, exactly
+    for pole in (0.0, 1.0):
+        p = (a[0], np.full(a[0].size, pole))
+        assert np.array_equal(phases_overlap(p, b), dot(p, b))
+        assert np.array_equal(phases_overlap(b, p), dot(b, p))
+    # equal small-hand phases: the cosine term is exactly st_a * st_b
+    same = (a[0], b[1])
+    ct = lambda p: 2.0 * p - 1.0  # noqa: E731
+    want = np.sqrt(1.0 - ct(a[1]) ** 2) * np.sqrt(1.0 - ct(b[1]) ** 2) + ct(a[1]) * ct(b[1])
+    assert np.array_equal(phases_overlap(a, same), want)
 
 
 def _scalar_read(w, t):
