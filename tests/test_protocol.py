@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from singletsim import protocol
-from singletsim.cli import EXIT_AUDIT, EXIT_OK, EXIT_USAGE, main
 from singletsim import watches as wt
+from singletsim.cli import EXIT_AUDIT, EXIT_OK, EXIT_USAGE, main
 from singletsim.geometry import UnitVector, rowdot
 from singletsim.models import SettingsPair, outcome_int8, sample_settings_B2_array
 from singletsim.protocol import (
