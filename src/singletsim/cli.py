@@ -165,7 +165,12 @@ def _build_experiment_config(args) -> tuple[str, ExperimentConfig]:
     trials = int(pick("trials", "trials", 10000))
     seed = int(pick("seed", "seed", 0))
     delta_t = float(pick("delta_t", "delta_t", 1.5))
-    watch_driven = pick("watch_driven", "watch_driven", False)
+    # a run has one source of settings: a flag replaces the file's source,
+    # and a second flag would be dropped
+    flags = [f for f in ("watch_driven", "theta_deg", "settings_file") if getattr(args, f, None)]
+    if len(flags) > 1:
+        raise UsageError("give only one of --watch-driven, --theta-deg and --settings-file")
+    watch_driven = "watch_driven" in flags if flags else file_cfg.get("watch_driven", False)
 
     epoch = float(file_cfg.get("epoch", 0.0))
     wp = file_cfg.get("watch_periods")

@@ -2,18 +2,21 @@
 trials, plus the event log and auditor that make the no-communication claim
 testable.
 
-One execution path serves every run.  :func:`run_chunk` simulates a chunk of
-up to 2^17 trials of one settings pair, or of the free-running watch-driven
-stream, and returns its columns: trial id, pitch time, spin, sigma and tau.
-It computes only what the counts read, sigma and tau, and what those need:
-watch-driven A, B1, C and QM need the pitch times and, of the settings, only
-their overlap n_L.n_R, which the hand phases give without building a setting
-vector (see :func:`watches.phases_overlap`); B1 and B2 take their outcomes
-from the lune draws of the Hall spin (see :func:`models.lune_outcomes`) and
-need no spin, and watch-driven B2 no settings.  The pitch times, setting
-vectors and spins that the counts do not read are computed on first read,
-as the event log reads them, from freshly keyed streams that replay the
-same draws.
+One kernel serves every run.  It simulates a chunk of up to 2^17 trials of
+one settings pair, or of the free-running watch-driven stream, in two
+passes, one for each thing that reads a chunk:
+
+* the counting pass, :func:`run_chunk`, returns the outcomes sigma and tau,
+  all that the counts read, and draws only what they need: watch-driven A,
+  B1, C and QM need the pitch times and, of the settings, only their
+  overlap n_L.n_R, which the hand phases give without building a setting
+  vector (see :func:`watches.phases_overlap`); B1 and B2 take their
+  outcomes from the lune draws of the Hall spin (see
+  :func:`models.lune_outcomes`) and need no spin, and watch-driven B2 no
+  settings;
+* the ball pass, :func:`chunk_balls`, returns what the pitcher pitches, the
+  pitch times and the spins, drawn in order from a freshly keyed pitcher
+  stream: the jitter, then the spin.  Only the event log runs it.
 
 The overlap from the phases differs from the rounded dot product of the
 built vectors by up to about 1e-15, so a watch-driven outcome can differ
@@ -22,7 +25,7 @@ from one computed from the vectors only where a uniform lies within about
 about 2^-50 per trial.
 
 Each role draws only from its own counter-based stream, keyed by (seed,
-tag, chunk, role):
+tag, chunk, role), and a pass keys only the streams it draws from:
 
 * the pitcher draws the pitch-time jitter, the coins and the spin;
 * each batter draws only its own response uniforms, and sees only the ball
@@ -31,16 +34,16 @@ tag, chunk, role):
   batters' watches for B2 driven by a free-ticking spin, and the joint
   outcomes of the analytic QM reference.
 
-The pitch-time jitter is the pitcher's first draws, one per trial.  A chunk
-that does not need its pitch times skips them: Philox is counter-based, so
-advancing its counter past them leaves the stream exactly where drawing them
-would, and a read re-derives them from a freshly keyed pitcher stream.
+The pitch-time jitter is the pitcher's first draws, one per trial.  A
+counting pass that does not need its pitch times skips them: Philox is
+counter-based, so advancing its counter past them leaves the stream exactly
+where drawing them would.
 
 Counts are a bincount of the sigma and tau columns.  The event log is a view
-that re-runs the same chunks when it is iterated and spells each trial out as
-its log lines, so logging never changes the counts and a run's log is never
-held in memory.  Output is a pure function of (kind, config); the thread count
-only affects wall time.
+that runs both passes of the same chunks when it is iterated and spells each
+trial out as its log lines, so logging never changes the counts and a run's
+log is never held in memory.  Output is a pure function of (kind, config);
+the thread count only affects wall time.
 """
 
 from __future__ import annotations
@@ -51,8 +54,7 @@ import os
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -127,35 +129,12 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class Chunk:
-    """One chunk of trials as columns.  The left ball spins along ``spin``,
-    the right ball along its negation; QM trials pitch no balls.  Outcomes
-    are int8 +-1.  ``t_pitch`` and ``spin`` are computed by ``make_t_pitch``
-    and ``make_spin`` on first read and then kept, so a chunk that is only
-    counted need not build them."""
-
-    first_id: int
-    sigma: np.ndarray
-    tau: np.ndarray
-    make_t_pitch: Callable[[], np.ndarray] = field(repr=False)
-    make_spin: Callable[[], Optional[np.ndarray]] = field(repr=False)
-
-    @cached_property
-    def t_pitch(self) -> np.ndarray:
-        return self.make_t_pitch()
-
-    @cached_property
-    def spin(self) -> Optional[np.ndarray]:
-        return self.make_spin()
-
-
-@dataclass(frozen=True)
 class EventLog:
-    """The messages of a logged run, as a view: iterating re-runs the run's
-    chunks one at a time and spells each trial out as its balls at the pitch
-    time, then its result reports at the arrival time.  Each message is the
-    JSON object of its event-log line, parsed from that line as
-    :func:`read_event_log` parses it."""
+    """The messages of a logged run, as a view: iterating runs both passes of
+    the run's chunks one at a time and spells each trial out as its balls at
+    the pitch time, then its result reports at the arrival time.  Each
+    message is the JSON object of its event-log line, parsed from that line
+    as :func:`read_event_log` parses it."""
 
     kind: str
     config: ExperimentConfig
@@ -174,9 +153,11 @@ class EventLog:
         string, each line ended by a line break."""
         for si in range(len(self.config.streams())):
             for ci in range(self.config.chunks()):
-                # the line generator holds the only reference to the chunk,
-                # so each chunk is freed before the next one is simulated
-                yield from _chunk_lines(run_chunk(self.kind, self.config, si, ci),
+                # the line generator holds the only reference to the chunk's
+                # columns, so each chunk is freed before the next one is run
+                yield from _chunk_lines(_first_id(self.config, si, ci),
+                                        *run_chunk(self.kind, self.config, si, ci),
+                                        *chunk_balls(self.kind, self.config, si, ci),
                                         self.config.delta_t)
 
 
@@ -229,25 +210,29 @@ def _watch_phases(config, t_pitch):
             wt.batter_phases_array(bank.watch_H.mirrored(), t_arrival, dt))
 
 
-def _watch_settings(config, first_id, t_pitch):
-    """Per-trial setting vectors as the batters read them, the vectors of
-    :func:`_watch_phases`.  A logged run also reads the pitcher's clockwise
-    watches, and stops if the two views disagree."""
-    bank, dt = config.bank, config.delta_t
-    t_arrival = t_pitch + dt
-    n_L = wt.batter_vectors_array(bank.watch_T.mirrored(), t_arrival, dt)
-    n_R = wt.batter_vectors_array(bank.watch_H.mirrored(), t_arrival, dt)
+def _watch_settings(phases):
+    """The per-trial setting vectors (n_L, n_R) of the phases that
+    :func:`_watch_phases` read."""
+    return tuple(wt.phases_to_vectors_array(*p) for p in phases)
+
+
+def _watch_overlap(config, first_id, t_pitch):
+    """The watch-driven settings' overlap c = n_L.n_R, clipped to [-1, 1],
+    from the phases the batters read: one read per watch.  Clipping c
+    changes no A or C outcome: their uniforms lie in [0, 1).  A logged run
+    first stops if the batters' setting vectors differ from the pitcher's
+    reads of its clockwise watches by more than SETTING_AGREEMENT_TOL."""
+    phases = _watch_phases(config, t_pitch)
     if config.log_events:
-        err = np.maximum(
-            np.abs(wt.watch_vectors_array(bank.watch_T, t_pitch) - n_L).max(axis=1),
-            np.abs(wt.watch_vectors_array(bank.watch_H, t_pitch) - n_R).max(axis=1),
-        )
+        bank, (n_L, n_R) = config.bank, _watch_settings(phases)
+        err = np.maximum(np.abs(wt.watch_vectors_array(bank.watch_T, t_pitch) - n_L).max(axis=1),
+                         np.abs(wt.watch_vectors_array(bank.watch_H, t_pitch) - n_R).max(axis=1))
         bad = np.flatnonzero(err > SETTING_AGREEMENT_TOL)
         if bad.size:
             raise ProtocolIntegrityError(
-                f"watch round-trip mismatch {err[bad[0]]:.3e} at trial {first_id + bad[0]}"
-            )
-    return n_L, n_R
+                f"watch round-trip mismatch {err[bad[0]]:.3e} at trial {first_id + bad[0]}")
+    c = wt.phases_overlap(*phases)
+    return np.clip(c, -1.0, 1.0, out=c)
 
 
 def _sign_responses(u, n_L, n_R):
@@ -276,7 +261,8 @@ def _atom_spins(rng, k, n_L, n_R):
 
 def _atom_spin(rng, k, n_L, n_R):
     """Each trial's model A or C spin u = d * n_w, shape (k, 3), for
-    per-trial settings."""
+    settings of shape (3,) or (k, 3).  These are the bits of the atoms
+    :func:`_atom_spins` looks up: negation is exact."""
     w, up = _atom_coins(rng, k)
     u = np.where(w[:, None] == 1, n_R, n_L)
     u *= (2.0 * up - 1.0)[:, None]
@@ -313,90 +299,94 @@ def _skip_jitter(pitcher, k):
     return pitcher
 
 
-def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int) -> Chunk:
-    """Trials [chunk * 2^17, (chunk + 1) * 2^17) of trial stream ``stream``
-    (an index into ``config.streams()``), as columns.
+def _first_id(config, stream, chunk):
+    """The trial id of a chunk's first trial.  Trial ids number every
+    stream's trials consecutively, so they are unique across a run."""
+    return stream * config.trials + chunk * _CHUNK
 
-    Trial ids number every stream's trials consecutively, so they are unique
-    across a run.
-    """
+
+def _chunk(kind, config, stream, chunk):
+    """The size, first trial id and settings pair (None when free-running)
+    of a chunk, and a function that keys the chunk's stream of a role."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind: {kind!r}")
-    n = config.trials
-    k = min(_CHUNK, n - chunk * _CHUNK)
     pair = config.streams()[stream][1]
     tag = f"{kind}:free" if pair is None else f"{kind}:pair{stream}"
-    pitcher, batter_l, batter_r, coordinator = (
-        _stream(config.seed, tag, chunk, role)
-        for role in (PITCHER, BATTER_L, BATTER_R, COORDINATOR)
-    )
-    fresh_pitcher = lambda: _stream(config.seed, tag, chunk, PITCHER)  # noqa: E731
-    first_id = stream * n + chunk * _CHUNK
-    if pair is None and kind != "B2":  # the settings come off the watches
-        t_pitch = _pitch_times(pitcher, first_id, k, config)
-        make_t_pitch = lambda: t_pitch  # noqa: E731
-    else:
-        _skip_jitter(pitcher, k)
-        make_t_pitch = lambda: _pitch_times(fresh_pitcher(), first_id, k, config)  # noqa: E731
+    return (min(_CHUNK, config.trials - chunk * _CHUNK), _first_id(config, stream, chunk),
+            pair, lambda role: _stream(config.seed, tag, chunk, role))
+
+
+def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int):
+    """The counting pass: the outcomes (sigma, tau), int8 +-1, of trials
+    [chunk * 2^17, (chunk + 1) * 2^17) of trial stream ``stream`` (an index
+    into ``config.streams()``).  It keys and draws only what they need."""
+    k, first_id, pair, key = _chunk(kind, config, stream, chunk)
     if pair is not None:
         n_L, n_R = pair.n_L.as_array(), pair.n_R.as_array()
-        settings = lambda: (n_L, n_R)  # noqa: E731
         c = settings_overlap((n_L, n_R))
     elif kind == "B2":
-        # A free-ticking spin watch gives a uniform spin, the pitcher's next
-        # draws; the coordinator realizes the clock coupling by installing
-        # settings given that spin into the batters' watches before the trial
-        # (shared state, not a message).  The settings' overlap c is the
-        # coordinator's first draw (see sample_settings_B2_array), and the
-        # lune fixes the outcomes; a read draws the spin.
-        sigma, tau = lune_outcomes(coordinator.uniform(-1.0, 1.0, size=k), coordinator, k)
-        return Chunk(first_id, sigma, tau, make_t_pitch, lambda: sample_uniform_sphere_array(
-            _skip_jitter(fresh_pitcher(), k), k))
+        # A free-ticking spin watch gives a uniform spin, the pitcher's draws
+        # after the jitter; the coordinator realizes the clock coupling by
+        # installing settings given that spin into the batters' watches before
+        # the trial (shared state, not a message).  The settings' overlap c is
+        # the coordinator's first draw (see sample_settings_B2_array), and the
+        # lune fixes the outcomes.
+        coordinator = key(COORDINATOR)
+        return lune_outcomes(coordinator.uniform(-1.0, 1.0, size=k), coordinator, k)
     else:
-        # the counts read only the settings' overlap, taken from the hand
-        # phases; the vectors are built for a log, whose round-trip check
-        # runs before any outcome, or for a spin read.  Clipping c changes
-        # no A or C outcome: their uniforms lie in [0, 1).
-        if config.log_events:
-            n_L, n_R = _watch_settings(config, first_id, t_pitch)
-            settings = lambda: (n_L, n_R)  # noqa: E731
-        else:
-            settings = lambda: _watch_settings(config, first_id, t_pitch)  # noqa: E731
-        c = np.clip(wt.phases_overlap(*_watch_phases(config, t_pitch)), -1.0, 1.0)
+        # the settings come off the watches at the pitch times, which are
+        # freed with the phases before any outcome is drawn
+        pitcher = key(PITCHER)
+        c = _watch_overlap(config, first_id, _pitch_times(pitcher, first_id, k, config))
 
     if kind == "QM":
         # one uniform per trial falls in the cells (+,+), (+,-), (-,+), (-,-)
         # laid out in that order on [0, 1) with widths (1 - sigma tau c) / 4
-        r = coordinator.uniform(size=k)
-        sigma = outcome_int8(r < 0.5)
-        tau = outcome_int8(r < np.where(r < 0.5, 0.25 * (1.0 - c), 0.25 * (3.0 + c)))
-        return Chunk(first_id, sigma, tau, make_t_pitch, lambda: None)
+        r = key(COORDINATOR).uniform(size=k)
+        return (outcome_int8(r < 0.5),
+                outcome_int8(r < np.where(r < 0.5, 0.25 * (1.0 - c), 0.25 * (3.0 + c))))
+    if pair is not None:
+        pitcher = _skip_jitter(key(PITCHER), k)
     if kind in ("B1", "B2"):
         # the spin given the settings (fixed-settings B2 conditions the clock
         # coupling on the pinned settings, which is the same spin law as B1);
-        # the lune fixes the outcomes, and a read draws the spin in it
-        sigma, tau = lune_outcomes(c, pitcher, k)
-        return Chunk(first_id, sigma, tau, make_t_pitch, lambda: sample_hidden_B1_array(
-            settings(), _skip_jitter(fresh_pitcher(), k), k))
+        # the lune it lies in fixes the outcomes
+        return lune_outcomes(c, pitcher, k)
     if pair is not None:
         u, rows = _atom_spins(pitcher, k, n_L, n_R)  # each trial's row of u and of its responses
-        if kind == "A":
-            sigma = outcome_int8(batter_l.uniform(size=k) < (0.5 * (1.0 + rowdot(u, n_L)))[rows])
-            tau = outcome_int8(batter_r.uniform(size=k) < (0.5 * (1.0 - rowdot(u, n_R)))[rows])
-        else:
-            sigma, tau = (s[rows] for s in _sign_responses(u, n_L, n_R))
-        return Chunk(first_id, sigma, tau, make_t_pitch, lambda: u[rows])
+        if kind == "C":
+            return tuple(s[rows] for s in _sign_responses(u, n_L, n_R))
+        p_L, p_R = 0.5 * (1.0 + rowdot(u, n_L)), 0.5 * (1.0 - rowdot(u, n_R))
+        return (outcome_int8(key(BATTER_L).uniform(size=k) < p_L[rows]),
+                outcome_int8(key(BATTER_R).uniform(size=k) < p_R[rows]))
     u_n_L, u_n_R = _atom_overlaps(pitcher, k, c)
-    if kind == "A":
-        sigma = outcome_int8(batter_l.uniform(size=k) < 0.5 * (1.0 + u_n_L))
-        tau = outcome_int8(batter_r.uniform(size=k) < 0.5 * (1.0 - u_n_R))
-    else:
-        sigma, tau = outcome_int8(u_n_L >= 0.0), outcome_int8(-u_n_R >= 0.0)
-    return Chunk(first_id, sigma, tau, make_t_pitch, lambda: _atom_spin(
-        _skip_jitter(fresh_pitcher(), k), k, *settings()))
+    if kind == "C":
+        return outcome_int8(u_n_L >= 0.0), outcome_int8(-u_n_R >= 0.0)
+    return (outcome_int8(key(BATTER_L).uniform(size=k) < 0.5 * (1.0 + u_n_L)),
+            outcome_int8(key(BATTER_R).uniform(size=k) < 0.5 * (1.0 - u_n_R)))
 
 
-def _chunk_lines(ch: Chunk, dt):
+def chunk_balls(kind: str, config: ExperimentConfig, stream: int, chunk: int):
+    """The ball pass: the pitch times and spins (t_pitch, spin) of the same
+    trials as :func:`run_chunk`, drawn in order from the chunk's pitcher
+    stream, the jitter and then the spin.  The left ball spins along
+    ``spin``, shape (k, 3), the right ball along its negation; the QM
+    reference pitches no balls, and its spin is None."""
+    k, first_id, pair, key = _chunk(kind, config, stream, chunk)
+    pitcher = key(PITCHER)
+    t_pitch = _pitch_times(pitcher, first_id, k, config)
+    if kind == "QM":
+        return t_pitch, None
+    if pair is None and kind == "B2":
+        return t_pitch, sample_uniform_sphere_array(pitcher, k)
+    settings = ((pair.n_L.as_array(), pair.n_R.as_array()) if pair is not None
+                else _watch_settings(_watch_phases(config, t_pitch)))
+    if kind in ("B1", "B2"):
+        return t_pitch, sample_hidden_B1_array(settings, pitcher, k)
+    return t_pitch, _atom_spin(pitcher, k, *settings)
+
+
+def _chunk_lines(first_id, sigma, tau, t_pitch, spin, dt):
     """The event-log text of each trial of a chunk, spelled from one line
     template per message kind exactly as ``json.dumps`` spells the message's
     object (default separators, floats by repr).  Trial ids are consecutive
@@ -404,16 +394,16 @@ def _chunk_lines(ch: Chunk, dt):
     trial id.  Only _LOG_ROWS trials at a time become Python objects."""
     # float(): the repr of a NumPy float is no JSON number
     dt_json, dt = json.dumps(dt), float(dt)
-    for lo in range(0, ch.t_pitch.size, _LOG_ROWS):
+    for lo in range(0, t_pitch.size, _LOG_ROWS):
         rows = slice(lo, lo + _LOG_ROWS)
-        times = ch.t_pitch[rows].tolist()
-        trials = zip(range(ch.first_id + lo, ch.first_id + lo + len(times)), times,
-                     ch.sigma[rows].tolist(), ch.tau[rows].tolist())
-        if ch.spin is None:
-            for tid, t, sigma, tau in trials:
-                yield _report_lines(2 * tid, tid, t + dt, sigma, tau)
+        times = t_pitch[rows].tolist()
+        trials = zip(range(first_id + lo, first_id + lo + len(times)), times,
+                     sigma[rows].tolist(), tau[rows].tolist())
+        if spin is None:
+            for tid, t, left, right in trials:
+                yield _report_lines(2 * tid, tid, t + dt, left, right)
             continue
-        for (tid, t, sigma, tau), (x, y, z) in zip(trials, ch.spin[rows].tolist()):
+        for (tid, t, left, right), (x, y, z) in zip(trials, spin[rows].tolist()):
             s = 4 * tid
             yield (
                 f'{{"seq": {s}, "t_send": {t!r}, "sender": "pitcher", "receiver": "batter_L", '
@@ -422,7 +412,7 @@ def _chunk_lines(ch: Chunk, dt):
                 f'{{"seq": {s + 1}, "t_send": {t!r}, "sender": "pitcher", "receiver": "batter_R", '
                 f'"kind": "ball", "payload": {{"trial_id": {tid}, "spin": [{-x!r}, {-y!r}, {-z!r}], '
                 f'"t_pitch": {t!r}, "delta_t": {dt_json}}}}}\n'
-                + _report_lines(s + 2, tid, t + dt, sigma, tau)
+                + _report_lines(s + 2, tid, t + dt, left, right)
             )
 
 
@@ -469,8 +459,8 @@ def run_experiment(kind: str, config: ExperimentConfig):
     jobs = [(si, ci) for si in range(len(streams)) for ci in range(config.chunks())]
 
     def run_job(job):
-        ch = run_chunk(kind, config, *job)
-        return np.bincount((1 - ch.sigma) + (1 - ch.tau) // 2, minlength=4)
+        sigma, tau = run_chunk(kind, config, *job)
+        return np.bincount((1 - sigma) + (1 - tau) // 2, minlength=4)
 
     workers = min(config.threads, os.cpu_count() or 1)
     if workers > 1 and len(jobs) > 1:

@@ -541,6 +541,41 @@ def test_bad_delta_t_flag_is_config_error(tmp_path, capsys, mode, delta_t):
     assert not out.exists()
 
 
+SETTINGS_SOURCES = {
+    "watch-driven": ["--watch-driven"],
+    "theta": ["--theta-deg", "60"],
+    "file": ["--settings-file", "PAIRS"],
+}
+
+
+@pytest.mark.parametrize("first, second", [("watch-driven", "theta"), ("theta", "file"),
+                                           ("watch-driven", "file")])
+def test_two_settings_sources_are_a_usage_error(tmp_path, capsys, first, second):
+    # one run has one source of settings: a second one on the command line
+    # was silently dropped
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps([PAIR]))
+    sources = [str(pairs) if a == "PAIRS" else a
+               for a in SETTINGS_SOURCES[first] + SETTINGS_SOURCES[second]]
+    out = tmp_path / "run"
+    assert run(["simulate", "--model", "A", "--trials", "100", "--out", str(out),
+                *sources]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:"), err
+    assert captured.out == "" and not out.exists()
+
+
+def test_settings_flag_overrides_the_config_files_source(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CONFIG, "watch_driven": True}))
+    out = tmp_path / "run"
+    assert run(["simulate", "--config", str(path), "--theta-deg", "45",
+                "--out", str(out)]) == EXIT_OK
+    assert {r["pair_label"] for r in read_counts(out)} == {"theta=45"}
+    capsys.readouterr()
+
+
 def test_custom_watch_periods_drive_the_settings(tmp_path, capsys):
     periods = {"H": [61.0 * math.sqrt(11.0), 700.0 * math.sqrt(13.0)],
                "T": [59.0 * math.sqrt(17.0), 710.0 * math.sqrt(19.0)]}
@@ -557,9 +592,10 @@ def test_custom_watch_periods_drive_the_settings(tmp_path, capsys):
 
 
 def test_watch_mismatch_is_runtime_failure(tmp_path, capsys, monkeypatch):
-    # the batters read their watches 1e-6 off the pitcher's setting
-    read = protocol.wt.batter_vectors_array
-    monkeypatch.setattr(protocol.wt, "batter_vectors_array", lambda *a: read(*a) + 1e-6)
+    # the batters read their hand phases 1e-6 off the pitcher's setting
+    read = protocol.wt.batter_phases_array
+    monkeypatch.setattr(protocol.wt, "batter_phases_array",
+                        lambda *a: tuple(phase + 1e-6 for phase in read(*a)))
     out = tmp_path / "run"
     assert run(["simulate", "--model", "A", "--watch-driven", "--log-events",
                 "--trials", "50", "--out", str(out)]) == EXIT_RUNTIME

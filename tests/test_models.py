@@ -19,7 +19,13 @@ from singletsim.models import (
     sample_settings_B2_array,
     settings_overlap,
 )
-from singletsim.protocol import ExperimentConfig, _sign_responses, run_chunk, run_experiment
+from singletsim.protocol import (
+    ExperimentConfig,
+    _sign_responses,
+    chunk_balls,
+    run_chunk,
+    run_experiment,
+)
 
 Z = UnitVector(0.0, 0.0, 1.0)
 X = UnitVector(1.0, 0.0, 0.0)
@@ -49,9 +55,10 @@ def arrays(s):
 
 
 def chunk(kind, s, trials=100_000, seed=17):
-    """One chunk of the trial kernel at fixed settings s."""
+    """The outcomes (sigma, tau) and the spins of one chunk of the trial
+    kernel at fixed settings s."""
     cfg = ExperimentConfig(trials=trials, seed=seed, settings_pairs=[("p", s)])
-    return run_chunk(kind, cfg, 0, 0)
+    return (*run_chunk(kind, cfg, 0, 0), chunk_balls(kind, cfg, 0, 0)[1])
 
 
 def test_hidden_state_antialignment():
@@ -73,24 +80,24 @@ def test_response_linear_examples():
     # model A responds with P(+1) = (1 + n.u)/2: at theta = 0 the spin is
     # aligned or anti-aligned with both bats, so outcomes are certain; at
     # theta = 90 the atoms +-n_R are orthogonal to n_L, a fair coin on the left
-    ch = chunk("A", SettingsPair(Z, Z))
-    assert np.array_equal(ch.sigma, np.where(ch.spin[:, 2] > 0.0, 1, -1))
-    assert np.array_equal(ch.tau, -ch.sigma)
-    ch = chunk("A", SettingsPair(Z, X))
-    on_r = np.abs(ch.spin[:, 0]) == 1.0
-    assert abs(np.mean(ch.sigma[on_r])) < 0.015
-    assert np.array_equal(ch.sigma[~on_r], np.where(ch.spin[~on_r, 2] > 0.0, 1, -1))
+    sigma, tau, spin = chunk("A", SettingsPair(Z, Z))
+    assert np.array_equal(sigma, np.where(spin[:, 2] > 0.0, 1, -1))
+    assert np.array_equal(tau, -sigma)
+    sigma, tau, spin = chunk("A", SettingsPair(Z, X))
+    on_r = np.abs(spin[:, 0]) == 1.0
+    assert abs(np.mean(sigma[on_r])) < 0.015
+    assert np.array_equal(sigma[~on_r], np.where(spin[~on_r, 2] > 0.0, 1, -1))
 
 
 def test_response_deterministic_convention():
     # model C answers sign(u.n); at theta = 90 the atoms +-n_R lie on the left
     # bat's boundary u.n_L = 0, which resolves to +1
-    ch = chunk("C", SettingsPair(Z, X))
-    on_r = np.abs(ch.spin[:, 0]) == 1.0
+    sigma, tau, spin = chunk("C", SettingsPair(Z, X))
+    on_r = np.abs(spin[:, 0]) == 1.0
     assert on_r.any()
-    assert np.all(ch.sigma[on_r] == 1)
-    assert np.array_equal(ch.sigma[~on_r], np.where(ch.spin[~on_r, 2] > 0.0, 1, -1))
-    assert np.array_equal(ch.tau, np.where(-ch.spin[:, 0] >= 0.0, 1, -1))
+    assert np.all(sigma[on_r] == 1)
+    assert np.array_equal(sigma[~on_r], np.where(spin[~on_r, 2] > 0.0, 1, -1))
+    assert np.array_equal(tau, np.where(-spin[:, 0] >= 0.0, 1, -1))
 
 
 def test_sample_hidden_A_atoms():
@@ -98,7 +105,7 @@ def test_sample_hidden_A_atoms():
     s = pair(60.0)
     atoms = [d * v for v in arrays(s) for d in (1.0, -1.0)]
     for kind in ("A", "C"):
-        spin = chunk(kind, s).spin
+        spin = chunk(kind, s)[2]
         hit = [np.all(spin == a, axis=1) for a in atoms]
         assert np.all(np.sum(hit, axis=0) == 1)
 
@@ -110,7 +117,7 @@ def test_sample_hidden_A_atom_frequencies():
     cfg = ExperimentConfig(trials=n, seed=17, settings_pairs=[("p", s)])
     hits = np.zeros(4)
     for ci in range(cfg.chunks()):
-        spin = run_chunk("A", cfg, 0, ci).spin
+        spin = chunk_balls("A", cfg, 0, ci)[1]
         hits += [np.sum(np.all(spin == d * v, axis=1)) for v in arrays(s) for d in (1.0, -1.0)]
     assert hits.sum() == n
     assert np.max(np.abs(hits / n - 0.25)) < 0.002

@@ -8,8 +8,13 @@ import pytest
 from singletsim import protocol
 from singletsim import watches as wt
 from singletsim.cli import EXIT_AUDIT, EXIT_OK, EXIT_USAGE, main
-from singletsim.geometry import UnitVector, rowdot
-from singletsim.models import SettingsPair, outcome_int8, sample_settings_B2_array
+from singletsim.geometry import UnitVector, rowdot, sample_uniform_sphere_array
+from singletsim.models import (
+    SettingsPair,
+    outcome_int8,
+    sample_hidden_B1_array,
+    sample_settings_B2_array,
+)
 from singletsim.protocol import (
     BATTER_L,
     BATTER_R,
@@ -18,6 +23,7 @@ from singletsim.protocol import (
     ExperimentConfig,
     ProtocolIntegrityError,
     audit_locality,
+    chunk_balls,
     read_event_log,
     run_chunk,
     run_experiment,
@@ -54,12 +60,13 @@ def test_config_validation():
 def test_chunk_deterministic():
     cfg = fixed_config()
     for kind in ("A", "B1", "C", "QM"):
-        a = run_chunk(kind, cfg, 0, 0)
-        b = run_chunk(kind, cfg, 0, 0)
-        for col in ("first_id", "t_pitch", "spin", "sigma", "tau"):
-            assert np.array_equal(getattr(a, col), getattr(b, col))
-    assert (a.first_id, a.t_pitch.size) == (0, 100)
-    assert np.all(np.diff(a.t_pitch) > 0.0)  # pitch times increase with trial id
+        a = (*run_chunk(kind, cfg, 0, 0), *chunk_balls(kind, cfg, 0, 0))
+        b = (*run_chunk(kind, cfg, 0, 0), *chunk_balls(kind, cfg, 0, 0))
+        for col_a, col_b in zip(a, b):  # sigma, tau, t_pitch, spin
+            assert np.array_equal(col_a, col_b)
+    t_pitch = a[2]
+    assert (protocol._first_id(cfg, 0, 0), t_pitch.size) == (0, 100)
+    assert np.all(np.diff(t_pitch) > 0.0)  # pitch times increase with trial id
 
 
 @pytest.mark.parametrize("kind", ["A", "B1", "B2", "C", "QM"])
@@ -199,21 +206,102 @@ def test_counts_build_only_the_columns_they_read(monkeypatch):
         # every watch-driven model but B2 reads its settings at the pitch times
         assert (pitch_time_builds(kind, watch) >= 1) == (kind != "B2")
         assert pitch_time_builds(kind, logged_watch) >= 1
-    for kind in ("A", "B1", "B2", "C"):
-        for config in (fixed_config(), ExperimentConfig(trials=100, seed=7, watch_driven=True)):
-            vectors.clear()
-            ch = run_chunk(kind, config, 0, 0)
-            assert "spin" not in vars(ch) and not vectors
-            assert ch.spin.shape == (100, 3) and "spin" in vars(ch)
-            # the spin on read of A, B1 and C takes the watches' setting vectors
-            assert (len(vectors) > 0) == (config.watch_driven and kind != "B2")
-        assert "t_pitch" not in vars(run_chunk(kind, fixed_config(), 0, 0))
+    for kind in ("A", "B1", "B2", "C", "QM"):
+        for trials in (3, 100):
+            for config in (fixed_config(trials=trials),
+                           ExperimentConfig(trials=trials, seed=7, watch_driven=True)):
+                built.clear()
+                samplers.clear()
+                vectors.clear()
+                run_chunk(kind, config, 0, 0)
+                # the counting pass draws no spin and, unlogged, builds no
+                # setting vector; it builds pitch times only where the
+                # settings come off the watches
+                assert not samplers and not vectors
+                assert (len(built) > 0) == (config.watch_driven and kind != "B2")
+                spin = chunk_balls(kind, config, 0, 0)[1]
+                if kind == "QM":
+                    assert spin is None
+                    continue
+                assert spin.shape == (trials, 3)
+                # the spin of A, B1 and C takes the watches' setting vectors
+                assert (len(vectors) > 0) == (config.watch_driven and kind != "B2")
+                # the ball pass, drawing the jitter, ends where the skip did
+                np.testing.assert_array_equal(spin, _replayed_spin(kind, config))
+
+
+def _replayed_spin(kind, config):
+    """Oracle: the spin of a one-stream, one-chunk config as the kernel once
+    built it on read, from a freshly keyed pitcher stream whose jitter draws
+    are skipped by advancing its counter (A and C of a fixed pair as the
+    atom that each trial's row looks up)."""
+    k, pair = config.trials, config.streams()[0][1]
+    tag = f"{kind}:free" if pair is None else f"{kind}:pair0"
+    pitcher = protocol._skip_jitter(protocol._stream(config.seed, tag, 0, PITCHER), k)
+    if pair is None and kind == "B2":
+        return sample_uniform_sphere_array(pitcher, k)
+    if pair is None:
+        t_arrival = protocol._pitch_times(
+            protocol._stream(config.seed, tag, 0, PITCHER), 0, k, config) + config.delta_t
+        settings = tuple(wt.batter_vectors_array(w.mirrored(), t_arrival, config.delta_t)
+                         for w in (config.bank.watch_T, config.bank.watch_H))
+    else:
+        settings = pair.n_L.as_array(), pair.n_R.as_array()
+    if kind in ("B1", "B2"):
+        return sample_hidden_B1_array(settings, pitcher, k)
+    if pair is None:
+        return protocol._atom_spin(pitcher, k, *settings)
+    u, rows = protocol._atom_spins(pitcher, k, *settings)
+    return u[rows]
+
+
+# the streams a counting pass keys, by model and by fixed or watch-driven
+# settings: only those it draws from
+KEYED_ROLES = {
+    ("A", False): [BATTER_L, BATTER_R, PITCHER],
+    ("B1", False): [PITCHER],
+    ("B2", False): [PITCHER],
+    ("C", False): [PITCHER],
+    ("QM", False): [COORDINATOR],
+    ("A", True): [BATTER_L, BATTER_R, PITCHER],
+    ("B1", True): [PITCHER],
+    ("B2", True): [COORDINATOR],
+    ("C", True): [PITCHER],
+    ("QM", True): [COORDINATOR, PITCHER],
+}
+
+
+@pytest.mark.parametrize("kind, watch_driven", sorted(KEYED_ROLES))
+def test_each_pass_keys_only_the_streams_it_draws(monkeypatch, kind, watch_driven):
+    keyed = []
+    stream = protocol._stream
+    monkeypatch.setattr(protocol, "_stream",
+                        lambda seed, *key: keyed.append(key[-1]) or stream(seed, *key))
+    config = (ExperimentConfig(trials=100, seed=7, watch_driven=True) if watch_driven
+              else fixed_config())
+    run_chunk(kind, config, 0, 0)
+    assert sorted(keyed) == KEYED_ROLES[kind, watch_driven]
+    keyed.clear()
+    chunk_balls(kind, config, 0, 0)
+    assert keyed == [PITCHER]
+
+
+def test_logged_watch_chunk_reads_each_batter_watch_once(monkeypatch):
+    # the counting pass reads the phases once per watch; the logged run's
+    # round-trip check maps those phases, it does not read them again
+    reads = []
+    read = wt.batter_phases_array
+    monkeypatch.setattr(wt, "batter_phases_array",
+                        lambda mirror, *a: reads.append(mirror) or read(mirror, *a))
+    config = ExperimentConfig(trials=100, seed=7, watch_driven=True, log_events=True)
+    run_chunk("A", config, 0, 0)
+    assert reads == [config.bank.watch_T.mirrored(), config.bank.watch_H.mirrored()]
 
 
 def _vector_kernel(kind, config, chunk):
     """Oracle: the watch-driven (sigma, tau, spin) of one chunk as computed
     from the built setting vectors, each role's stream keyed and drawn as
-    run_chunk keys and draws it: the batters' corrected vectors, then the
+    the kernel's two passes draw it: the batters' corrected vectors, then the
     pitcher's coins w and d with u = d * n_w, then rowdot thresholds against
     the batter uniforms (A), the signs of rowdot (C), or clip(rowdot) cell
     widths for the coordinator's uniform (QM)."""
@@ -246,29 +334,29 @@ def test_overlap_kernel_matches_the_vector_kernel():
         for trials in (1, 2, 3, 5, (1 << 17) + 1, 1 << 21):
             config = ExperimentConfig(trials=trials, seed=trials, watch_driven=True)
             for ci in range(config.chunks()):
-                ch = run_chunk(kind, config, 0, ci)
+                got = run_chunk(kind, config, 0, ci)
                 sigma, tau, u = _vector_kernel(kind, config, ci)
-                np.testing.assert_array_equal(ch.sigma, sigma)
-                np.testing.assert_array_equal(ch.tau, tau)
+                np.testing.assert_array_equal(got[0], sigma)
+                np.testing.assert_array_equal(got[1], tau)
                 if trials < 10:
-                    np.testing.assert_array_equal(ch.spin, u)
+                    np.testing.assert_array_equal(chunk_balls(kind, config, 0, ci)[1], u)
 
 
-def _settings_of(kind, config, ch, stream, chunk):
+def _settings_of(kind, config, t_pitch, spin, stream, chunk):
     """The settings of a B1 or B2 chunk's trials: the pair, the watches' read
     at the chunk's pitch times, or the coordinator's draw given its spins."""
     pair = config.streams()[stream][1]
     if pair is not None:
         return pair.n_L.as_array(), pair.n_R.as_array()
     if kind == "B1":
-        return protocol._watch_settings(config, ch.first_id, ch.t_pitch)
+        return protocol._watch_settings(protocol._watch_phases(config, t_pitch))
     coordinator = protocol._stream(config.seed, "B2:free", chunk, COORDINATOR)
-    return sample_settings_B2_array(ch.spin, coordinator, ch.sigma.size)
+    return sample_settings_B2_array(spin, coordinator, len(spin))
 
 
 def test_lune_outcomes_are_the_signs_of_the_spin_on_read():
     # run_chunk's B1 and B2 outcomes come from the lune draws alone; the spin
-    # built on read, with the settings it was drawn for or with, has the
+    # of the ball pass, with the settings it was drawn for or with, has the
     # same signs.  Ten fixed pairs (0, 90 and 180 degrees and seven random
     # ones) and the watch-driven stream, at remainders 1, 2, 3 and 5 of the
     # Philox block and across chunk boundaries: about 4.7e6 trials
@@ -282,11 +370,12 @@ def test_lune_outcomes_are_the_signs_of_the_spin_on_read():
                            ExperimentConfig(trials=big, seed=trials, watch_driven=True)):
                 for si in range(len(config.streams())):
                     for ci in range(config.chunks()):
-                        ch = run_chunk(kind, config, si, ci)
+                        sigma, tau = run_chunk(kind, config, si, ci)
+                        t_pitch, spin = chunk_balls(kind, config, si, ci)
                         want = protocol._sign_responses(
-                            ch.spin, *_settings_of(kind, config, ch, si, ci))
-                        np.testing.assert_array_equal(ch.sigma, want[0])
-                        np.testing.assert_array_equal(ch.tau, want[1])
+                            spin, *_settings_of(kind, config, t_pitch, spin, si, ci))
+                        np.testing.assert_array_equal(sigma, want[0])
+                        np.testing.assert_array_equal(tau, want[1])
 
 
 def test_watch_driven_settings_agree():
