@@ -36,9 +36,9 @@ from .protocol import (
     ProtocolIntegrityError,
     audit_locality,
     f17,
+    joint_spin_outcome_chunks,
     read_event_log,
     run_experiment,
-    sample_joint_spin_outcomes,
     write_counts_csv,
     write_event_log,
 )
@@ -167,10 +167,12 @@ def _build_experiment_config(args) -> tuple[str, ExperimentConfig]:
     delta_t = float(pick("delta_t", "delta_t", 1.5))
     # a run has one source of settings: a flag replaces the file's source,
     # and a second flag would be dropped
-    flags = [f for f in ("watch_driven", "theta_deg", "settings_file") if getattr(args, f, None)]
+    flags = {f: v for f in ("watch_driven", "theta_deg", "settings_file")
+             if (v := getattr(args, f, None))}
     if len(flags) > 1:
         raise UsageError("give only one of --watch-driven, --theta-deg and --settings-file")
-    watch_driven = "watch_driven" in flags if flags else file_cfg.get("watch_driven", False)
+    source = flags or file_cfg
+    watch_driven = source.get("watch_driven", False)
 
     epoch = float(file_cfg.get("epoch", 0.0))
     wp = file_cfg.get("watch_periods")
@@ -179,14 +181,13 @@ def _build_experiment_config(args) -> tuple[str, ExperimentConfig]:
     else:
         bank = wt.WatchBank.default(epoch)
 
-    if watch_driven:
-        pairs = []
-    elif getattr(args, "settings_file", None):
+    # a file naming both sources is refused by ExperimentConfig
+    if "settings_file" in flags:
         pairs = _load_settings_file(args.settings_file)
-    elif getattr(args, "theta_deg", None):
-        pairs = _theta_pairs(args.theta_deg)
-    elif "theta_deg" in file_cfg:
-        pairs = _theta_pairs(file_cfg["theta_deg"])
+    elif "theta_deg" in source:
+        pairs = _theta_pairs(source["theta_deg"])
+    elif watch_driven:
+        pairs = []
     else:
         raise UsageError("need --theta-deg, --settings-file, or --watch-driven")
 
@@ -284,11 +285,12 @@ def _verify_watches(seed):
 
 def _joint_cells(kind, n, seed):
     """Counts of one realization's joint samples over (u octant, sigma, tau)
-    cells.  A function of its own, so that one realization's samples are
-    freed before the next is drawn."""
-    u, sig, tau = sample_joint_spin_outcomes(kind, n, seed)
-    oct_idx = (u[:, 0] >= 0) * 4 + (u[:, 1] >= 0) * 2 + (u[:, 2] >= 0)
-    return np.bincount(oct_idx * 4 + (1 - sig) + (1 - tau) // 2, minlength=32)
+    cells, drawn and counted one chunk at a time."""
+    cells = np.zeros(32, dtype=np.int64)
+    for u, sig, tau in joint_spin_outcome_chunks(kind, n, seed):
+        oct_idx = (u[:, 0] >= 0) * 4 + (u[:, 1] >= 0) * 2 + (u[:, 2] >= 0)
+        cells += np.bincount(oct_idx * 4 + (1 - sig) + (1 - tau) // 2, minlength=32)
+    return cells
 
 
 def cmd_verify(args) -> int:
@@ -338,8 +340,6 @@ def _load_chsh_config(path) -> ChshConfig:
 def cmd_chsh(args) -> int:
     if bool(args.config) == bool(args.optimize):
         raise UsageError("exactly one of --config or --optimize is required")
-    if args.model not in MODEL_KINDS:
-        raise UsageError(f"unknown model {args.model!r}")
     threads = _threads(args)
     # where the configuration comes from, then how it is scored; nothing is
     # printed until both are done, so a config error leaves stdout empty
@@ -396,7 +396,7 @@ def _grid_candidate_pairs(k: int):
 
 
 def cmd_freewill(args) -> int:
-    if args.model not in MODEL_KINDS or args.model == "QM":
+    if args.model == "QM":
         raise UsageError("freewill needs a hidden-variable model: A, B1, B2, or C")
     if args.pairs:
         candidates = _load_pairs_file(args.pairs)
@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=cmd_verify)
 
     ch = sub.add_parser("chsh", help="evaluate or optimize the Clauser-Horne parameter")
-    ch.add_argument("--model", required=True)
+    ch.add_argument("--model", required=True, choices=MODEL_KINDS)
     ch.add_argument("--config", help="JSON file with vectors a, a_prime, b, b_prime")
     ch.add_argument("--optimize", action="store_true")
     ch.add_argument("--mode", choices=("analytic", "empirical"), default="analytic")
@@ -483,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     ch.set_defaults(func=cmd_chsh)
 
     fw = sub.add_parser("freewill", help="measurement-dependence measure M")
-    fw.add_argument("--model", required=True)
+    fw.add_argument("--model", required=True, choices=MODEL_KINDS)
     fw.add_argument("--pairs", help="JSON file with candidate settings-pair pairs")
     fw.add_argument("--grid", type=int, default=8)
     fw.add_argument("--out", help="also write a JSON metrics report")
@@ -511,7 +511,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ProtocolIntegrityError as exc:

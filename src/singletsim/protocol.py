@@ -16,7 +16,8 @@ passes, one for each thing that reads a chunk:
   settings;
 * the ball pass, :func:`chunk_balls`, returns what the pitcher pitches, the
   pitch times and the spins, drawn in order from a freshly keyed pitcher
-  stream: the jitter, then the spin.  Only the event log runs it.
+  stream: the jitter, then the spin.  Only the event log and the B1/B2
+  joint samples run it.
 
 The overlap from the phases differs from the rounded dot product of the
 built vectors by up to about 1e-15, so a watch-driven outcome can differ
@@ -67,7 +68,6 @@ from .models import (
     lune_outcomes,
     outcome_int8,
     sample_hidden_B1_array,
-    sample_settings_B2_array,
     settings_overlap,
 )
 
@@ -113,6 +113,8 @@ class ExperimentConfig:
             raise ValueError(f"time of flight must be finite and >= 0, got {self.delta_t}")
         if not self.watch_driven and not self.settings_pairs:
             raise ValueError("fixed-settings mode needs at least one settings pair")
+        if self.watch_driven and self.settings_pairs:
+            raise ValueError("give one source of settings: the watches or settings pairs")
         seen = set()
         for label, _ in self.settings_pairs:
             if label in seen:  # counts.csv keys its rows by pair label
@@ -194,8 +196,8 @@ class AuditReport:
 
 def _stream(seed: int, *key) -> np.random.Generator:
     """Counter-based Philox stream keyed by a SHA-256 digest of (seed, key).
-    Every digest also holds the word "bulk", so that the joint samples of
-    :func:`sample_joint_spin_outcomes` keep their seed-to-sample mapping."""
+    Every digest also holds the word "bulk", kept so that every kernel
+    stream, and with it every run's counts and event log, keeps its bytes."""
     digest = hashlib.sha256(":".join(map(str, (seed, "bulk") + key)).encode()).digest()
     return np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
 
@@ -426,25 +428,21 @@ def _report_lines(s, tid, t_send, sigma, tau):
     )
 
 
-def sample_joint_spin_outcomes(kind: str, n: int, seed: int):
-    """Joint (u, sigma, tau) samples for the Hall realizations with free
-    settings, used by the equivalence-in-law test.
-
-    B1 draws uniform independent settings and then the spin given the
-    settings; B2 draws a uniform spin and then the settings given the spin.
-    Identical laws, opposite causal placement.  Returns (u, sigma, tau) arrays.
-    """
+def joint_spin_outcome_chunks(kind: str, n: int, seed: int):
+    """B1's or B2's joint (u, sigma, tau) samples with free settings, one
+    chunk at a time: the ball pass's spin and the counting pass's outcomes of
+    the free-running run that ``simulate --watch-driven`` counts and logs.
+    B1 draws the spin given the settings, B2 the settings given the spin."""
     if kind not in ("B1", "B2"):
         raise ValueError("joint sampling is defined for the Hall realizations only")
-    rng = _stream(seed, f"joint:{kind}", 0)
-    if kind == "B1":
-        n_L = sample_uniform_sphere_array(rng, n)
-        n_R = sample_uniform_sphere_array(rng, n)
-        u = sample_hidden_B1_array((n_L, n_R), rng, n)
-    else:
-        u = sample_uniform_sphere_array(rng, n)
-        n_L, n_R = sample_settings_B2_array(u, rng, n)
-    return (u, *_sign_responses(u, n_L, n_R))
+    config = ExperimentConfig(trials=n, seed=seed, watch_driven=True)
+    for ci in range(config.chunks()):
+        yield (chunk_balls(kind, config, 0, ci)[1], *run_chunk(kind, config, 0, ci))
+
+
+def sample_joint_spin_outcomes(kind: str, n: int, seed: int):
+    """The chunks of :func:`joint_spin_outcome_chunks` as three arrays."""
+    return tuple(map(np.concatenate, zip(*joint_spin_outcome_chunks(kind, n, seed))))
 
 
 def run_experiment(kind: str, config: ExperimentConfig):

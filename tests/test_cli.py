@@ -6,6 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from singletsim import protocol
@@ -329,6 +330,8 @@ def test_grid_candidate_pairs_match_nested_reference():
 
 PAIR = {"n_L": [0, 0, 1], "n_R": [1, 0, 0]}
 CONFIG = {"model": "A", "trials": 200, "seed": 1, "theta_deg": [60.0]}
+# CONFIG's watch-driven twin: the watches are its only source of settings
+WATCH_CONFIG = {"model": "A", "trials": 200, "seed": 1, "watch_driven": True}
 VECTORS = {"a": [0, 0, 1], "a_prime": [1, 0, 0], "b": [0, 1, 0], "b_prime": [1, 1, 0]}
 MALFORMED = [
     ("settings", PAIR),
@@ -373,6 +376,8 @@ MALFORMED = [
     ("settings", [{**PAIR, "label": "x"}, {**PAIR, "label": "x"}]),
     ("settings", [PAIR, {**PAIR, "label": "pair0"}]),
     ("config", {**CONFIG, "theta_deg": [60.0, 60.00001]}),
+    # two sources of settings: the run went free-running and dropped the angles
+    ("config", {**CONFIG, "watch_driven": True}),
 ]
 COMMANDS = {
     "settings": ["simulate", "--model", "A", "--trials", "200", "--settings-file"],
@@ -392,6 +397,7 @@ def test_malformed_input_file_is_config_error(tmp_path, capsys, kind, doc):
     assert run(argv) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_whole_number_floats_accepted(tmp_path, capsys):
@@ -443,6 +449,13 @@ def test_freewill_pairs_file_non_coplanar(tmp_path, capsys):
 def test_freewill_rejects_qm(capsys):
     assert run(["freewill", "--model", "QM"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["chsh", "--model", "Z", "--optimize"],
+                                  ["freewill", "--model", "Z"]], ids=["chsh", "freewill"])
+def test_unknown_model_is_usage_error(capsys, argv):
+    assert run(argv) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])
@@ -521,7 +534,8 @@ BAD_TIMES = {
 @pytest.mark.parametrize("bad", BAD_TIMES.values(), ids=BAD_TIMES.keys())
 def test_bad_time_in_config_is_config_error(tmp_path, capsys, bad, watch_driven):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**CONFIG, "watch_driven": watch_driven, **bad}))
+    base = WATCH_CONFIG if watch_driven else {**CONFIG, "watch_driven": False}
+    path.write_text(json.dumps({**base, **bad}))
     out = tmp_path / "run"
     assert run(["simulate", "--config", str(path), "--log-events", "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
@@ -582,7 +596,7 @@ def test_custom_watch_periods_drive_the_settings(tmp_path, capsys):
     outs = []
     for extra in ({}, {"watch_periods": periods}):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**CONFIG, "trials": 2000, "watch_driven": True, **extra}))
+        path.write_text(json.dumps({**WATCH_CONFIG, "trials": 2000, **extra}))
         outs.append(tmp_path / f"run{len(outs)}")
         assert run(["simulate", "--config", str(path), "--out", str(outs[-1])]) == EXIT_OK
     default, custom = (read_counts(o) for o in outs)
@@ -613,6 +627,43 @@ def test_verify_hall_rows(capsys):
         assert len(norms) == 4
     assert sum(ln.startswith("[PASS] B1/B2 equivalence in law p=") for ln in lines) == 1
     assert lines[-1] == "overall: PASS"
+
+
+def test_verify_joint_row_draws_one_chunk_at_a_time(monkeypatch, capsys):
+    # the B1/B2 row draws the kernel's free-running ball pass chunk by chunk,
+    # here over three chunks per realization
+    rows = Counter()
+    balls = protocol.chunk_balls
+
+    def recording(kind, *a):
+        t_pitch, spin = balls(kind, *a)
+        assert len(spin) <= 1 << 17
+        rows[kind] += len(spin)
+        return t_pitch, spin
+
+    monkeypatch.setattr(protocol, "chunk_balls", recording)
+    assert run(["verify", "--model", "B1,B2", "--grid", "3", "--trials", "300000",
+                "--seed", "0"]) == EXIT_OK
+    assert rows == {"B1": 300_000, "B2": 300_000}
+    capsys.readouterr()
+
+
+def test_verify_joint_row_fails_on_a_one_hemisphere_b1_spin(monkeypatch, capsys):
+    # negative control: B1's spins folded into z >= 0 no longer share B2's law
+    sample = protocol.sample_hidden_B1_array
+
+    def folded(*a):
+        u = sample(*a)
+        np.abs(u[:, 2], out=u[:, 2])
+        return u
+
+    monkeypatch.setattr(protocol, "sample_hidden_B1_array", folded)
+    assert run(["verify", "--model", "B1,B2", "--grid", "3", "--trials", "20000",
+                "--seed", "0"]) == EXIT_VERIFY
+    lines = capsys.readouterr().out.splitlines()
+    fails = [ln for ln in lines if ln.startswith("[FAIL]")]
+    assert len(fails) == 1 and fails[0].startswith("[FAIL] B1/B2 equivalence in law p="), fails
+    assert lines[-1] == "overall: FAIL"
 
 
 def test_freewill_out_report(tmp_path, capsys):

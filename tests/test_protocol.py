@@ -55,6 +55,9 @@ def test_config_validation():
     pair = SettingsPair(Z, planar(60.0))
     with pytest.raises(ValueError, match="'x' is used twice"):
         ExperimentConfig(trials=10, seed=1, settings_pairs=[("x", pair), ("y", pair), ("x", pair)])
+    # a free-running run silently dropped the pairs it was given
+    with pytest.raises(ValueError, match="one source of settings"):
+        ExperimentConfig(trials=10, seed=1, watch_driven=True, settings_pairs=[("x", pair)])
 
 
 def test_chunk_deterministic():
@@ -174,8 +177,7 @@ def test_counts_build_only_the_columns_they_read(monkeypatch):
     monkeypatch.setattr(protocol, "_pitch_times",
                         lambda *a: built.append(1) or pitch_times(*a))
     samplers = []
-    for name in ("sample_hidden_B1_array", "sample_settings_B2_array",
-                 "sample_uniform_sphere_array"):
+    for name in ("sample_hidden_B1_array", "sample_uniform_sphere_array"):
         monkeypatch.setattr(protocol, name, lambda *a, f=getattr(protocol, name):
                             samplers.append(1) or f(*a))
     vectors = []
@@ -807,6 +809,21 @@ def test_b1_b2_equivalence_in_law():
     occ1 = np.mean(u1[:, 2] > 0)
     occ2 = np.mean(u2[:, 2] > 0)
     assert abs(occ1 - occ2) < 0.01
+
+
+def test_joint_samples_are_the_free_running_kernels_chunks():
+    # the equivalence-in-law samples are the ball pass's spins and the
+    # counting pass's outcomes of the free-running run that simulate
+    # --watch-driven counts and logs, here over two chunks
+    n = (1 << 17) + 3
+    config = ExperimentConfig(trials=n, seed=7, watch_driven=True)
+    for kind in ("B1", "B2"):
+        u, sigma, tau = sample_joint_spin_outcomes(kind, n, seed=7)
+        counts = [run_chunk(kind, config, 0, ci) for ci in range(2)]
+        np.testing.assert_array_equal(
+            u, np.concatenate([chunk_balls(kind, config, 0, ci)[1] for ci in range(2)]))
+        np.testing.assert_array_equal(sigma, np.concatenate([c[0] for c in counts]))
+        np.testing.assert_array_equal(tau, np.concatenate([c[1] for c in counts]))
 
 
 def test_worker_threads_capped_at_cpu_count(monkeypatch):
