@@ -32,6 +32,7 @@ from .models import MODEL_KINDS, SettingsPair
 from .optimizer import SearchOptions, maximize_chsh
 from .protocol import (
     OUTCOMES,
+    SETTING_AGREEMENT_TOL,
     ExperimentConfig,
     ProtocolIntegrityError,
     audit_locality,
@@ -102,7 +103,8 @@ def _periods(v) -> bool:
     return type(v) is list and len(v) == 2 and all(_number(x) and x > 0 for x in v)
 
 
-# what each value of a simulate --config file must be, checked before use
+# the keys of a simulate run's record, and what each value of a --config
+# file must be, checked before use
 _CONFIG_KEYS = {
     "model": ("a string", lambda v: type(v) is str),
     "trials": ("a whole number", _whole),
@@ -111,6 +113,7 @@ _CONFIG_KEYS = {
     "epoch": ("a number", _number),
     "watch_driven": ("true or false", lambda v: type(v) is bool),
     "theta_deg": ("a list of numbers", lambda v: type(v) is list and all(map(_number, v))),
+    "settings_pairs": ("a list of settings pairs", lambda v: type(v) is list),
     "watch_periods": ("an object whose H and T are each two positive numbers",
                       lambda v: type(v) is dict and all(_periods(v.get(k)) for k in "HT")),
 }
@@ -130,89 +133,80 @@ def _pair(entry) -> SettingsPair:
     return SettingsPair(_unit(entry["n_L"]), _unit(entry["n_R"]))
 
 
-def _load_settings_file(path):
+def _settings_pairs(entries, where):
+    """The labelled settings pairs of a JSON list of settings-pair objects;
+    ``where`` names the list's file in errors."""
     pairs = []
-    for i, entry in enumerate(_load_json(path, list)):
+    for i, entry in enumerate(entries):
         pair = _pair(entry)  # checks that the entry is an object
         label = entry.get("label", f"pair{i}")
         if type(label) is not str:
-            raise ValueError(f"{path}: a label must be a string, got {label!r}")
+            raise ValueError(f"{where}: a label must be a string, got {label!r}")
         pairs.append((label, pair))
     if not pairs:
-        raise UsageError(f"no settings pairs in {path}")
+        raise UsageError(f"no settings pairs in {where}")
     return pairs
 
 
-def _build_experiment_config(args) -> tuple[str, ExperimentConfig]:
-    """The model and configuration of a simulate run: flags given on the
-    command line take precedence over a --config file."""
-    file_cfg = _load_json(args.config, dict) if getattr(args, "config", None) else {}
+def _build_experiment_config(args) -> tuple[dict, ExperimentConfig]:
+    """The record of a simulate run, and the configuration built from it.
+    The record is the --config file's keys, each flag given put over them,
+    then the defaults.  It holds a settings file's list as read, not
+    normalized, so manifest.json, which holds the record, rebuilds the run."""
+    doc = _load_json(args.config, dict) if args.config else {}
     for key, (what, ok) in _CONFIG_KEYS.items():
-        if key in file_cfg and not ok(file_cfg[key]):
-            raise ValueError(f"{args.config}: {key!r} must be {what}, got {file_cfg[key]!r}")
-
-    def pick(flag, key, default):
-        v = getattr(args, flag, None)
-        if v is not None:
-            return v
-        return file_cfg.get(key, default)
-
-    model = pick("model", "model", None)
-    if model is None:
-        raise UsageError("--model is required (or 'model' in the config file)")
-    if model not in MODEL_KINDS:
-        raise UsageError(f"unknown model {model!r}; choose from {MODEL_KINDS}")
-    trials = int(pick("trials", "trials", 10000))
-    seed = int(pick("seed", "seed", 0))
-    delta_t = float(pick("delta_t", "delta_t", 1.5))
-    # a run has one source of settings: a flag replaces the file's source,
-    # and a second flag would be dropped
-    flags = {f: v for f in ("watch_driven", "theta_deg", "settings_file")
-             if (v := getattr(args, f, None))}
-    if len(flags) > 1:
+        if key in doc and not ok(doc[key]):
+            raise ValueError(f"{args.config}: {key!r} must be {what}, got {doc[key]!r}")
+    record = {k: v for k, v in doc.items() if k in _CONFIG_KEYS}
+    sources = [f for f in ("watch_driven", "theta_deg", "settings_file")
+               if getattr(args, f) is not None]
+    if len(sources) > 1:
         raise UsageError("give only one of --watch-driven, --theta-deg and --settings-file")
-    source = flags or file_cfg
-    watch_driven = source.get("watch_driven", False)
-
-    epoch = float(file_cfg.get("epoch", 0.0))
-    wp = file_cfg.get("watch_periods")
-    if wp:
-        bank = wt.WatchBank(*(wt.WatchSpec(*wp[k], wt.CLOCKWISE, epoch) for k in "HT"))
-    else:
-        bank = wt.WatchBank.default(epoch)
-
-    # a file naming both sources is refused by ExperimentConfig
-    if "settings_file" in flags:
-        pairs = _load_settings_file(args.settings_file)
-    elif "theta_deg" in source:
-        pairs = _theta_pairs(source["theta_deg"])
-    elif watch_driven:
-        pairs = []
-    else:
+    if sources:  # a settings flag replaces every settings source of the file
+        for key in ("watch_driven", "theta_deg", "settings_pairs"):
+            record.pop(key, None)
+    record.update((k, v) for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None)
+    if args.settings_file is not None:
+        record["settings_pairs"] = _load_json(args.settings_file, list)
+    if "model" not in record:
+        raise UsageError("--model is required (or 'model' in the config file)")
+    if record["model"] not in MODEL_KINDS:
+        raise UsageError(f"unknown model {record['model']!r}; choose from {MODEL_KINDS}")
+    record = {"trials": 10000, "seed": 0, "delta_t": 1.5, "epoch": 0.0,
+              "watch_periods": wt.DEFAULT_PERIODS, **record}
+    record.update(trials=int(record["trials"]), seed=int(record["seed"]))
+    if "theta_deg" in record and "settings_pairs" in record:
+        raise ValueError(f"{args.config}: give one of 'theta_deg' and 'settings_pairs'")
+    pairs = []
+    if "theta_deg" in record:
+        pairs = _theta_pairs(record["theta_deg"])
+    elif "settings_pairs" in record:
+        pairs = _settings_pairs(record["settings_pairs"], args.settings_file or args.config)
+    elif not record.get("watch_driven"):
         raise UsageError("need --theta-deg, --settings-file, or --watch-driven")
-
-    return model, ExperimentConfig(
-        trials=trials,
-        seed=seed,
+    epoch = float(record["epoch"])
+    wp = record["watch_periods"]
+    return record, ExperimentConfig(
+        trials=record["trials"],
+        seed=record["seed"],
         settings_pairs=pairs,
-        watch_driven=watch_driven,
-        delta_t=delta_t,
-        bank=bank,
-        log_events=bool(getattr(args, "log_events", False)),
+        watch_driven=record.get("watch_driven", False),
+        delta_t=float(record["delta_t"]),
+        bank=wt.WatchBank(*(wt.WatchSpec(*wp[k], wt.CLOCKWISE, epoch) for k in "HT")),
+        log_events=args.log_events,
         threads=_threads(args),
     )
 
 
-def _write_manifest(out_dir, args, extra=None):
+def _write_manifest(out_dir, args, record):
     manifest = {
         "artifact_version": __version__,
         "command": args.argv,
         "options": {
             k: v for k, v in vars(args).items() if k not in ("func", "argv") and v is not None
         },
+        **record,
     }
-    if extra:
-        manifest.update(extra)
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -223,15 +217,15 @@ def _write_manifest(out_dir, args, extra=None):
 # subcommands
 
 def cmd_simulate(args) -> int:
-    model, config = _build_experiment_config(args)
+    record, config = _build_experiment_config(args)
+    model = record["model"]
     os.makedirs(args.out, exist_ok=True)
     tables, log = run_experiment(model, config)
     write_counts_csv(tables, os.path.join(args.out, "counts.csv"))
-    extra = {"model": model, "seed": config.seed, "trials": config.trials}
     if log is not None:
         write_event_log(log, os.path.join(args.out, "events.ndjson"))
-        extra["events"] = len(log)
-    _write_manifest(args.out, args, extra)
+        record = {**record, "events": len(log)}
+    _write_manifest(args.out, args, record)
     for tb in tables:
         print(f"{model} {tb.label}: N={tb.n_total}", end="")
         for (s, t) in OUTCOMES:
@@ -279,7 +273,7 @@ def _verify_watches(seed):
         pitcher = wt.watch_vectors_array(w, t - dt)
         batter = wt.batter_vectors_array(w.mirrored(), t, dt)
         worst = max(worst, float(np.max(np.abs(pitcher - batter))))
-    ok = worst <= 1e-9
+    ok = worst <= SETTING_AGREEMENT_TOL
     return [("watch round-trip", f"max err={worst:.3e}", ok)], ok
 
 

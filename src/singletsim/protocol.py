@@ -115,6 +115,20 @@ class ExperimentConfig:
             raise ValueError("fixed-settings mode needs at least one settings pair")
         if self.watch_driven and self.settings_pairs:
             raise ValueError("give one source of settings: the watches or settings pairs")
+        if self.watch_driven:
+            # a hand phase is (t - epoch) / period: refuse periods so short
+            # that this ratio overflows by the run's last arrival
+            epoch = self.bank.watch_H.epoch
+            shortest = min(p for w in (self.bank.watch_H, self.bank.watch_T)
+                           for p in (w.period_small, w.period_large))
+            try:
+                last = epoch + len(self.streams()) * self.trials * self.pitch_gap + self.delta_t
+                finite = np.isfinite((last - epoch) / shortest)
+            except OverflowError:  # a trial count past the largest float
+                finite = False
+            if not finite:
+                raise ValueError(f"watch periods down to {shortest!r} s are too short for "
+                                 "this run: a hand phase overflows by its last arrival")
         seen = set()
         for label, _ in self.settings_pairs:
             if label in seen:  # counts.csv keys its rows by pair label

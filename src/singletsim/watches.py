@@ -64,7 +64,8 @@ class WatchBank:
         ]
         failures = check_incommensurable(periods)
         if failures:
-            raise ValueError("watch periods are commensurable: " + "; ".join(failures))
+            raise ValueError("watch periods fail the incommensurability check: "
+                             + "; ".join(failures))
 
     @staticmethod
     def default(epoch: float = 0.0) -> "WatchBank":
@@ -190,7 +191,8 @@ def batter_vectors_array(mirror: WatchSpec, t_arrival, delta_t) -> np.ndarray:
 
 def check_incommensurable(periods, max_den: int = 64, tol: float = 1e-9) -> list[str]:
     """The pairs of periods whose ratio lies within ``tol`` of a rational p/q
-    with p, q <= ``max_den``, one line each; an empty list means they pass.
+    with p, q <= ``max_den``, or whose ratio or its inverse overflows, one
+    line each; an empty list means they pass.
 
     Failure is a list, not an exception; construction-time validation decides
     what to do with it.
@@ -202,6 +204,9 @@ def check_incommensurable(periods, max_den: int = 64, tol: float = 1e-9) -> list
     for i in range(len(periods)):
         for j in range(i + 1, len(periods)):
             r = periods[i] / periods[j]
+            if not (math.isfinite(r) and math.isfinite(periods[j] / periods[i])):
+                failures.append(f"periods[{i}]/periods[{j}] = {r!r} or its inverse is not finite")
+                continue
             for q in range(1, max_den + 1):
                 p = round(r * q)
                 if 1 <= p <= max_den and abs(r - p / q) <= tol:

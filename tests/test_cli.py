@@ -16,6 +16,7 @@ from singletsim.cli import (
     EXIT_RUNTIME,
     EXIT_USAGE,
     EXIT_VERIFY,
+    _CONFIG_KEYS,
     _grid_candidate_pairs,
     main,
 )
@@ -332,6 +333,8 @@ PAIR = {"n_L": [0, 0, 1], "n_R": [1, 0, 0]}
 CONFIG = {"model": "A", "trials": 200, "seed": 1, "theta_deg": [60.0]}
 # CONFIG's watch-driven twin: the watches are its only source of settings
 WATCH_CONFIG = {"model": "A", "trials": 200, "seed": 1, "watch_driven": True}
+# and its twin whose settings come from a settings_pairs list
+PAIRS_CONFIG = {"model": "A", "trials": 200, "seed": 1}
 VECTORS = {"a": [0, 0, 1], "a_prime": [1, 0, 0], "b": [0, 1, 0], "b_prime": [1, 1, 0]}
 MALFORMED = [
     ("settings", PAIR),
@@ -378,6 +381,19 @@ MALFORMED = [
     ("config", {**CONFIG, "theta_deg": [60.0, 60.00001]}),
     # two sources of settings: the run went free-running and dropped the angles
     ("config", {**CONFIG, "watch_driven": True}),
+    # ill-typed settings pairs inside a simulate --config object
+    *(("config", {**PAIRS_CONFIG, "settings_pairs": v}) for v in (
+        PAIR,
+        "pairs.json",
+        [[0, 0, 1]],
+        [{"n_L": [0, 1], "n_R": [1, 0, 0]}],
+        [{"n_L": [0, 0, 1]}],
+        [{**PAIR, "label": 5}],
+        [{**PAIR, "label": "x"}, {**PAIR, "label": "x"}],
+    )),
+    # two sources of settings in one file
+    ("config", {**CONFIG, "settings_pairs": [PAIR]}),
+    ("config", {**WATCH_CONFIG, "settings_pairs": [PAIR]}),
 ]
 COMMANDS = {
     "settings": ["simulate", "--model", "A", "--trials", "200", "--settings-file"],
@@ -603,6 +619,114 @@ def test_custom_watch_periods_drive_the_settings(tmp_path, capsys):
     assert sum(int(r["count"]) for r in custom) == 2000
     assert [r["count"] for r in default] != [r["count"] for r in custom]
     capsys.readouterr()
+
+
+# each source of settings of a run that its manifest.json must replay:
+# SETTINGS is 12 random vectors that are not unit length, which a normalized
+# record would not replay (a normalized vector moves when normalized again),
+# and WATCHES custom watch periods, epoch and time of flight
+REPLAY_SOURCES = {
+    "theta": ["--theta-deg", "30", "100"],
+    "file": ["--settings-file", "SETTINGS"],
+    "watch-driven": ["--watch-driven", "--config", "WATCHES"],
+}
+
+
+def replay_argv(tmp_path, kind, source):
+    rng = np.random.default_rng(5)
+    vec = lambda scale: [float(x) for x in rng.normal(size=3) * scale]
+    files = {"SETTINGS": [{"n_L": vec(3.0), "n_R": vec(0.3)} for _ in range(12)],
+             "WATCHES": {"watch_periods": {"H": [61.0 * math.sqrt(11.0), 700.0 * math.sqrt(13.0)],
+                                           "T": [59.0 * math.sqrt(17.0), 710.0 * math.sqrt(19.0)]},
+                         "epoch": 1234.5, "delta_t": 2.25}}
+    argv = ["simulate", "--model", kind, "--seed", "7"]
+    for a in REPLAY_SOURCES[source]:
+        if a in files:
+            (tmp_path / a).write_text(json.dumps(files[a]))
+            a = str(tmp_path / a)
+        argv.append(a)
+    return argv
+
+
+def manifest_record(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    return {k: v for k, v in manifest.items() if k in _CONFIG_KEYS}
+
+
+@pytest.mark.parametrize("source", REPLAY_SOURCES)
+@pytest.mark.parametrize("kind", ["A", "B1", "B2", "C", "QM"])
+def test_manifest_replays_the_run(tmp_path, capsys, kind, source):
+    first, again = tmp_path / "first", tmp_path / "again"
+    argv = replay_argv(tmp_path, kind, source) + ["--trials", "3000"]
+    assert run(argv + ["--out", str(first)]) == EXIT_OK
+    assert run(["simulate", "--config", str(first / "manifest.json"),
+                "--out", str(again)]) == EXIT_OK
+    assert (again / "counts.csv").read_bytes() == (first / "counts.csv").read_bytes()
+    # the record is a fixed point: replaying a replay changes nothing
+    assert manifest_record(again) == manifest_record(first)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind, source", [("A", "theta"), ("B1", "file"),
+                                          ("C", "watch-driven")])
+def test_manifest_replays_the_event_log(tmp_path, capsys, kind, source):
+    first, again = tmp_path / "first", tmp_path / "again"
+    argv = replay_argv(tmp_path, kind, source) + ["--trials", "200", "--log-events"]
+    assert run(argv + ["--out", str(first)]) == EXIT_OK
+    assert run(["simulate", "--config", str(first / "manifest.json"), "--log-events",
+                "--out", str(again)]) == EXIT_OK
+    for name in ("counts.csv", "events.ndjson"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+    capsys.readouterr()
+
+
+def test_manifest_as_config_passes_on_only_the_record(tmp_path, capsys):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(replay_argv(tmp_path, "A", "theta")
+               + ["--trials", "50", "--log-events", "--out", str(first)]) == EXIT_OK
+    argv = ["simulate", "--config", str(first / "manifest.json"), "--out", str(again)]
+    assert run(argv) == EXIT_OK
+    manifest = json.loads((again / "manifest.json").read_text())
+    assert manifest["command"] == argv
+    assert manifest["options"] == {"command": "simulate", "config": argv[2],
+                                   "log_events": False, "out": argv[4]}
+    assert "events" not in manifest
+    assert manifest_record(again) == manifest_record(first)
+    capsys.readouterr()
+
+
+def test_settings_file_flag_replaces_the_config_files_pairs(tmp_path, capsys):
+    cfg, flag = tmp_path / "cfg.json", tmp_path / "pairs.json"
+    cfg.write_text(json.dumps({**PAIRS_CONFIG, "settings_pairs": [{**PAIR, "label": "file"}]}))
+    flag.write_text(json.dumps([{**PAIR, "label": "flag"}]))
+    out = tmp_path / "run"
+    assert run(["simulate", "--config", str(cfg), "--settings-file", str(flag),
+                "--out", str(out)]) == EXIT_OK
+    assert {r["pair_label"] for r in read_counts(out)} == {"flag"}
+    assert manifest_record(out)["settings_pairs"] == [{**PAIR, "label": "flag"}]
+    capsys.readouterr()
+
+
+EXTREME_PERIODS = {
+    # a period ratio of inf once raised OverflowError from the check
+    "ratio=inf": {"H": [1e308, 1e-308], "T": [130.0, 1700.0]},
+    # an inverse ratio of inf once ran, with every small-hand phase NaN
+    "inverse=inf": {"H": [5e-324, 1.0], "T": [130.0, 1700.0]},
+    # finite ratios, but (last arrival - epoch) / period overflows
+    "phase=inf": {k: [p * 1e-306 for p in v] for k, v in protocol.wt.DEFAULT_PERIODS.items()},
+}
+
+
+@pytest.mark.parametrize("periods", EXTREME_PERIODS.values(), ids=EXTREME_PERIODS.keys())
+def test_extreme_watch_periods_are_config_error(tmp_path, capsys, periods):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**WATCH_CONFIG, "watch_periods": periods}))
+    out = tmp_path / "run"
+    assert run(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert captured.out == "" and not out.exists()
 
 
 def test_watch_mismatch_is_runtime_failure(tmp_path, capsys, monkeypatch):

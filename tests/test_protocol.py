@@ -60,6 +60,18 @@ def test_config_validation():
         ExperimentConfig(trials=10, seed=1, watch_driven=True, settings_pairs=[("x", pair)])
 
 
+def test_watch_driven_config_refuses_overflowing_hand_phases():
+    # a hand phase is (t - epoch) / period: with 1e-306-scaled periods, or a
+    # trial count past the largest float, it overflows by the last arrival
+    tiny = wt.WatchBank(*(wt.WatchSpec(*(p * 1e-306 for p in wt.DEFAULT_PERIODS[k]))
+                          for k in "HT"))
+    for kw in ({"trials": 10, "bank": tiny}, {"trials": 10**400}):
+        with pytest.raises(ValueError, match="a hand phase overflows"):
+            ExperimentConfig(seed=1, watch_driven=True, **kw)
+    # fixed settings read no watch
+    ExperimentConfig(trials=10, seed=1, settings_pairs=[("x", SettingsPair(Z, Z))], bank=tiny)
+
+
 def test_chunk_deterministic():
     cfg = fixed_config()
     for kind in ("A", "B1", "C", "QM"):

@@ -160,6 +160,11 @@ def _cf_convergents(x, max_den):
 def test_check_incommensurable_failures():
     assert check_incommensurable([60.0, 30.0]) == ["periods[0]/periods[1] = 2.0 ~ 2/1"]
     assert check_incommensurable([1.0, 1.0 + 1e-12])
+    # a ratio or an inverse ratio that overflows fails instead of raising
+    assert check_incommensurable([1e308, 1e-308]) == [
+        "periods[0]/periods[1] = inf or its inverse is not finite"]
+    assert check_incommensurable([5e-324, 1.0]) == [
+        "periods[0]/periods[1] = 5e-324 or its inverse is not finite"]
 
 
 def test_check_incommensurable_passes_prime_roots():
