@@ -12,6 +12,7 @@ import itertools
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -36,8 +37,11 @@ from .protocol import (
     ExperimentConfig,
     ProtocolIntegrityError,
     audit_locality,
+    count_jobs,
+    count_tables,
     f17,
-    joint_spin_outcome_chunks,
+    joint_chunk,
+    pool_map,
     read_event_log,
     run_experiment,
     write_counts_csv,
@@ -234,13 +238,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _verify_model(model, grid, trials, seed, inject_bias, threads):
-    degs = [180.0 * k / (grid - 1) for k in range(grid)]
-    pairs = _theta_pairs(degs)
-    config = ExperimentConfig(
-        trials=trials, seed=seed, settings_pairs=pairs, threads=threads
-    )
-    tables, _ = run_experiment(model, config)
+def _verify_model(model, tables, inject_bias):
     rows = []
     n_ok = 0
     for tb in tables:
@@ -277,14 +275,12 @@ def _verify_watches(seed):
     return [("watch round-trip", f"max err={worst:.3e}", ok)], ok
 
 
-def _joint_cells(kind, n, seed):
-    """Counts of one realization's joint samples over (u octant, sigma, tau)
-    cells, drawn and counted one chunk at a time."""
-    cells = np.zeros(32, dtype=np.int64)
-    for u, sig, tau in joint_spin_outcome_chunks(kind, n, seed):
-        oct_idx = (u[:, 0] >= 0) * 4 + (u[:, 1] >= 0) * 2 + (u[:, 2] >= 0)
-        cells += np.bincount(oct_idx * 4 + (1 - sig) + (1 - tau) // 2, minlength=32)
-    return cells
+def _joint_cells(kind, config, chunk):
+    """Counts of one chunk of a realization's joint samples over the
+    (u octant, sigma, tau) cells."""
+    u, sig, tau = joint_chunk(kind, config, chunk)
+    oct_idx = (u[:, 0] >= 0) * 4 + (u[:, 1] >= 0) * 2 + (u[:, 2] >= 0)
+    return np.bincount(oct_idx * 4 + (1 - sig) + (1 - tau) // 2, minlength=32)
 
 
 def cmd_verify(args) -> int:
@@ -297,10 +293,24 @@ def cmd_verify(args) -> int:
     if args.grid < 2:
         raise UsageError(f"--grid must be >= 2 to span 0..180 degrees, got {args.grid}")
     threads = _threads(args)
+    config = ExperimentConfig(
+        trials=args.trials, seed=args.seed, threads=threads,
+        settings_pairs=_theta_pairs([180.0 * k / (args.grid - 1) for k in range(args.grid)]))
+    joint_jobs = []
+    if "B1" in models and "B2" in models:
+        joint = ExperimentConfig(trials=min(args.trials, 1_000_000), seed=args.seed,
+                                 watch_driven=True)
+        joint_jobs = [partial(_joint_cells, kind, joint, ci)
+                      for kind in ("B1", "B2") for ci in range(joint.chunks())]
+    # one pool runs the B1/B2 joint chunks, B1's first as the longest jobs,
+    # and every model's counting chunks; results are merged by job index
+    results = pool_map(joint_jobs + [job for m in models for job in count_jobs(m, config)],
+                       threads)
     all_rows = []
     overall = True
-    for m in models:
-        rows, ok = _verify_model(m, args.grid, args.trials, args.seed, args.inject_bias, threads)
+    per_model = np.split(np.asarray(results[len(joint_jobs):]), len(models))
+    for m, counts in zip(models, per_model):
+        rows, ok = _verify_model(m, count_tables(m, config, counts), args.inject_bias)
         all_rows += [(m,) + r for r in rows]
         overall &= ok
         if m in ("B1", "B2"):
@@ -312,9 +322,8 @@ def cmd_verify(args) -> int:
     w_rows, w_ok = _verify_watches(args.seed)
     all_rows += [("watches",) + r for r in w_rows]
     overall &= w_ok
-    if "B1" in models and "B2" in models:
-        n = min(args.trials, 1_000_000)
-        bins = [_joint_cells(kind, n, args.seed) for kind in ("B1", "B2")]
+    if joint_jobs:
+        bins = np.reshape(results[:len(joint_jobs)], (2, -1, 32)).sum(axis=1)
         stat, p, dof = two_sample_chi_square(bins[0], bins[1])
         ok = p > P_THRESHOLD
         overall &= ok

@@ -14,6 +14,8 @@ import numpy as np
 
 NORM_TOL = 1e-12
 
+ROW_BLOCK = 1 << 14  # rows of (n, 3) geometry built at a time
+
 
 @dataclass(frozen=True)
 class UnitVector:
@@ -59,6 +61,11 @@ def rowdot(a, b) -> np.ndarray:
     """Row-wise dot products of (n, 3) arrays; either side may instead be one
     (3,) vector shared by every row."""
     return np.einsum("...j,...j->...", a, b)
+
+
+def row_blocks(n: int):
+    """Slices covering rows [0, n) in blocks of ROW_BLOCK rows."""
+    return (slice(lo, lo + ROW_BLOCK) for lo in range(0, n, ROW_BLOCK))
 
 
 def cross_rows(a, b) -> np.ndarray:

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import UnitVector, cross_rows, rowdot, sample_uniform_sphere_array, sign_array
+from .geometry import (
+    UnitVector,
+    cross_rows,
+    row_blocks,
+    rowdot,
+    sample_uniform_sphere_array,
+    sign_array,
+)
 
 MODEL_KINDS = ("A", "B1", "B2", "C", "QM")
 
@@ -80,18 +87,34 @@ def settings_overlap(s) -> np.ndarray:
     return np.clip(rowdot(n_L, n_R), -1.0, 1.0)
 
 
+def skip_words(rng: np.random.Generator, n: int) -> np.random.Generator:
+    """``rng``, a Philox stream, past its next n 64-bit words, left exactly
+    where drawing them would leave it, in O(1).  Philox yields four words
+    per counter step and buffers the rest of a step: the words left in the
+    buffer are drawn, whole steps are skipped by advancing the counter, and
+    the rest drawn.  An advance empties the buffer, so it runs only once
+    the buffer is spent."""
+    bits = rng.bit_generator
+    left = min(n, 4 - bits.state["buffer_pos"])
+    bits.random_raw(left, output=False)
+    if n - left >= 4:
+        bits.advance((n - left) // 4)
+    bits.random_raw((n - left) % 4, output=False)
+    return rng
+
+
 def _lune_draws(c, rng: np.random.Generator, n: int, azimuth: bool):
     """The three words per trial of a Hall lune draw, in their only order:
     ``opposite`` (U < (1 - c)/2, the spin in a lune where sgn(u.n_L) and
-    sgn(u.n_R) differ), the uniform azimuth within the lune (skipped, and
-    None, unless ``azimuth``), and ``antipodal`` (U < 1/2).  A skip reads
-    the n words as random_raw, so the stream ends where drawing them would
-    at any position in Philox's four-word buffer."""
+    sgn(u.n_R) differ), the uniform azimuth within the lune (skipped with
+    :func:`skip_words`, and None, unless ``azimuth``), and ``antipodal``
+    (U < 1/2)."""
     opposite = rng.uniform(size=n) < 0.5 * (1.0 - c)
     if azimuth:
         t = rng.uniform(size=n)
     else:
-        t = rng.bit_generator.random_raw(n, output=False)
+        t = None
+        skip_words(rng, n)
     return opposite, t, rng.uniform(size=n) < 0.5
 
 
@@ -165,14 +188,20 @@ def sample_hidden_B1_array(s, rng: np.random.Generator, n: int) -> np.ndarray:
 
     ``s`` is the pair (n_L, n_R), each of shape (3,) for one settings pair
     shared by every row or (n, 3) for settings per row.  A spin sits at its
-    lune azimuth and a uniform height along n_L x n_R.
+    lune azimuth and a uniform height along n_L x n_R.  The draws are whole
+    1-D arrays; the plane frames and spins are built in row blocks, which
+    changes no bit and keeps the (n, 3) temporaries to one block.
     """
     n_L, n_R = (np.atleast_2d(np.asarray(x, dtype=float)) for x in s)
     phi, _ = _lune_azimuth(settings_overlap((n_L, n_R)), rng, n)
-    e2, e3 = _plane_frame(n_L, n_R)
     h = rng.uniform(-1.0, 1.0, size=n)
     r = np.sqrt(1.0 - h * h)
-    return _combine((r * np.cos(phi), n_L), (r * np.sin(phi), e2), (h, e3))
+    u = np.empty((n, 3))
+    for b in row_blocks(n):
+        v_L, v_R = (x if len(x) == 1 else x[b] for x in (n_L, n_R))
+        e2, e3 = _plane_frame(v_L, v_R)
+        u[b] = _combine((r[b] * np.cos(phi[b]), v_L), (r[b] * np.sin(phi[b]), e2), (h[b], e3))
+    return u
 
 
 def sample_settings_B2_array(

@@ -55,12 +55,13 @@ import os
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from . import watches as wt
-from .geometry import rowdot, sample_uniform_sphere_array
+from .geometry import row_blocks, rowdot, sample_uniform_sphere_array
 from .models import (
     MODEL_KINDS,
     SettingsPair,
@@ -69,6 +70,7 @@ from .models import (
     outcome_int8,
     sample_hidden_B1_array,
     settings_overlap,
+    skip_words,
 )
 
 PITCHER = "pitcher"
@@ -228,8 +230,15 @@ def _watch_phases(config, t_pitch):
 
 def _watch_settings(phases):
     """The per-trial setting vectors (n_L, n_R) of the phases that
-    :func:`_watch_phases` read."""
-    return tuple(wt.phases_to_vectors_array(*p) for p in phases)
+    :func:`_watch_phases` read, built in row blocks so that the map's
+    temporaries hold one block."""
+    vectors = []
+    for small, large in phases:
+        v = np.empty((small.size, 3))
+        for b in row_blocks(small.size):
+            v[b] = wt.phases_to_vectors_array(small[b], large[b])
+        vectors.append(v)
+    return tuple(vectors)
 
 
 def _watch_overlap(config, first_id, t_pitch):
@@ -307,12 +316,8 @@ def _pitch_times(pitcher, first_id, k, config):
 
 
 def _skip_jitter(pitcher, k):
-    """The fresh pitcher stream past its k jitter draws, skipped: a fresh
-    Philox stream yields four words per counter step, so k draws are k // 4
-    steps and k % 4 words more."""
-    pitcher.bit_generator.advance(k // 4)
-    pitcher.bit_generator.random_raw(k % 4)
-    return pitcher
+    """The fresh pitcher stream past its k jitter draws, skipped."""
+    return skip_words(pitcher, k)
 
 
 def _first_id(config, stream, chunk):
@@ -442,21 +447,60 @@ def _report_lines(s, tid, t_send, sigma, tau):
     )
 
 
-def joint_spin_outcome_chunks(kind: str, n: int, seed: int):
-    """B1's or B2's joint (u, sigma, tau) samples with free settings, one
-    chunk at a time: the ball pass's spin and the counting pass's outcomes of
-    the free-running run that ``simulate --watch-driven`` counts and logs.
-    B1 draws the spin given the settings, B2 the settings given the spin."""
+def joint_chunk(kind: str, config: ExperimentConfig, chunk: int):
+    """B1's or B2's joint (u, sigma, tau) samples with free settings, of one
+    chunk of the free-running run ``config``: the ball pass's spin and the
+    counting pass's outcomes of the run that ``simulate --watch-driven``
+    counts and logs.  B1 draws the spin given the settings, B2 the settings
+    given the spin."""
     if kind not in ("B1", "B2"):
         raise ValueError("joint sampling is defined for the Hall realizations only")
-    config = ExperimentConfig(trials=n, seed=seed, watch_driven=True)
-    for ci in range(config.chunks()):
-        yield (chunk_balls(kind, config, 0, ci)[1], *run_chunk(kind, config, 0, ci))
+    return (chunk_balls(kind, config, 0, chunk)[1], *run_chunk(kind, config, 0, chunk))
 
 
 def sample_joint_spin_outcomes(kind: str, n: int, seed: int):
-    """The chunks of :func:`joint_spin_outcome_chunks` as three arrays."""
-    return tuple(map(np.concatenate, zip(*joint_spin_outcome_chunks(kind, n, seed))))
+    """The :func:`joint_chunk` samples of n free-running trials, as three
+    arrays."""
+    config = ExperimentConfig(trials=n, seed=seed, watch_driven=True)
+    return tuple(map(np.concatenate,
+                     zip(*(joint_chunk(kind, config, ci) for ci in range(config.chunks())))))
+
+
+def pool_map(jobs, threads: int) -> list:
+    """[job() for job in jobs], on one pool of min(threads, cpu count)
+    worker threads that take the jobs in list order; at one worker, or for
+    one job, on the calling thread.  The results are in job order whatever
+    the schedule, and a chunk's job draws only from the chunk's own keyed
+    streams, so they are the same at every thread count."""
+    workers = min(threads, os.cpu_count() or 1)
+    if workers > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(lambda job: job(), jobs))
+    return [job() for job in jobs]
+
+
+def _chunk_counts(kind, config, stream, chunk):
+    """A chunk's counting-pass outcomes, counted in OUTCOMES order."""
+    sigma, tau = run_chunk(kind, config, stream, chunk)
+    return np.bincount((1 - sigma) + (1 - tau) // 2, minlength=4)
+
+
+def count_jobs(kind: str, config: ExperimentConfig) -> list:
+    """A run's counting jobs, one per chunk, stream by stream: each returns
+    its chunk's outcome counts."""
+    return [partial(_chunk_counts, kind, config, si, ci)
+            for si in range(len(config.streams())) for ci in range(config.chunks())]
+
+
+def count_tables(kind: str, config: ExperimentConfig, counts) -> list:
+    """The count table of each stream, from the results of the run's
+    :func:`count_jobs`, in their order."""
+    streams = config.streams()
+    per_stream = np.reshape(counts, (len(streams), config.chunks(), 4)).sum(axis=1)
+    return [
+        CountTable(label, kind, pair, {OUTCOMES[i]: int(per_stream[si, i]) for i in range(4)})
+        for si, (label, pair) in enumerate(streams)
+    ]
 
 
 def run_experiment(kind: str, config: ExperimentConfig):
@@ -466,28 +510,8 @@ def run_experiment(kind: str, config: ExperimentConfig):
     Returns (tables, log) where ``log`` is None unless event logging was
     requested, and otherwise the :class:`EventLog` view of the same trials.
     """
-    streams = config.streams()
-    # one job per (stream, chunk); merged by index, so scheduling-free
-    jobs = [(si, ci) for si in range(len(streams)) for ci in range(config.chunks())]
-
-    def run_job(job):
-        sigma, tau = run_chunk(kind, config, *job)
-        return np.bincount((1 - sigma) + (1 - tau) // 2, minlength=4)
-
-    workers = min(config.threads, os.cpu_count() or 1)
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run_job, jobs))
-    else:
-        results = [run_job(j) for j in jobs]
-    per_stream = np.zeros((len(streams), 4), dtype=np.int64)
-    for (si, _), counts in zip(jobs, results):
-        per_stream[si] += counts
-    tables = [
-        CountTable(label, kind, pair, {OUTCOMES[i]: int(per_stream[si, i]) for i in range(4)})
-        for si, (label, pair) in enumerate(streams)
-    ]
-    return tables, EventLog(kind, config) if config.log_events else None
+    counts = pool_map(count_jobs(kind, config), config.threads)
+    return count_tables(kind, config, counts), EventLog(kind, config) if config.log_events else None
 
 
 def audit_locality(log, kind: str) -> AuditReport:

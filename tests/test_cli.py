@@ -772,6 +772,50 @@ def test_verify_joint_row_draws_one_chunk_at_a_time(monkeypatch, capsys):
     capsys.readouterr()
 
 
+VERIFY_ALL = ["verify", "--model", "A,B1,B2,C,QM", "--grid", "3", "--trials", "131077",
+              "--seed", "0"]
+
+
+@pytest.mark.parametrize("bias", [[], ["--inject-bias"]], ids=["plain", "inject_bias"])
+def test_verify_prints_the_same_bytes_at_every_thread_count(monkeypatch, capsys, bias):
+    # two chunks per stream and two joint chunks per realization, on up to
+    # three worker threads
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 3)
+    printed = []
+    for threads in ("1", "2", "3"):
+        run(VERIFY_ALL + bias + ["--threads", threads])
+        printed.append(capsys.readouterr().out)
+    assert printed[0].endswith("overall: FAIL\n" if bias else "overall: PASS\n")
+    assert printed[1] == printed[0] and printed[2] == printed[0]
+
+
+def test_verify_maps_every_chunk_through_one_pool(monkeypatch, capsys):
+    # a recording stand-in for the pool: it starts no thread
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers, self.jobs = max_workers, 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            self.jobs += len(jobs)
+            return map(fn, jobs)
+
+    monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 4)
+    assert run(VERIFY_ALL + ["--threads", "2"]) == EXIT_OK
+    # 5 models x 3 angles x 2 chunks, and 2 joint chunks each for B1 and B2
+    assert [(p.max_workers, p.jobs) for p in pools] == [(2, 34)]
+    capsys.readouterr()
+
+
 def test_verify_joint_row_fails_on_a_one_hemisphere_b1_spin(monkeypatch, capsys):
     # negative control: B1's spins folded into z >= 0 no longer share B2's law
     sample = protocol.sample_hidden_B1_array

@@ -339,6 +339,47 @@ def test_lune_outcomes_are_the_signs_of_the_lune_spins():
         assert lune_rng.bit_generator.random_raw() == spin_rng.bit_generator.random_raw()
 
 
+@pytest.mark.parametrize("prior", range(9))
+def test_skip_words_leaves_the_stream_where_drawing_would(prior):
+    # after 0-8 prior draws, so from every position in Philox's four-word
+    # buffer, skipping n words and drawing them leave the same next words
+    for n in [0, 1, 2, 3, 4, 5, 7, 8, 5000, 1 << 17, (1 << 17) + 3]:
+        skipped, drawn = (np.random.Generator(np.random.Philox(prior * 100 + n)) for _ in range(2))
+        for g in (skipped, drawn):
+            g.bit_generator.random_raw(prior)
+        assert models.skip_words(skipped, n) is skipped
+        drawn.bit_generator.random_raw(n)
+        np.testing.assert_array_equal(skipped.bit_generator.random_raw(9),
+                                      drawn.bit_generator.random_raw(9))
+
+
+def _whole_array_hidden_B1(s, rng, n):
+    """Oracle: sample_hidden_B1_array as one whole-array formula."""
+    n_L, n_R = (np.atleast_2d(np.asarray(x, dtype=float)) for x in s)
+    phi, _ = models._lune_azimuth(settings_overlap((n_L, n_R)), rng, n)
+    e2, e3 = models._plane_frame(n_L, n_R)
+    h = rng.uniform(-1.0, 1.0, size=n)
+    r = np.sqrt(1.0 - h * h)
+    return models._combine((r * np.cos(phi), n_L), (r * np.sin(phi), e2), (h, e3))
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["shared_pair", "per_row_settings"])
+def test_b1_row_blocks_match_the_whole_array_formula(per_row):
+    # three full row blocks and a partial one, with parallel and antiparallel
+    # rows among the per-row settings
+    n = 3 * (1 << 14) + 7
+    rng = np.random.default_rng(12)
+    if per_row:
+        n_L, n_R = (sample_uniform_sphere_array(rng, n) for _ in range(2))
+        n_R[::5], n_R[1::5] = n_L[::5], -n_L[1::5]
+        s = (n_L, n_R)
+    else:
+        s = (Z.as_array(), planar(37.0).as_array())
+    got, want = (sample_hidden_B1_array(s, np.random.Generator(np.random.Philox(5)), n),
+                 _whole_array_hidden_B1(s, np.random.Generator(np.random.Philox(5)), n))
+    np.testing.assert_array_equal(got, want)
+
+
 def assert_unit_rows(*arrays_):
     for a in arrays_:
         assert np.all(np.isfinite(a))

@@ -838,6 +838,22 @@ def test_joint_samples_are_the_free_running_kernels_chunks():
         np.testing.assert_array_equal(tau, np.concatenate([c[1] for c in counts]))
 
 
+def test_free_running_b1_ball_pass_holds_one_row_block_of_geometry():
+    # the setting vectors and spins of a full chunk are built in row blocks,
+    # so their (n, 3) temporaries never hold the whole chunk at once
+    import tracemalloc
+
+    config = ExperimentConfig(trials=1 << 17, seed=3, watch_driven=True)
+    chunk_balls("B1", config, 0, 0)  # first-call allocations out of the count
+    tracemalloc.start()
+    try:
+        chunk_balls("B1", config, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_worker_threads_capped_at_cpu_count(monkeypatch):
     # a recording stand-in for the pool: it starts no thread
     asked = []
