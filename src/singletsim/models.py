@@ -84,7 +84,8 @@ def settings_overlap(s) -> np.ndarray:
     """c = n_L.n_R of the pair ``s`` = (n_L, n_R), each of shape (3,) or
     (n, 3), per row of the (1, 3) or (n, 3) rows and clipped to [-1, 1]."""
     n_L, n_R = (np.atleast_2d(np.asarray(x, dtype=float)) for x in s)
-    return np.clip(rowdot(n_L, n_R), -1.0, 1.0)
+    c = rowdot(n_L, n_R)
+    return np.clip(c, -1.0, 1.0, out=c)
 
 
 def skip_words(rng: np.random.Generator, n: int) -> np.random.Generator:
@@ -103,19 +104,23 @@ def skip_words(rng: np.random.Generator, n: int) -> np.random.Generator:
     return rng
 
 
-def _lune_draws(c, rng: np.random.Generator, n: int, azimuth: bool):
+def _lune_draws(c, rng: np.random.Generator, n: int, azimuth: bool, out=None):
     """The three words per trial of a Hall lune draw, in their only order:
     ``opposite`` (U < (1 - c)/2, the spin in a lune where sgn(u.n_L) and
     sgn(u.n_R) differ), the uniform azimuth within the lune (skipped with
     :func:`skip_words`, and None, unless ``azimuth``), and ``antipodal``
-    (U < 1/2)."""
-    opposite = rng.uniform(size=n) < 0.5 * (1.0 - c)
+    (U < 1/2).  ``out``, if given, is two float arrays of n rows, for the
+    uniforms U and the threshold (1 - c)/2; the threshold's may be ``c``."""
+    u, threshold = (np.empty(n), None) if out is None else out
+    threshold = np.subtract(1.0, c, out=threshold)
+    threshold *= 0.5
+    opposite = rng.random(out=u) < threshold
     if azimuth:
         t = rng.uniform(size=n)
     else:
         t = None
         skip_words(rng, n)
-    return opposite, t, rng.uniform(size=n) < 0.5
+    return opposite, t, rng.random(out=u) < 0.5
 
 
 def _lune_azimuth(c, rng: np.random.Generator, n: int):
@@ -134,7 +139,7 @@ def _lune_azimuth(c, rng: np.random.Generator, n: int):
     return phi, gamma
 
 
-def lune_outcomes(c, rng: np.random.Generator, n: int):
+def lune_outcomes(c, rng: np.random.Generator, n: int, out=None):
     """The deterministic Hall outcomes sigma = sgn(u.n_L), tau = sgn(-u.n_R)
     of the n spins that _lune_azimuth would place, as int8 +-1, from the lune
     choice alone; the azimuth words are skipped, so ``rng`` ends where
@@ -151,8 +156,10 @@ def lune_outcomes(c, rng: np.random.Generator, n: int):
     spin can differ from them only for a spin within about 1e-16 of a lune
     boundary, where the azimuth uniform lies within about 1e-16 / (lune
     width) of 0 or 1 (or a height uniform at -1): about 2^-50 per trial.
+
+    ``out``, if given, is the draws' two scratch arrays (see _lune_draws).
     """
-    opposite, _, antipodal = _lune_draws(c, rng, n, azimuth=False)
+    opposite, _, antipodal = _lune_draws(c, rng, n, azimuth=False, out=out)
     return outcome_int8(opposite == antipodal), outcome_int8(antipodal)
 
 
@@ -195,12 +202,12 @@ def sample_hidden_B1_array(s, rng: np.random.Generator, n: int) -> np.ndarray:
     n_L, n_R = (np.atleast_2d(np.asarray(x, dtype=float)) for x in s)
     phi, _ = _lune_azimuth(settings_overlap((n_L, n_R)), rng, n)
     h = rng.uniform(-1.0, 1.0, size=n)
-    r = np.sqrt(1.0 - h * h)
     u = np.empty((n, 3))
     for b in row_blocks(n):
         v_L, v_R = (x if len(x) == 1 else x[b] for x in (n_L, n_R))
         e2, e3 = _plane_frame(v_L, v_R)
-        u[b] = _combine((r[b] * np.cos(phi[b]), v_L), (r[b] * np.sin(phi[b]), e2), (h[b], e3))
+        r = np.sqrt(1.0 - h[b] * h[b])
+        u[b] = _combine((r * np.cos(phi[b]), v_L), (r * np.sin(phi[b]), e2), (h[b], e3))
     return u
 
 

@@ -13,11 +13,13 @@ passes, one for each thing that reads a chunk:
   vector (see :func:`watches.phases_overlap`); B1 and B2 take their
   outcomes from the lune draws of the Hall spin (see
   :func:`models.lune_outcomes`) and need no spin, and watch-driven B2 no
-  settings;
+  settings.  In a job of :func:`pool_map`, a watch-driven chunk computes
+  in place in the worker's workspace (see :func:`_buffers`);
 * the ball pass, :func:`chunk_balls`, returns what the pitcher pitches, the
   pitch times and the spins, drawn in order from a freshly keyed pitcher
   stream: the jitter, then the spin.  Only the event log and the B1/B2
-  joint samples run it.
+  joint samples run it, after the counting pass, whose watch read it
+  reuses (see :func:`_both_passes`).
 
 The overlap from the phases differs from the rounded dot product of the
 built vectors by up to about 1e-15, so a watch-driven outcome can differ
@@ -52,6 +54,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -174,8 +177,7 @@ class EventLog:
                 # the line generator holds the only reference to the chunk's
                 # columns, so each chunk is freed before the next one is run
                 yield from _chunk_lines(_first_id(self.config, si, ci),
-                                        *run_chunk(self.kind, self.config, si, ci),
-                                        *chunk_balls(self.kind, self.config, si, ci),
+                                        *_both_passes(self.kind, self.config, si, ci),
                                         self.config.delta_t)
 
 
@@ -218,14 +220,20 @@ def _stream(seed: int, *key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
 
 
-def _watch_phases(config, t_pitch):
+def _watch_phases(config, t_pitch, out=None):
     """The hand phases (small, large) of the left and the right setting as
     the batters read them: the mirrored watch at arrival, corrected by the
-    time of flight."""
+    time of flight.  ``out``, if given, is five float arrays of the pitch
+    times' size: the left phases, the right small phase, scratch, and the
+    arrival times, which the right large phase then overwrites; the last
+    may be ``t_pitch`` itself."""
     bank, dt = config.bank, config.delta_t
-    t_arrival = t_pitch + dt
-    return (wt.batter_phases_array(bank.watch_T.mirrored(), t_arrival, dt),
-            wt.batter_phases_array(bank.watch_H.mirrored(), t_arrival, dt))
+    t_arrival = np.add(t_pitch, dt, out=None if out is None else out[4])
+    left = right = None
+    if out is not None:
+        left, right = (out[0], out[1], out[3]), (out[2], out[4], out[3])
+    return (wt.batter_phases_array(bank.watch_T.mirrored(), t_arrival, dt, left),
+            wt.batter_phases_array(bank.watch_H.mirrored(), t_arrival, dt, right))
 
 
 def _watch_settings(phases):
@@ -241,23 +249,32 @@ def _watch_settings(phases):
     return tuple(vectors)
 
 
-def _watch_overlap(config, first_id, t_pitch):
-    """The watch-driven settings' overlap c = n_L.n_R, clipped to [-1, 1],
-    from the phases the batters read: one read per watch.  Clipping c
-    changes no A or C outcome: their uniforms lie in [0, 1).  A logged run
+def _watch_counts(kind, config, first_id, key, t_pitch, pitcher, buffers, vectors=False):
+    """The outcomes (sigma, tau) of a chunk whose settings come off the
+    watches at the pitch times ``t_pitch``, and the setting vectors (n_L, n_R)
+    if ``vectors``, else None.  The phases are read into ``buffers``, five
+    float arrays of the chunk's size (see :func:`_watch_phases`), the vectors
+    built from them, and the overlap c = n_L.n_R then taken over them, one
+    read per watch; c, clipped to [-1, 1], takes the first array and the
+    outcome arithmetic the other four.  Clipping c changes no A or C
+    outcome: their uniforms lie in [0, 1).  ``pitcher`` is the pitcher's
+    stream past its jitter draws, or None to key it afresh.  A logged run
     first stops if the batters' setting vectors differ from the pitcher's
     reads of its clockwise watches by more than SETTING_AGREEMENT_TOL."""
-    phases = _watch_phases(config, t_pitch)
+    phases = _watch_phases(config, t_pitch, buffers)
+    settings = _watch_settings(phases) if vectors or config.log_events else None
     if config.log_events:
-        bank, (n_L, n_R) = config.bank, _watch_settings(phases)
+        bank, (n_L, n_R) = config.bank, settings
         err = np.maximum(np.abs(wt.watch_vectors_array(bank.watch_T, t_pitch) - n_L).max(axis=1),
                          np.abs(wt.watch_vectors_array(bank.watch_H, t_pitch) - n_R).max(axis=1))
         bad = np.flatnonzero(err > SETTING_AGREEMENT_TOL)
         if bad.size:
             raise ProtocolIntegrityError(
                 f"watch round-trip mismatch {err[bad[0]]:.3e} at trial {first_id + bad[0]}")
-    c = wt.phases_overlap(*phases)
-    return np.clip(c, -1.0, 1.0, out=c)
+    (a_small, a_large), (b_small, b_large) = phases
+    c = wt.phases_overlap(*phases, (a_small, b_small, a_large, b_large))
+    np.clip(c, -1.0, 1.0, out=c)
+    return _outcomes(kind, t_pitch.size, key, c, pitcher, None, buffers[1:]), settings
 
 
 def _sign_responses(u, n_L, n_R):
@@ -294,22 +311,39 @@ def _atom_spin(rng, k, n_L, n_R):
     return u
 
 
-def _atom_overlaps(rng, k, c):
+def _atom_overlaps(rng, c, d, u_n_L):
     """u.n_L and u.n_R of the spins _atom_spin builds, from the settings'
     overlap c alone: u.n_L = d (w ? c : 1) and u.n_R = d (w ? 1 : c), the
-    self-overlap taken as the 1 it is in exact arithmetic."""
-    w, up = _atom_coins(rng, k)
-    d = 2.0 * up - 1.0
-    dc = d * c
+    self-overlap taken as the 1 it is in exact arithmetic.  In place: d and
+    u.n_L are written to the float arrays ``d`` and ``u_n_L``, and u.n_R
+    over ``c``."""
+    w, up = _atom_coins(rng, c.size)
+    np.multiply(up, 2.0, out=d)
+    d -= 1.0
     right = w == 1
-    return np.where(right, dc, d), np.where(right, d, dc)
+    c *= d
+    np.copyto(u_n_L, d)
+    np.copyto(u_n_L, c, where=right)
+    np.copyto(c, d, where=right)
+    return u_n_L, c
 
 
-def _pitch_times(pitcher, first_id, k, config):
+def _pitch_times(pitcher, first_id, k, config, out=None):
     """epoch + (trial id + jitter) * pitch_gap, in place, with the jitter the
-    first k draws of the pitcher's stream."""
-    t_pitch = pitcher.uniform(size=k)
-    t_pitch += np.arange(first_id, first_id + k)
+    first k draws of the pitcher's stream.  ``out``, if given, is two float
+    arrays of k rows: the pitch times are written to the first, and the
+    second holds the trial ids."""
+    t_pitch, ids = (np.empty(k), np.empty(k)) if out is None else out
+    pitcher.random(out=t_pitch)
+    # the trial ids first_id + i, by doubling: np.arange has no out=
+    ids = ids.view(np.int64)
+    ids[0] = first_id
+    n = 1
+    while n < k:
+        m = min(n, k - n)
+        np.add(ids[:m], n, out=ids[n:n + m])
+        n *= 2
+    t_pitch += ids
     t_pitch *= config.pitch_gap
     t_pitch += config.bank.watch_H.epoch
     return t_pitch
@@ -344,67 +378,120 @@ def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int):
     k, first_id, pair, key = _chunk(kind, config, stream, chunk)
     if pair is not None:
         n_L, n_R = pair.n_L.as_array(), pair.n_R.as_array()
-        c = settings_overlap((n_L, n_R))
-    elif kind == "B2":
+        return _outcomes(kind, k, key, settings_overlap((n_L, n_R)), None, (n_L, n_R), None)
+    if kind == "B2":
         # A free-ticking spin watch gives a uniform spin, the pitcher's draws
         # after the jitter; the coordinator realizes the clock coupling by
         # installing settings given that spin into the batters' watches before
         # the trial (shared state, not a message).  The settings' overlap c is
-        # the coordinator's first draw (see sample_settings_B2_array), and the
-        # lune fixes the outcomes.
-        coordinator = key(COORDINATOR)
-        return lune_outcomes(coordinator.uniform(-1.0, 1.0, size=k), coordinator, k)
-    else:
-        # the settings come off the watches at the pitch times, which are
-        # freed with the phases before any outcome is drawn
-        pitcher = key(PITCHER)
-        c = _watch_overlap(config, first_id, _pitch_times(pitcher, first_id, k, config))
+        # the coordinator's first draw, uniform on [-1, 1) as -1 + 2 U (see
+        # sample_settings_B2_array), and the lune fixes the outcomes.
+        coordinator, (c, u) = key(COORDINATOR), _buffers(k)[:2]
+        coordinator.random(out=c)
+        c *= 2.0
+        c -= 1.0
+        return lune_outcomes(c, coordinator, k, (u, c))
+    # the settings come off the watches at the pitch times, computed in the
+    # pool worker's workspace; unlogged, the arrival times and then a phase
+    # overwrite them, and a logged run's round-trip check reads them last
+    pitcher, buffers = key(PITCHER), _buffers(k)
+    t_pitch = _pitch_times(pitcher, first_id, k, config,
+                           None if config.log_events else (buffers[4], buffers[3]))
+    return _watch_counts(kind, config, first_id, key, t_pitch, pitcher, buffers)[0]
+
+
+def _outcomes(kind, k, key, c, pitcher, pair, scratch):
+    """The outcomes (sigma, tau) of k trials of a model other than
+    watch-driven B2, given the settings' overlap c, of shape (1,) for the
+    settings pair ``pair`` = (n_L, n_R) or (k,) for watch-driven settings
+    (pair None), which the arithmetic overwrites.  ``pitcher`` is the
+    pitcher's stream past its jitter draws, or None to key it; ``scratch``
+    is float arrays of k rows to compute in, or None for fresh ones."""
+    def spare(n):
+        return scratch[:n] if scratch is not None else [np.empty(k) for _ in range(n)]
 
     if kind == "QM":
         # one uniform per trial falls in the cells (+,+), (+,-), (-,+), (-,-)
-        # laid out in that order on [0, 1) with widths (1 - sigma tau c) / 4
-        r = key(COORDINATOR).uniform(size=k)
-        return (outcome_int8(r < 0.5),
-                outcome_int8(r < np.where(r < 0.5, 0.25 * (1.0 - c), 0.25 * (3.0 + c))))
-    if pair is not None:
+        # laid out in that order on [0, 1) with widths (1 - sigma tau c) / 4:
+        # tau = +1 below 0.25 (1 - c) in the lower half, 0.25 (3 + c) above
+        r, cut = spare(2)
+        lower = key(COORDINATOR).random(out=r) < 0.5
+        np.add(3.0, c, out=cut)
+        cut *= 0.25
+        np.subtract(1.0, c, out=c)
+        c *= 0.25
+        np.copyto(cut, c, where=lower)
+        return outcome_int8(lower), outcome_int8(r < cut)
+    if pitcher is None:
         pitcher = _skip_jitter(key(PITCHER), k)
     if kind in ("B1", "B2"):
         # the spin given the settings (fixed-settings B2 conditions the clock
         # coupling on the pinned settings, which is the same spin law as B1);
         # the lune it lies in fixes the outcomes
-        return lune_outcomes(c, pitcher, k)
+        return lune_outcomes(c, pitcher, k, (*spare(1), c))
     if pair is not None:
+        n_L, n_R = pair
         u, rows = _atom_spins(pitcher, k, n_L, n_R)  # each trial's row of u and of its responses
         if kind == "C":
             return tuple(s[rows] for s in _sign_responses(u, n_L, n_R))
         p_L, p_R = 0.5 * (1.0 + rowdot(u, n_L)), 0.5 * (1.0 - rowdot(u, n_R))
         return (outcome_int8(key(BATTER_L).uniform(size=k) < p_L[rows]),
                 outcome_int8(key(BATTER_R).uniform(size=k) < p_R[rows]))
-    u_n_L, u_n_R = _atom_overlaps(pitcher, k, c)
+    d, u_n_L = spare(2)
+    u_n_L, u_n_R = _atom_overlaps(pitcher, c, d, u_n_L)
     if kind == "C":
-        return outcome_int8(u_n_L >= 0.0), outcome_int8(-u_n_R >= 0.0)
-    return (outcome_int8(key(BATTER_L).uniform(size=k) < 0.5 * (1.0 + u_n_L)),
-            outcome_int8(key(BATTER_R).uniform(size=k) < 0.5 * (1.0 - u_n_R)))
+        return outcome_int8(u_n_L >= 0.0), outcome_int8(np.negative(u_n_R, out=u_n_R) >= 0.0)
+    # the response thresholds (1 + u.n_L) / 2 and (1 - u.n_R) / 2, against
+    # the batters' uniforms drawn over d
+    u_n_L += 1.0
+    u_n_L *= 0.5
+    np.subtract(1.0, u_n_R, out=u_n_R)
+    u_n_R *= 0.5
+    return (outcome_int8(key(BATTER_L).random(out=d) < u_n_L),
+            outcome_int8(key(BATTER_R).random(out=d) < u_n_R))
 
 
-def chunk_balls(kind: str, config: ExperimentConfig, stream: int, chunk: int):
+def chunk_balls(kind: str, config: ExperimentConfig, stream: int, chunk: int, read=None):
     """The ball pass: the pitch times and spins (t_pitch, spin) of the same
     trials as :func:`run_chunk`, drawn in order from the chunk's pitcher
     stream, the jitter and then the spin.  The left ball spins along
     ``spin``, shape (k, 3), the right ball along its negation; the QM
-    reference pitches no balls, and its spin is None."""
+    reference pitches no balls, and its spin is None.  ``read``, if given,
+    is the pitch times and the watch-driven setting vectors that the
+    counting pass read for the chunk: the jitter is then skipped, and the
+    watches are not read again."""
     k, first_id, pair, key = _chunk(kind, config, stream, chunk)
     pitcher = key(PITCHER)
-    t_pitch = _pitch_times(pitcher, first_id, k, config)
+    if read is None:
+        t_pitch, settings = _pitch_times(pitcher, first_id, k, config), None
+    else:
+        (t_pitch, settings), pitcher = read, _skip_jitter(pitcher, k)
     if kind == "QM":
         return t_pitch, None
     if pair is None and kind == "B2":
         return t_pitch, sample_uniform_sphere_array(pitcher, k)
-    settings = ((pair.n_L.as_array(), pair.n_R.as_array()) if pair is not None
-                else _watch_settings(_watch_phases(config, t_pitch)))
+    if settings is None:
+        settings = ((pair.n_L.as_array(), pair.n_R.as_array()) if pair is not None
+                    else _watch_settings(_watch_phases(config, t_pitch)))
     if kind in ("B1", "B2"):
         return t_pitch, sample_hidden_B1_array(settings, pitcher, k)
     return t_pitch, _atom_spin(pitcher, k, *settings)
+
+
+def _both_passes(kind, config, stream, chunk):
+    """(sigma, tau, t_pitch, spin): :func:`run_chunk`'s outcomes and
+    :func:`chunk_balls`'s balls of one chunk.  Where the settings come off
+    the watches, the counting pass reads them once per watch into fresh
+    arrays, freed before the ball pass draws the spin, and hands the ball
+    pass its pitch times and setting vectors."""
+    k, first_id, pair, key = _chunk(kind, config, stream, chunk)
+    if pair is not None or kind == "B2":
+        return (*run_chunk(kind, config, stream, chunk), *chunk_balls(kind, config, stream, chunk))
+    pitcher = key(PITCHER)
+    t_pitch = _pitch_times(pitcher, first_id, k, config)
+    (sigma, tau), settings = _watch_counts(kind, config, first_id, key, t_pitch, pitcher,
+                                           [np.empty(k) for _ in range(5)], kind != "QM")
+    return sigma, tau, *chunk_balls(kind, config, stream, chunk, (t_pitch, settings))
 
 
 def _chunk_lines(first_id, sigma, tau, t_pitch, spin, dt):
@@ -455,7 +542,8 @@ def joint_chunk(kind: str, config: ExperimentConfig, chunk: int):
     given the spin."""
     if kind not in ("B1", "B2"):
         raise ValueError("joint sampling is defined for the Hall realizations only")
-    return (chunk_balls(kind, config, 0, chunk)[1], *run_chunk(kind, config, 0, chunk))
+    sigma, tau, _, spin = _both_passes(kind, config, 0, chunk)
+    return spin, sigma, tau
 
 
 def sample_joint_spin_outcomes(kind: str, n: int, seed: int):
@@ -466,17 +554,48 @@ def sample_joint_spin_outcomes(kind: str, n: int, seed: int):
                      zip(*(joint_chunk(kind, config, ci) for ci in range(config.chunks())))))
 
 
+# the workspace of the pool_map call whose job the calling thread runs
+_active = threading.local()
+
+
+def _buffers(k):
+    """Five float arrays of k rows for a watch-driven counting pass: in a
+    job of :func:`pool_map`, views of the calling worker's workspace, which
+    its first such chunk allocates and every later one reuses; elsewhere
+    fresh arrays."""
+    workspace = getattr(_active, "workspace", None)
+    if workspace is None:
+        return [np.empty(k) for _ in range(5)]
+    arrays = getattr(workspace, "arrays", None)
+    if arrays is None or arrays[0].size < k:
+        arrays = workspace.arrays = [np.empty(k) for _ in range(5)]
+    return [a[:k] for a in arrays]
+
+
+def _in_workspace(workspace, job):
+    """job(), with ``workspace`` as the calling thread's workspace."""
+    outer = getattr(_active, "workspace", None)
+    _active.workspace = workspace
+    try:
+        return job()
+    finally:
+        _active.workspace = outer
+
+
 def pool_map(jobs, threads: int) -> list:
     """[job() for job in jobs], on one pool of min(threads, cpu count)
     worker threads that take the jobs in list order; at one worker, or for
     one job, on the calling thread.  The results are in job order whatever
     the schedule, and a chunk's job draws only from the chunk's own keyed
-    streams, so they are the same at every thread count."""
+    streams, so they are the same at every thread count.  Each worker
+    thread has its own workspace for the call (see :func:`_buffers`),
+    dropped when the call returns."""
+    run = partial(_in_workspace, threading.local())
     workers = min(threads, os.cpu_count() or 1)
     if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(lambda job: job(), jobs))
-    return [job() for job in jobs]
+            return list(ex.map(run, jobs))
+    return [run(job) for job in jobs]
 
 
 def _chunk_counts(kind, config, stream, chunk):
@@ -563,7 +682,11 @@ def audit_locality(log, kind: str) -> AuditReport:
         if m["kind"] == "result_report" and receiver != COORDINATOR:
             violations.append((seq, 5, f"result report routed to {receiver}"))
     if kind != "QM":
-        tids = np.unique(np.asarray(trial_ids, dtype=np.int64))
+        # the distinct trial ids, sorted: np.unique would import numpy.ma
+        tids = np.sort(np.asarray(trial_ids, dtype=np.int64))
+        keep = np.ones(tids.size, dtype=bool)
+        np.not_equal(tids[1:], tids[:-1], out=keep[1:])
+        tids = tids[keep]
         got = np.stack([
             np.bincount(np.searchsorted(tids, np.asarray(ball_ids[b], dtype=np.int64)),
                         minlength=tids.size)

@@ -82,16 +82,18 @@ def _frac_inplace(x, tmp):
     return x
 
 
-def _read_phases(w: WatchSpec, t, tmp):
-    """The two hand phases of ``w`` at the float array of times ``t``, each
-    a fresh array frac(s * (t - epoch) / tau) of the shape of the scratch
-    ``tmp``; a time that is not finite raises ValueError."""
+def _read_phases(w: WatchSpec, t, tmp, out=(None, None)):
+    """The two hand phases of ``w`` at the float array of times ``t``,
+    frac(s * (t - epoch) / tau), each written to its array of ``out`` or, for
+    None, to a fresh array of the shape of the scratch ``tmp``; the large
+    hand's array may be ``t`` itself.  A time that is not finite raises
+    ValueError."""
     if not np.all(np.isfinite(t)):
         raise ValueError("time must be finite")
     s = 1.0 if w.direction == CLOCKWISE else -1.0
     phases = []
-    for tau in (w.period_small, w.period_large):
-        x = np.subtract(t, w.epoch, out=np.empty_like(tmp))
+    for tau, x in zip((w.period_small, w.period_large), out):
+        x = np.subtract(t, w.epoch, out=np.empty_like(tmp) if x is None else x)
         x *= s
         x /= tau
         phases.append(_frac_inplace(x, tmp))
@@ -123,7 +125,7 @@ def phases_to_vectors_array(phase_small, phase_large) -> np.ndarray:
     return np.column_stack([st * np.cos(phi), st * np.sin(phi), ct])
 
 
-def phases_overlap(a, b) -> np.ndarray:
+def phases_overlap(a, b, out=None) -> np.ndarray:
     """n_L.n_R of the vectors that phases_to_vectors_array maps the phase
     pairs ``a`` = (small, large) and ``b`` to, without building them:
     st_a st_b cos(2 pi (small_a - small_b)) + ct_a ct_b, with ct and st
@@ -132,14 +134,20 @@ def phases_overlap(a, b) -> np.ndarray:
     One cosine per row in place of a cosine, a sine and a three-term sum:
     the result differs from the rounded dot product of the built vectors by
     up to about 1e-15.  It is exact where either vector is a pole (st = 0).
+
+    ``out``, if given, is four float arrays (c, st, ct_a, ct_b): the overlap,
+    then scratch for st and the two ct.  They may be the phase arrays in the
+    order (a small, b small, a large, b large), which then read the phases in
+    place and overwrite them.
     """
-    c = np.subtract(a[0], b[0])
+    c, st, *cts = (None,) * 4 if out is None else out
+    c = np.subtract(a[0], b[0], out=c)
     c *= 2.0 * math.pi
     np.cos(c, out=c)
-    st = np.empty_like(c)
+    st = np.empty_like(c) if st is None else st
     ct = []
-    for _, large in (a, b):
-        x = np.multiply(large, 2.0)
+    for (_, large), x in zip((a, b), cts):
+        x = np.multiply(large, 2.0, out=x)
         x -= 1.0
         np.clip(x, -1.0, 1.0, out=x)
         np.multiply(x, x, out=st)
@@ -158,7 +166,8 @@ def watch_vectors_array(w: WatchSpec, t) -> np.ndarray:
     return phases_to_vectors_array(*read_phases_array(w, t))
 
 
-def batter_phases_array(mirror: WatchSpec, t_arrival, delta_t) -> tuple[np.ndarray, np.ndarray]:
+def batter_phases_array(mirror: WatchSpec, t_arrival, delta_t,
+                        out=None) -> tuple[np.ndarray, np.ndarray]:
     """Reconstruct the pitch-time hand phases (small, large) from a mirrored
     watch at an array of arrival times; ``delta_t`` may be scalar or
     per-element, and must be finite and non-negative.
@@ -167,6 +176,10 @@ def batter_phases_array(mirror: WatchSpec, t_arrival, delta_t) -> tuple[np.ndarr
     subtracting the time of flight gives frac((t_arrival - delta_t - epoch)/tau_h),
     the clockwise pitcher phase at t_pitch = t_arrival - delta_t.  No message
     carries any of this: the correction uses only the local watch and delta_t.
+
+    ``out``, if given, is three float arrays of the times' shape: the small
+    and the large phase are written to the first two, and the third is
+    scratch.  The large phase's array may be ``t_arrival`` itself.
     """
     delta_t = np.asarray(delta_t, dtype=float)
     if not (np.all(np.isfinite(delta_t)) and np.all(delta_t >= 0.0)):
@@ -174,8 +187,10 @@ def batter_phases_array(mirror: WatchSpec, t_arrival, delta_t) -> tuple[np.ndarr
     if mirror.direction != COUNTERCLOCKWISE:
         raise ValueError("batter watches must be counterclockwise mirrors")
     t = np.asarray(t_arrival, dtype=float)
-    tmp = np.empty(np.broadcast_shapes(t.shape, delta_t.shape))
-    phases = _read_phases(mirror, t, tmp)
+    if out is None:
+        out = (None, None, np.empty(np.broadcast_shapes(t.shape, delta_t.shape)))
+    *phases, tmp = out
+    phases = _read_phases(mirror, t, tmp, phases)
     for r, tau in zip(phases, (mirror.period_small, mirror.period_large)):
         r += delta_t / tau
         np.negative(r, out=r)

@@ -859,3 +859,40 @@ def test_cli_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_audit_loads_no_numpy_ma(tmp_path, capsys):
+    # np.unique imports numpy.ma, which every process's first audit would pay
+    # for; a fresh interpreter, so no other test's import of it is seen
+    import singletsim
+
+    out = tmp_path / "run"
+    assert run(["simulate", "--model", "B1", "--theta-deg", "60", "--trials", "20",
+                "--log-events", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(singletsim.__file__)))
+    code = ("import sys; from singletsim import cli; "
+            "code = cli.main(['audit', '--log', sys.argv[1], '--model', 'B1']); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    got = subprocess.run([sys.executable, "-c", code, str(out / "events.ndjson")],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                         check=True)
+    assert got.stdout.splitlines() == ["audit: PASS (80 messages, 0 violations)", "0 False"]
+
+
+def test_audit_of_an_empty_log_passes(tmp_path, capsys):
+    log = tmp_path / "events.ndjson"
+    log.write_text("")
+    assert run(["audit", "--log", str(log), "--model", "A"]) == EXIT_OK
+    assert capsys.readouterr().out == "audit: PASS (0 messages, 0 violations)\n"
+
+
+def test_watch_driven_logged_run_stops_at_the_first_round_trip_mismatch(tmp_path, capsys):
+    # the known watch round-trip defect: trial 1369 is the first whose
+    # batter-side setting is more than SETTING_AGREEMENT_TOL off the pitcher's
+    out = tmp_path / "run"
+    assert run(["simulate", "--model", "A", "--watch-driven", "--log-events", "--trials", "1370",
+                "--out", str(out)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["runtime failure: watch round-trip mismatch 6.511e-09 at trial 1369"]
+    assert not (out / "counts.csv").exists()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -302,14 +303,88 @@ def test_each_pass_keys_only_the_streams_it_draws(monkeypatch, kind, watch_drive
 
 def test_logged_watch_chunk_reads_each_batter_watch_once(monkeypatch):
     # the counting pass reads the phases once per watch; the logged run's
-    # round-trip check maps those phases, it does not read them again
+    # round-trip check maps those phases, it does not read them again, and
+    # where both passes run (a logged chunk's log lines, a joint B1 chunk)
+    # the ball pass builds its setting vectors from the same phases
     reads = []
     read = wt.batter_phases_array
     monkeypatch.setattr(wt, "batter_phases_array",
                         lambda mirror, *a: reads.append(mirror) or read(mirror, *a))
     config = ExperimentConfig(trials=100, seed=7, watch_driven=True, log_events=True)
+    once = [config.bank.watch_T.mirrored(), config.bank.watch_H.mirrored()]
     run_chunk("A", config, 0, 0)
-    assert reads == [config.bank.watch_T.mirrored(), config.bank.watch_H.mirrored()]
+    assert reads == once
+    for kind in ("A", "B1", "C", "QM"):
+        reads.clear()
+        assert len(list(protocol.EventLog(kind, config).trial_lines())) == 100
+        assert reads == once
+    config = ExperimentConfig(trials=(1 << 17) + 3, seed=7, watch_driven=True)
+    for ci in range(config.chunks()):
+        reads.clear()
+        protocol.joint_chunk("B1", config, ci)
+        assert reads == once
+
+
+# the most the second watch-driven counting chunk of a pool worker may
+# allocate, in bytes: A and C draw their two int64 coin columns fresh, B1,
+# B2 and QM only boolean masks and the int8 outcomes
+SECOND_CHUNK_BYTES = {"A": 2.5e6, "B1": 1e6, "B2": 1e6, "C": 2.5e6, "QM": 1e6}
+
+
+@pytest.mark.parametrize("kind", sorted(SECOND_CHUNK_BYTES))
+def test_watch_driven_counting_reuses_the_workers_workspace(kind):
+    import tracemalloc
+
+    config = ExperimentConfig(trials=2 << 17, seed=3, watch_driven=True)
+    peaks = []
+
+    def second_chunk():
+        tracemalloc.start()
+        try:
+            run_chunk(kind, config, 0, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    protocol.pool_map([lambda: run_chunk(kind, config, 0, 0), second_chunk], 1)
+    assert peaks[0] <= SECOND_CHUNK_BYTES[kind], f"peak {peaks[0] / 1e6:.2f} MB"
+
+
+def test_workspace_lives_for_one_pool_map_call():
+    # one workspace per worker thread and call: a later job of the same
+    # worker gets views of the same arrays, a later call new ones, and
+    # outside a call every chunk gets fresh arrays
+    def views(k):
+        return lambda: protocol._buffers(k)
+
+    first, short = protocol.pool_map([views(100), views(77)], 1)
+    assert all(np.shares_memory(a, b) for a, b in zip(first, short))
+    assert [len(a) for a in short] == [77] * 5
+    again, = protocol.pool_map([views(100)], 1)
+    assert not np.shares_memory(again[0], first[0])
+    assert getattr(protocol._active, "workspace", None) is None
+    assert not np.shares_memory(protocol._buffers(100)[0], protocol._buffers(100)[0])
+
+
+def test_watch_driven_counts_are_the_same_at_one_two_and_three_threads(monkeypatch):
+    # each worker thread computes in its own workspace, and a short last
+    # chunk in views of it; three chunks on up to three workers, against
+    # chunks run outside any pool, in fresh arrays; threads switch often
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 3)
+    trials = 2 * (1 << 17) + 77
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for kind in ("A", "B1", "B2", "C", "QM"):
+            config = ExperimentConfig(trials=trials, seed=9, watch_driven=True)
+            fresh = sum(protocol._chunk_counts(kind, config, 0, ci)
+                        for ci in range(config.chunks()))
+            for threads in (1, 2, 3):
+                config.threads = threads
+                tables, _ = run_experiment(kind, config)
+                assert list(tables[0].counts.values()) == fresh.tolist(), (kind, threads)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _vector_kernel(kind, config, chunk):
