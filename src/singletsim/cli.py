@@ -21,6 +21,7 @@ from . import watches as wt
 from .geometry import UnitVector, planar_vector
 from .metrics import (
     CHSH_LABELS,
+    GOF_MIN_TRIALS,
     ChshConfig,
     chi_square_gof,
     chsh_analytic,
@@ -292,6 +293,9 @@ def cmd_verify(args) -> int:
             raise UsageError(f"model {m!r} is named twice")
     if args.grid < 2:
         raise UsageError(f"--grid must be >= 2 to span 0..180 degrees, got {args.grid}")
+    if args.trials < GOF_MIN_TRIALS:
+        raise UsageError(f"--trials must be >= {GOF_MIN_TRIALS} for the asymptotic test, "
+                         f"got {args.trials}")
     threads = _threads(args)
     config = ExperimentConfig(
         trials=args.trials, seed=args.seed, threads=threads,

@@ -41,13 +41,27 @@ class UnitVector:
         return np.array([self.x, self.y, self.z], dtype=float)
 
 
+def sphere_points(azimuth, height) -> np.ndarray:
+    """The points of S2 at azimuth 2 pi * ``azimuth`` and cos(theta) =
+    2 * ``height`` - 1, for float arrays in [0, 1], as an (n, 3) array,
+    built in row blocks so that the map's temporaries hold one block.
+
+    This pushes the uniform measure on the unit square to the uniform sphere
+    measure (Archimedes), which is what the equidistribution arguments need.
+    """
+    out = np.empty((len(azimuth), 3))
+    for b in row_blocks(len(azimuth)):
+        phi = 2.0 * math.pi * azimuth[b]
+        ct = 2.0 * height[b] - 1.0
+        st = np.sqrt(1.0 - ct * ct)
+        out[b] = np.column_stack([st * np.cos(phi), st * np.sin(phi), ct])
+    return out
+
+
 def sample_uniform_sphere_array(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniform points on S2 as an (n, 3) array (azimuth uniform, cos(theta)
-    uniform)."""
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    ct = rng.uniform(-1.0, 1.0, size=n)
-    st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
-    return np.column_stack([st * np.cos(phi), st * np.sin(phi), ct])
+    """n uniform points on S2 as an (n, 3) array: the azimuth's uniform
+    draws, then the height's."""
+    return sphere_points(rng.random(n), rng.random(n))
 
 
 def planar_vector(angle_deg: float) -> UnitVector:

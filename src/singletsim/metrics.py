@@ -26,6 +26,8 @@ from .protocol import OUTCOMES, CountTable, ExperimentConfig, run_experiment
 _ATOM_MERGE_TOL = 1e-9
 _TIE_TOL = 1e-12
 
+GOF_MIN_TRIALS = 100  # the fewest trials a chi-square goodness-of-fit test scores
+
 
 @dataclass(frozen=True)
 class ChshConfig:
@@ -283,8 +285,8 @@ def chi_square_gof(table: CountTable, kind: str):
     if kind != table.model:
         raise ValueError(f"a model {table.model} table scored as model {kind}")
     n = table.n_total
-    if n < 100:
-        raise ValueError("need at least 100 trials for the asymptotic test")
+    if n < GOF_MIN_TRIALS:
+        raise ValueError(f"need at least {GOF_MIN_TRIALS} trials for the asymptotic test")
     stat = 0.0
     cells = 0
     for sg, tu in OUTCOMES:

@@ -64,7 +64,7 @@ from typing import Optional
 import numpy as np
 
 from . import watches as wt
-from .geometry import row_blocks, rowdot, sample_uniform_sphere_array
+from .geometry import sample_uniform_sphere_array, sphere_points
 from .models import (
     MODEL_KINDS,
     SettingsPair,
@@ -236,19 +236,6 @@ def _watch_phases(config, t_pitch, out=None):
             wt.batter_phases_array(bank.watch_H.mirrored(), t_arrival, dt, right))
 
 
-def _watch_settings(phases):
-    """The per-trial setting vectors (n_L, n_R) of the phases that
-    :func:`_watch_phases` read, built in row blocks so that the map's
-    temporaries hold one block."""
-    vectors = []
-    for small, large in phases:
-        v = np.empty((small.size, 3))
-        for b in row_blocks(small.size):
-            v[b] = wt.phases_to_vectors_array(small[b], large[b])
-        vectors.append(v)
-    return tuple(vectors)
-
-
 def _watch_counts(kind, config, first_id, key, t_pitch, pitcher, buffers, vectors=False):
     """The outcomes (sigma, tau) of a chunk whose settings come off the
     watches at the pitch times ``t_pitch``, and the setting vectors (n_L, n_R)
@@ -262,7 +249,8 @@ def _watch_counts(kind, config, first_id, key, t_pitch, pitcher, buffers, vector
     first stops if the batters' setting vectors differ from the pitcher's
     reads of its clockwise watches by more than SETTING_AGREEMENT_TOL."""
     phases = _watch_phases(config, t_pitch, buffers)
-    settings = _watch_settings(phases) if vectors or config.log_events else None
+    settings = (tuple(sphere_points(*p) for p in phases) if vectors or config.log_events
+                else None)
     if config.log_events:
         bank, (n_L, n_R) = config.bank, settings
         err = np.maximum(np.abs(wt.watch_vectors_array(bank.watch_T, t_pitch) - n_L).max(axis=1),
@@ -274,13 +262,10 @@ def _watch_counts(kind, config, first_id, key, t_pitch, pitcher, buffers, vector
     (a_small, a_large), (b_small, b_large) = phases
     c = wt.phases_overlap(*phases, (a_small, b_small, a_large, b_large))
     np.clip(c, -1.0, 1.0, out=c)
-    return _outcomes(kind, t_pitch.size, key, c, pitcher, None, buffers[1:]), settings
+    return _outcomes(kind, t_pitch.size, key, c, pitcher, buffers[1:]), settings
 
 
-def _sign_responses(u, n_L, n_R):
-    """The deterministic responses sigma = sgn(u.n_L) and tau = sgn(-u.n_R),
-    with sgn(0) = +1."""
-    return outcome_int8(rowdot(u, n_L) >= 0.0), outcome_int8(-rowdot(u, n_R) >= 0.0)
+_ATOMS = (np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))  # the coins (w, up) of each atom
 
 
 def _atom_coins(rng, k):
@@ -290,34 +275,21 @@ def _atom_coins(rng, k):
     return rng.integers(0, 2, size=k), rng.integers(0, 2, size=k)
 
 
-def _atom_spins(rng, k, n_L, n_R):
-    """Model A and C spins for one settings pair shared by every trial: the
-    coins leave four atoms, u = (-n_L, n_L, -n_R, n_R), and a trial takes
-    row 2w + (1 if d = +1 else 0), so the batters respond once per atom.
-    Returns the atoms and each trial's row."""
-    w, up = _atom_coins(rng, k)
-    w *= 2
-    w += up
-    return np.stack((-n_L, n_L, -n_R, n_R)), w
-
-
 def _atom_spin(rng, k, n_L, n_R):
     """Each trial's model A or C spin u = d * n_w, shape (k, 3), for
-    settings of shape (3,) or (k, 3).  These are the bits of the atoms
-    :func:`_atom_spins` looks up: negation is exact."""
+    settings of shape (3,) or (k, 3)."""
     w, up = _atom_coins(rng, k)
     u = np.where(w[:, None] == 1, n_R, n_L)
     u *= (2.0 * up - 1.0)[:, None]
     return u
 
 
-def _atom_overlaps(rng, c, d, u_n_L):
-    """u.n_L and u.n_R of the spins _atom_spin builds, from the settings'
-    overlap c alone: u.n_L = d (w ? c : 1) and u.n_R = d (w ? 1 : c), the
-    self-overlap taken as the 1 it is in exact arithmetic.  In place: d and
-    u.n_L are written to the float arrays ``d`` and ``u_n_L``, and u.n_R
-    over ``c``."""
-    w, up = _atom_coins(rng, c.size)
+def _atom_overlaps(w, up, c, d, u_n_L):
+    """u.n_L and u.n_R of the spins _atom_spin builds from the coins ``w``
+    and ``up``, from the settings' overlap c alone: u.n_L = d (w ? c : 1)
+    and u.n_R = d (w ? 1 : c), the self-overlap taken as the 1 it is in
+    exact arithmetic.  In place: d and u.n_L are written to the float arrays
+    ``d`` and ``u_n_L``, and u.n_R over ``c``."""
     np.multiply(up, 2.0, out=d)
     d -= 1.0
     right = w == 1
@@ -349,11 +321,6 @@ def _pitch_times(pitcher, first_id, k, config, out=None):
     return t_pitch
 
 
-def _skip_jitter(pitcher, k):
-    """The fresh pitcher stream past its k jitter draws, skipped."""
-    return skip_words(pitcher, k)
-
-
 def _first_id(config, stream, chunk):
     """The trial id of a chunk's first trial.  Trial ids number every
     stream's trials consecutively, so they are unique across a run."""
@@ -377,8 +344,8 @@ def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int):
     into ``config.streams()``).  It keys and draws only what they need."""
     k, first_id, pair, key = _chunk(kind, config, stream, chunk)
     if pair is not None:
-        n_L, n_R = pair.n_L.as_array(), pair.n_R.as_array()
-        return _outcomes(kind, k, key, settings_overlap((n_L, n_R)), None, (n_L, n_R), None)
+        c = settings_overlap((pair.n_L.as_array(), pair.n_R.as_array()))
+        return _outcomes(kind, k, key, c, None, None)
     if kind == "B2":
         # A free-ticking spin watch gives a uniform spin, the pitcher's draws
         # after the jitter; the coordinator realizes the clock coupling by
@@ -400,13 +367,13 @@ def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int):
     return _watch_counts(kind, config, first_id, key, t_pitch, pitcher, buffers)[0]
 
 
-def _outcomes(kind, k, key, c, pitcher, pair, scratch):
+def _outcomes(kind, k, key, c, pitcher, scratch):
     """The outcomes (sigma, tau) of k trials of a model other than
-    watch-driven B2, given the settings' overlap c, of shape (1,) for the
-    settings pair ``pair`` = (n_L, n_R) or (k,) for watch-driven settings
-    (pair None), which the arithmetic overwrites.  ``pitcher`` is the
-    pitcher's stream past its jitter draws, or None to key it; ``scratch``
-    is float arrays of k rows to compute in, or None for fresh ones."""
+    watch-driven B2, given the settings' overlap c, of shape (1,) for one
+    settings pair shared by every trial or (k,) for watch-driven settings,
+    which the arithmetic overwrites.  ``pitcher`` is the pitcher's stream
+    past its jitter draws, or None to key it; ``scratch`` is float arrays of
+    k rows to compute in, or None for fresh ones."""
     def spare(n):
         return scratch[:n] if scratch is not None else [np.empty(k) for _ in range(n)]
 
@@ -423,32 +390,35 @@ def _outcomes(kind, k, key, c, pitcher, pair, scratch):
         np.copyto(cut, c, where=lower)
         return outcome_int8(lower), outcome_int8(r < cut)
     if pitcher is None:
-        pitcher = _skip_jitter(key(PITCHER), k)
+        pitcher = skip_words(key(PITCHER), k)
     if kind in ("B1", "B2"):
         # the spin given the settings (fixed-settings B2 conditions the clock
         # coupling on the pinned settings, which is the same spin law as B1);
         # the lune it lies in fixes the outcomes
         return lune_outcomes(c, pitcher, k, (*spare(1), c))
-    if pair is not None:
-        n_L, n_R = pair
-        u, rows = _atom_spins(pitcher, k, n_L, n_R)  # each trial's row of u and of its responses
-        if kind == "C":
-            return tuple(s[rows] for s in _sign_responses(u, n_L, n_R))
-        p_L, p_R = 0.5 * (1.0 + rowdot(u, n_L)), 0.5 * (1.0 - rowdot(u, n_R))
-        return (outcome_int8(key(BATTER_L).uniform(size=k) < p_L[rows]),
-                outcome_int8(key(BATTER_R).uniform(size=k) < p_R[rows]))
-    d, u_n_L = spare(2)
-    u_n_L, u_n_R = _atom_overlaps(pitcher, c, d, u_n_L)
+    if c.size == 1:
+        # a c shared by every trial: the rule is evaluated once on the four
+        # atoms (w, up) = 00, 01, 10, 11, and each trial looks up its row;
+        # the batters' uniforms are then drawn over the spent up coins
+        rows, up = _atom_coins(pitcher, k)
+        rows *= 2
+        rows += up
+        d = up.view(np.float64)
+        u_n_L, u_n_R = _atom_overlaps(*_ATOMS, np.repeat(c, 4), np.empty(4), np.empty(4))
+    else:
+        rows, (d, u_n_L) = slice(None), spare(2)
+        u_n_L, u_n_R = _atom_overlaps(*_atom_coins(pitcher, k), c, d, u_n_L)
     if kind == "C":
-        return outcome_int8(u_n_L >= 0.0), outcome_int8(np.negative(u_n_R, out=u_n_R) >= 0.0)
+        return (outcome_int8(u_n_L >= 0.0)[rows],
+                outcome_int8(np.negative(u_n_R, out=u_n_R) >= 0.0)[rows])
     # the response thresholds (1 + u.n_L) / 2 and (1 - u.n_R) / 2, against
     # the batters' uniforms drawn over d
     u_n_L += 1.0
     u_n_L *= 0.5
     np.subtract(1.0, u_n_R, out=u_n_R)
     u_n_R *= 0.5
-    return (outcome_int8(key(BATTER_L).random(out=d) < u_n_L),
-            outcome_int8(key(BATTER_R).random(out=d) < u_n_R))
+    return (outcome_int8(key(BATTER_L).random(out=d) < u_n_L[rows]),
+            outcome_int8(key(BATTER_R).random(out=d) < u_n_R[rows]))
 
 
 def chunk_balls(kind: str, config: ExperimentConfig, stream: int, chunk: int, read=None):
@@ -465,14 +435,14 @@ def chunk_balls(kind: str, config: ExperimentConfig, stream: int, chunk: int, re
     if read is None:
         t_pitch, settings = _pitch_times(pitcher, first_id, k, config), None
     else:
-        (t_pitch, settings), pitcher = read, _skip_jitter(pitcher, k)
+        (t_pitch, settings), pitcher = read, skip_words(pitcher, k)
     if kind == "QM":
         return t_pitch, None
     if pair is None and kind == "B2":
         return t_pitch, sample_uniform_sphere_array(pitcher, k)
     if settings is None:
         settings = ((pair.n_L.as_array(), pair.n_R.as_array()) if pair is not None
-                    else _watch_settings(_watch_phases(config, t_pitch)))
+                    else tuple(sphere_points(*p) for p in _watch_phases(config, t_pitch)))
     if kind in ("B1", "B2"):
         return t_pitch, sample_hidden_B1_array(settings, pitcher, k)
     return t_pitch, _atom_spin(pitcher, k, *settings)

@@ -1,6 +1,6 @@
 """Synchronized-watch substrate: two-hand watches with incommensurable
-periods, mirrored counterclockwise twins, the hand-phase-to-vector map, and
-the time-of-flight correction that lets a receiver reconstruct the sender's
+periods, mirrored counterclockwise twins, their setting vectors and overlaps,
+and the time-of-flight correction that lets a receiver reconstruct the sender's
 reading without any message.
 """
 
@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import sphere_points
+
 CLOCKWISE = "clockwise"
 COUNTERCLOCKWISE = "counterclockwise"
 
@@ -19,6 +21,10 @@ DEFAULT_PERIODS = {
     "H": (60.0 * math.sqrt(2.0), 720.0 * math.sqrt(3.0)),
     "T": (60.0 * math.sqrt(5.0), 720.0 * math.sqrt(7.0)),
 }
+
+# a period ratio within RATIO_TOL of p/q, with p, q <= MAX_DEN, is commensurable
+MAX_DEN = 64
+RATIO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,9 +74,8 @@ class WatchBank:
                              + "; ".join(failures))
 
     @staticmethod
-    def default(epoch: float = 0.0) -> "WatchBank":
-        mk = lambda k: WatchSpec(*DEFAULT_PERIODS[k], CLOCKWISE, epoch)
-        return WatchBank(mk("H"), mk("T"))
+    def default() -> "WatchBank":
+        return WatchBank(*(WatchSpec(*DEFAULT_PERIODS[k]) for k in "HT"))
 
 
 def _frac_inplace(x, tmp):
@@ -111,23 +116,9 @@ def read_phases_array(w: WatchSpec, t) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_read_phases(w, t, np.empty_like(t)))
 
 
-def phases_to_vectors_array(phase_small, phase_large) -> np.ndarray:
-    """Map hand phases to unit vectors, shape (n, 3): the small hand gives the
-    azimuth, the large hand the area-uniform polar coordinate
-    cos(theta) = 2*phase - 1.
-
-    This pushes the uniform torus measure to the uniform sphere measure, which
-    is what the equidistribution arguments need.
-    """
-    phi = 2.0 * math.pi * np.asarray(phase_small, dtype=float)
-    ct = np.clip(2.0 * np.asarray(phase_large, dtype=float) - 1.0, -1.0, 1.0)
-    st = np.sqrt(1.0 - ct * ct)
-    return np.column_stack([st * np.cos(phi), st * np.sin(phi), ct])
-
-
 def phases_overlap(a, b, out=None) -> np.ndarray:
-    """n_L.n_R of the vectors that phases_to_vectors_array maps the phase
-    pairs ``a`` = (small, large) and ``b`` to, without building them:
+    """n_L.n_R of the vectors that :func:`geometry.sphere_points` maps the
+    phase pairs ``a`` = (small, large) and ``b`` to, without building them:
     st_a st_b cos(2 pi (small_a - small_b)) + ct_a ct_b, with ct and st
     computed as that map computes them.
 
@@ -149,7 +140,6 @@ def phases_overlap(a, b, out=None) -> np.ndarray:
     for (_, large), x in zip((a, b), cts):
         x = np.multiply(large, 2.0, out=x)
         x -= 1.0
-        np.clip(x, -1.0, 1.0, out=x)
         np.multiply(x, x, out=st)
         np.subtract(1.0, st, out=st)
         np.sqrt(st, out=st)
@@ -163,7 +153,7 @@ def phases_overlap(a, b, out=None) -> np.ndarray:
 def watch_vectors_array(w: WatchSpec, t) -> np.ndarray:
     """The setting vectors the pitcher reads off watch ``w`` at an array of
     times, shape (n, 3)."""
-    return phases_to_vectors_array(*read_phases_array(w, t))
+    return sphere_points(*read_phases_array(w, t))
 
 
 def batter_phases_array(mirror: WatchSpec, t_arrival, delta_t,
@@ -201,12 +191,12 @@ def batter_phases_array(mirror: WatchSpec, t_arrival, delta_t,
 def batter_vectors_array(mirror: WatchSpec, t_arrival, delta_t) -> np.ndarray:
     """The pitch-time setting vectors a batter reconstructs from its mirrored
     watch, shape (n, 3): the vectors of :func:`batter_phases_array`."""
-    return phases_to_vectors_array(*batter_phases_array(mirror, t_arrival, delta_t))
+    return sphere_points(*batter_phases_array(mirror, t_arrival, delta_t))
 
 
-def check_incommensurable(periods, max_den: int = 64, tol: float = 1e-9) -> list[str]:
-    """The pairs of periods whose ratio lies within ``tol`` of a rational p/q
-    with p, q <= ``max_den``, or whose ratio or its inverse overflows, one
+def check_incommensurable(periods) -> list[str]:
+    """The pairs of periods whose ratio lies within RATIO_TOL of a rational
+    p/q with p, q <= MAX_DEN, or whose ratio or its inverse overflows, one
     line each; an empty list means they pass.
 
     Failure is a list, not an exception; construction-time validation decides
@@ -222,9 +212,9 @@ def check_incommensurable(periods, max_den: int = 64, tol: float = 1e-9) -> list
             if not (math.isfinite(r) and math.isfinite(periods[j] / periods[i])):
                 failures.append(f"periods[{i}]/periods[{j}] = {r!r} or its inverse is not finite")
                 continue
-            for q in range(1, max_den + 1):
+            for q in range(1, MAX_DEN + 1):
                 p = round(r * q)
-                if 1 <= p <= max_den and abs(r - p / q) <= tol:
+                if 1 <= p <= MAX_DEN and abs(r - p / q) <= RATIO_TOL:
                     failures.append(
                         f"periods[{i}]/periods[{j}] = {r!r} ~ {p}/{q}"
                     )

@@ -201,6 +201,19 @@ def test_verify_repeated_model_is_usage_error(capsys, models):
     assert err.splitlines() == [f"usage error: model {models.split(',')[-1]!r} is named twice"]
 
 
+@pytest.mark.parametrize("trials", ["50", "99", "0"])
+def test_verify_too_few_trials_is_usage_error_before_any_chunk(monkeypatch, capsys, trials):
+    # the goodness-of-fit test needs 100 trials per angle: fewer is refused
+    # before any chunk runs, not after every chunk has run
+    chunks = []
+    monkeypatch.setattr(protocol, "run_chunk", lambda *a: chunks.append(a))
+    assert run(["verify", "--model", "A", "--grid", "3", "--trials", trials]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and chunks == []
+    assert err.splitlines() == [f"usage error: --trials must be >= 100 for the asymptotic "
+                                f"test, got {trials}"]
+
+
 def test_theta_labels_that_print_alike_are_config_error(tmp_path, capsys):
     # both angles print as theta=60 under :g
     assert run(["simulate", "--model", "QM", "--theta-deg", "60", "60.00001",

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from singletsim.geometry import (
+    ROW_BLOCK,
     UnitVector,
     sample_uniform_sphere_array,
     sign_array,
+    sphere_points,
 )
 from singletsim.models import SettingsPair
 
@@ -82,3 +86,34 @@ def test_uniform_sphere_moments():
     assert np.max(np.abs(u.mean(axis=0))) < 0.005
     second = u.T @ u / u.shape[0]
     assert np.max(np.abs(second - np.eye(3) / 3.0)) < 0.01
+
+
+def _unblocked_sphere_points(azimuth, height):
+    """Oracle: the phase-to-sphere map over all rows at once."""
+    phi = 2.0 * math.pi * azimuth
+    ct = 2.0 * height - 1.0
+    st = np.sqrt(1.0 - ct * ct)
+    return np.column_stack([st * np.cos(phi), st * np.sin(phi), ct])
+
+
+@pytest.mark.parametrize("n", [0, 1, ROW_BLOCK, ROW_BLOCK + 1, (1 << 17) + 3])
+def test_sphere_points_match_the_unblocked_map(n):
+    # empty, one row, one whole block, one row past it, and a ragged last block
+    rng = np.random.default_rng(n)
+    azimuth, height = rng.random(n), rng.random(n)
+    got = sphere_points(azimuth, height)
+    assert got.shape == (n, 3)
+    np.testing.assert_array_equal(got, _unblocked_sphere_points(azimuth, height))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, (1 << 17) + 3])
+def test_uniform_sphere_samples_are_the_map_of_two_draws(n):
+    # the azimuth's draws, then the height's, from the same stream; these
+    # are the bits of uniform(0, 2 pi) and uniform(-1, 1) draws
+    got = sample_uniform_sphere_array(np.random.default_rng(9), n)
+    rng = np.random.default_rng(9)
+    np.testing.assert_array_equal(got, sphere_points(rng.random(n), rng.random(n)))
+    rng = np.random.default_rng(9)
+    phi, ct = rng.uniform(0.0, 2.0 * math.pi, size=n), rng.uniform(-1.0, 1.0, size=n)
+    st = np.sqrt(1.0 - ct * ct)
+    np.testing.assert_array_equal(got, np.column_stack([st * np.cos(phi), st * np.sin(phi), ct]))

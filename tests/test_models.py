@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from singletsim import models
-from singletsim.geometry import UnitVector, rowdot, sample_uniform_sphere_array
+from singletsim.geometry import UnitVector, rowdot, sample_uniform_sphere_array, sign_array
 from singletsim.metrics import two_sample_chi_square
 from singletsim.models import (
     MODEL_KINDS,
@@ -21,7 +21,6 @@ from singletsim.models import (
 )
 from singletsim.protocol import (
     ExperimentConfig,
-    _sign_responses,
     chunk_balls,
     run_chunk,
     run_experiment,
@@ -331,7 +330,8 @@ def test_lune_outcomes_are_the_signs_of_the_lune_spins():
             g.bit_generator.random_raw(i % 4)
         sigma, tau = lune_outcomes(settings_overlap((n_L, n_R)), lune_rng, n)
         u = sample_hidden_B1_array((n_L, n_R), spin_rng, n)
-        want_sigma, want_tau = _sign_responses(u, n_L, n_R)
+        # oracle: the deterministic responses sgn(u.n_L) and sgn(-u.n_R)
+        want_sigma, want_tau = sign_array(rowdot(u, n_L)), sign_array(-rowdot(u, n_R))
         assert sigma.dtype == tau.dtype == np.int8
         np.testing.assert_array_equal(sigma, want_sigma)
         np.testing.assert_array_equal(tau, want_tau)

@@ -9,12 +9,20 @@ import pytest
 from singletsim import protocol
 from singletsim import watches as wt
 from singletsim.cli import EXIT_AUDIT, EXIT_OK, EXIT_USAGE, main
-from singletsim.geometry import UnitVector, rowdot, sample_uniform_sphere_array
+from singletsim.geometry import (
+    UnitVector,
+    rowdot,
+    sample_uniform_sphere_array,
+    sign_array,
+    sphere_points,
+)
+from singletsim.metrics import chi_square_gof
 from singletsim.models import (
     SettingsPair,
     outcome_int8,
     sample_hidden_B1_array,
     sample_settings_B2_array,
+    skip_words,
 )
 from singletsim.protocol import (
     BATTER_L,
@@ -194,8 +202,9 @@ def test_counts_build_only_the_columns_they_read(monkeypatch):
         monkeypatch.setattr(protocol, name, lambda *a, f=getattr(protocol, name):
                             samplers.append(1) or f(*a))
     vectors = []
-    for name in ("phases_to_vectors_array", "batter_vectors_array"):
-        monkeypatch.setattr(wt, name, lambda *a, f=getattr(wt, name):
+    for mod, name in ((protocol, "sphere_points"), (wt, "sphere_points"),
+                      (wt, "batter_vectors_array")):
+        monkeypatch.setattr(mod, name, lambda *a, f=getattr(mod, name):
                             vectors.append(1) or f(*a))
 
     def pitch_time_builds(kind, config):
@@ -252,7 +261,7 @@ def _replayed_spin(kind, config):
     atom that each trial's row looks up)."""
     k, pair = config.trials, config.streams()[0][1]
     tag = f"{kind}:free" if pair is None else f"{kind}:pair0"
-    pitcher = protocol._skip_jitter(protocol._stream(config.seed, tag, 0, PITCHER), k)
+    pitcher = skip_words(protocol._stream(config.seed, tag, 0, PITCHER), k)
     if pair is None and kind == "B2":
         return sample_uniform_sphere_array(pitcher, k)
     if pair is None:
@@ -266,8 +275,22 @@ def _replayed_spin(kind, config):
         return sample_hidden_B1_array(settings, pitcher, k)
     if pair is None:
         return protocol._atom_spin(pitcher, k, *settings)
-    u, rows = protocol._atom_spins(pitcher, k, *settings)
-    return u[rows]
+    return _atom_rows(pitcher, k, *settings)[0]
+
+
+def _atom_rows(pitcher, k, n_L, n_R):
+    """Oracle: the four atoms (-n_L, n_L, -n_R, n_R) of a fixed pair's A or
+    C spin, looked up by each trial's row 2w + up of the pitcher's coins,
+    and the atoms and rows themselves."""
+    w, up = pitcher.integers(0, 2, size=k), pitcher.integers(0, 2, size=k)
+    atoms, rows = np.stack((-n_L, n_L, -n_R, n_R)), 2 * w + up
+    return atoms[rows], atoms, rows
+
+
+def _sign_responses(u, n_L, n_R):
+    """Oracle: the deterministic responses sigma = sgn(u.n_L) and
+    tau = sgn(-u.n_R), with sgn(0) = +1."""
+    return sign_array(rowdot(u, n_L)), sign_array(-rowdot(u, n_R))
 
 
 # the streams a counting pass keys, by model and by fixed or watch-driven
@@ -413,7 +436,7 @@ def _vector_kernel(kind, config, chunk):
     if kind == "A":
         return (outcome_int8(batter_l.uniform(size=k) < 0.5 * (1.0 + rowdot(u, n_L))),
                 outcome_int8(batter_r.uniform(size=k) < 0.5 * (1.0 - rowdot(u, n_R))), u)
-    return (*protocol._sign_responses(u, n_L, n_R), u)
+    return (*_sign_responses(u, n_L, n_R), u)
 
 
 def test_overlap_kernel_matches_the_vector_kernel():
@@ -431,6 +454,61 @@ def test_overlap_kernel_matches_the_vector_kernel():
                     np.testing.assert_array_equal(chunk_balls(kind, config, 0, ci)[1], u)
 
 
+def _atom_vector_kernel(kind, config, stream, chunk):
+    """Oracle: a fixed pair's A or C (sigma, tau) of one chunk as computed
+    from the built atom vectors: the four atoms +-n_L, +-n_R and each
+    trial's row of them, then the thresholds 0.5 (1 +- rowdot) against the
+    batter uniforms (A) or the signs of rowdot (C), once per atom."""
+    k = min(protocol._CHUNK, config.trials - chunk * protocol._CHUNK)
+    pair = config.streams()[stream][1]
+    n_L, n_R = pair.n_L.as_array(), pair.n_R.as_array()
+    tag = f"{kind}:pair{stream}"
+    key = lambda role: protocol._stream(config.seed, tag, chunk, role)  # noqa: E731
+    _, atoms, rows = _atom_rows(skip_words(key(PITCHER), k), k, n_L, n_R)
+    if kind == "C":
+        return tuple(s[rows] for s in _sign_responses(atoms, n_L, n_R))
+    p_L, p_R = 0.5 * (1.0 + rowdot(atoms, n_L)), 0.5 * (1.0 - rowdot(atoms, n_R))
+    return (outcome_int8(key(BATTER_L).uniform(size=k) < p_L[rows]),
+            outcome_int8(key(BATTER_R).uniform(size=k) < p_R[rows]))
+
+
+def test_fixed_atom_kernel_matches_the_vector_kernel():
+    # A and C of a fixed pair respond from the overlap c alone; the atom
+    # vectors give the same outcomes.  The 37 angles 0..180 in steps of 5
+    # and 20 random pairs given as non-unit vectors, each as a full chunk
+    # and a last chunk of 1 or 5 trials: about 3e7 trials
+    rng = np.random.default_rng(20)
+    pairs = [(f"theta={d}", SettingsPair(Z, planar(d))) for d in range(0, 181, 5)]
+    non_unit = lambda: rng.normal(size=3) * rng.uniform(0.1, 10.0)  # noqa: E731
+    pairs += [(f"r{i}", SettingsPair(UnitVector.normalized(*non_unit()),
+                                     UnitVector.normalized(*non_unit()))) for i in range(20)]
+    for kind in ("A", "C"):
+        for seed, last in ((1, 1), (2, 5)):
+            config = ExperimentConfig(trials=protocol._CHUNK + last, seed=seed,
+                                      settings_pairs=pairs)
+            for si in range(len(pairs)):
+                for ci in range(config.chunks()):
+                    sigma, tau = run_chunk(kind, config, si, ci)
+                    want = _atom_vector_kernel(kind, config, si, ci)
+                    np.testing.assert_array_equal(sigma, want[0])
+                    np.testing.assert_array_equal(tau, want[1])
+
+
+@pytest.mark.parametrize("kind", ["A", "B1", "B2", "C", "QM"])
+def test_far_fixed_chunk_follows_its_law(kind):
+    # chunk index 2^40, whose first trial id is 2^57: the counting pass
+    # keys its streams by chunk index alone, so a chunk no run of the test
+    # sizes reaches still follows its model's law
+    chunk = 1 << 40
+    config = fixed_config(deg=60.0, trials=(chunk + 1) * protocol._CHUNK, seed=3)
+    assert protocol._first_id(config, 0, chunk) == 1 << 57
+    counts = protocol._chunk_counts(kind, config, 0, chunk)
+    table = protocol.CountTable("theta=60", kind, config.settings_pairs[0][1],
+                                {o: int(n) for o, n in zip(protocol.OUTCOMES, counts)})
+    assert table.n_total == protocol._CHUNK
+    assert chi_square_gof(table, kind)[1] > 1e-3
+
+
 def _settings_of(kind, config, t_pitch, spin, stream, chunk):
     """The settings of a B1 or B2 chunk's trials: the pair, the watches' read
     at the chunk's pitch times, or the coordinator's draw given its spins."""
@@ -438,7 +516,7 @@ def _settings_of(kind, config, t_pitch, spin, stream, chunk):
     if pair is not None:
         return pair.n_L.as_array(), pair.n_R.as_array()
     if kind == "B1":
-        return protocol._watch_settings(protocol._watch_phases(config, t_pitch))
+        return tuple(sphere_points(*p) for p in protocol._watch_phases(config, t_pitch))
     coordinator = protocol._stream(config.seed, "B2:free", chunk, COORDINATOR)
     return sample_settings_B2_array(spin, coordinator, len(spin))
 
@@ -461,7 +539,7 @@ def test_lune_outcomes_are_the_signs_of_the_spin_on_read():
                     for ci in range(config.chunks()):
                         sigma, tau = run_chunk(kind, config, si, ci)
                         t_pitch, spin = chunk_balls(kind, config, si, ci)
-                        want = protocol._sign_responses(
+                        want = _sign_responses(
                             spin, *_settings_of(kind, config, t_pitch, spin, si, ci))
                         np.testing.assert_array_equal(sigma, want[0])
                         np.testing.assert_array_equal(tau, want[1])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from singletsim import watches as wt
+from singletsim.geometry import sphere_points
 from singletsim.watches import (
     WatchBank,
     WatchSpec,
@@ -12,7 +13,6 @@ from singletsim.watches import (
     batter_vectors_array,
     check_incommensurable,
     phases_overlap,
-    phases_to_vectors_array,
     read_phases_array,
     watch_vectors_array,
 )
@@ -51,7 +51,7 @@ def test_mirrored_phase_conservation():
 
 
 def test_phases_to_vector_map():
-    v = phases_to_vectors_array([0.0, 0.25, 0.0, 0.0], [0.5, 0.5, 1.0 - 1e-12, 0.0])
+    v = sphere_points(np.array([0.0, 0.25, 0.0, 0.0]), np.array([0.5, 0.5, 1.0 - 1e-12, 0.0]))
     assert v[0] == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
     assert v[1] == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
     assert v[2, 2] == pytest.approx(1.0, abs=1e-5)
@@ -110,14 +110,13 @@ def test_batter_vectors_are_the_vectors_of_the_batter_phases():
     t = np.random.default_rng(2).uniform(0.0, 1e9, size=1000)
     phases = batter_phases_array(mirror, t, 1.5)
     assert all(((p >= 0.0) & (p < 1.0)).all() for p in phases)
-    assert np.array_equal(batter_vectors_array(mirror, t, 1.5), phases_to_vectors_array(*phases))
+    assert np.array_equal(batter_vectors_array(mirror, t, 1.5), sphere_points(*phases))
 
 
 def test_phases_overlap_is_the_dot_product_of_the_vectors():
     rng = np.random.default_rng(6)
     a, b = rng.uniform(size=(2, 2, 200_000))
-    dot = lambda p, q: np.einsum("ij,ij->i", phases_to_vectors_array(*p),  # noqa: E731
-                                 phases_to_vectors_array(*q))
+    dot = lambda p, q: np.einsum("ij,ij->i", sphere_points(*p), sphere_points(*q))  # noqa: E731
     assert np.max(np.abs(phases_overlap(a, b) - dot(a, b))) < 2e-15
     # a pole (st = 0) leaves only the ct products, exactly
     for pole in (0.0, 1.0):
