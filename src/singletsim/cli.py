@@ -37,13 +37,12 @@ from .protocol import (
     SETTING_AGREEMENT_TOL,
     ExperimentConfig,
     ProtocolIntegrityError,
-    audit_locality,
+    audit_event_log,
     count_jobs,
     count_tables,
     f17,
     joint_chunk,
     pool_map,
-    read_event_log,
     run_experiment,
     write_counts_csv,
     write_event_log,
@@ -347,6 +346,9 @@ def _load_chsh_config(path) -> ChshConfig:
 def cmd_chsh(args) -> int:
     if bool(args.config) == bool(args.optimize):
         raise UsageError("exactly one of --config or --optimize is required")
+    if args.mode == "empirical" and args.trials < GOF_MIN_TRIALS:
+        raise UsageError(f"--trials must be >= {GOF_MIN_TRIALS} for an empirical E, "
+                         f"got {args.trials}")
     threads = _threads(args)
     # where the configuration comes from, then how it is scored; nothing is
     # printed until both are done, so a config error leaves stdout empty
@@ -425,7 +427,7 @@ def cmd_freewill(args) -> int:
 
 def cmd_audit(args) -> int:
     try:
-        report = audit_locality(read_event_log(args.log), args.model)
+        report = audit_event_log(args.log, args.model)
     except (OSError, ValueError) as exc:
         print(f"cannot read event log: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -54,6 +54,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 from array import array
 from concurrent.futures import ThreadPoolExecutor
@@ -464,44 +465,52 @@ def _both_passes(kind, config, stream, chunk):
     return sigma, tau, *chunk_balls(kind, config, stream, chunk, (t_pitch, settings))
 
 
+def _negated(s):
+    """repr(-x) from s = repr(x), for any float x but NaN (-0.0 included)."""
+    return s[1:] if s[0] == "-" else "-" + s
+
+
 def _chunk_lines(first_id, sigma, tau, t_pitch, spin, dt):
     """The event-log text of each trial of a chunk, spelled from one line
     template per message kind exactly as ``json.dumps`` spells the message's
-    object (default separators, floats by repr).  Trial ids are consecutive
-    over the run, so a trial's first message has seq = messages per trial *
-    trial id.  Only _LOG_ROWS trials at a time become Python objects."""
+    object (default separators, floats by repr): a trial's balls, if it has
+    any, then its two result reports.  Each distinct float of a trial is
+    spelled once, the right ball's spin from the left's.  Trial ids are
+    consecutive over the run, so a trial's first message has seq = messages
+    per trial * trial id.  Only _LOG_ROWS trials at a time become Python
+    objects."""
     # float(): the repr of a NumPy float is no JSON number
     dt_json, dt = json.dumps(dt), float(dt)
+    per_trial = 2 if spin is None else 4
     for lo in range(0, t_pitch.size, _LOG_ROWS):
         rows = slice(lo, lo + _LOG_ROWS)
         times = t_pitch[rows].tolist()
-        trials = zip(range(first_id + lo, first_id + lo + len(times)), times,
-                     sigma[rows].tolist(), tau[rows].tolist())
-        if spin is None:
-            for tid, t, left, right in trials:
-                yield _report_lines(2 * tid, tid, t + dt, left, right)
-            continue
-        for (tid, t, left, right), (x, y, z) in zip(trials, spin[rows].tolist()):
-            s = 4 * tid
-            yield (
-                f'{{"seq": {s}, "t_send": {t!r}, "sender": "pitcher", "receiver": "batter_L", '
-                f'"kind": "ball", "payload": {{"trial_id": {tid}, "spin": [{x!r}, {y!r}, {z!r}], '
-                f'"t_pitch": {t!r}, "delta_t": {dt_json}}}}}\n'
-                f'{{"seq": {s + 1}, "t_send": {t!r}, "sender": "pitcher", "receiver": "batter_R", '
-                f'"kind": "ball", "payload": {{"trial_id": {tid}, "spin": [{-x!r}, {-y!r}, {-z!r}], '
-                f'"t_pitch": {t!r}, "delta_t": {dt_json}}}}}\n'
-                + _report_lines(s + 2, tid, t + dt, left, right)
+        spins = [None] * len(times) if spin is None else spin[rows].tolist()
+        for tid, t, left, right, u in zip(range(first_id + lo, first_id + lo + len(times)), times,
+                                          sigma[rows].tolist(), tau[rows].tolist(), spins):
+            s, balls = per_trial * tid, ""
+            if u is not None:
+                t_json = repr(t)
+                x, y, z = map(repr, u)
+                balls = (
+                    f'{{"seq": {s}, "t_send": {t_json}, "sender": "pitcher", '
+                    f'"receiver": "batter_L", "kind": "ball", "payload": {{"trial_id": {tid}, '
+                    f'"spin": [{x}, {y}, {z}], "t_pitch": {t_json}, "delta_t": {dt_json}}}}}\n'
+                    f'{{"seq": {s + 1}, "t_send": {t_json}, "sender": "pitcher", '
+                    f'"receiver": "batter_R", "kind": "ball", "payload": {{"trial_id": {tid}, '
+                    f'"spin": [{_negated(x)}, {_negated(y)}, {_negated(z)}], '
+                    f'"t_pitch": {t_json}, "delta_t": {dt_json}}}}}\n'
+                )
+                s += 2
+            t_json = repr(t + dt)
+            yield balls + (
+                f'{{"seq": {s}, "t_send": {t_json}, "sender": "batter_L", '
+                f'"receiver": "coordinator", "kind": "result_report", '
+                f'"payload": {{"trial_id": {tid}, "outcome": {left}}}}}\n'
+                f'{{"seq": {s + 1}, "t_send": {t_json}, "sender": "batter_R", '
+                f'"receiver": "coordinator", "kind": "result_report", '
+                f'"payload": {{"trial_id": {tid}, "outcome": {right}}}}}\n'
             )
-
-
-def _report_lines(s, tid, t_send, sigma, tau):
-    """A trial's two result reports, numbered s and s + 1."""
-    return (
-        f'{{"seq": {s}, "t_send": {t_send!r}, "sender": "batter_L", "receiver": "coordinator", '
-        f'"kind": "result_report", "payload": {{"trial_id": {tid}, "outcome": {sigma}}}}}\n'
-        f'{{"seq": {s + 1}, "t_send": {t_send!r}, "sender": "batter_R", "receiver": "coordinator", '
-        f'"kind": "result_report", "payload": {{"trial_id": {tid}, "outcome": {tau}}}}}\n'
-    )
 
 
 def joint_chunk(kind: str, config: ExperimentConfig, chunk: int):
@@ -603,6 +612,74 @@ def run_experiment(kind: str, config: ExperimentConfig):
     return count_tables(kind, config, counts), EventLog(kind, config) if config.log_events else None
 
 
+_BATTERS = (BATTER_L, BATTER_R)
+_BALL_KEYS = {"trial_id", "spin", "t_pitch", "delta_t"}  # all that a ball may carry
+
+
+class _Tally:
+    """What an audit keeps of the messages it has read: the violations, the
+    message and ball counts, and an integer per trial and per ball."""
+
+    def __init__(self):
+        self.violations = []
+        self.messages = self.balls = 0
+        self.trial_ids = array("q")  # each trial id, once per run of messages carrying it
+        self.ball_ids = {b: array("q") for b in _BATTERS}
+
+    def check(self, m):
+        """Tally one message, and record its breaches of rules 1 to 5."""
+        self.messages += 1
+        violations = self.violations
+        seq, sender, receiver, payload = m["seq"], m["sender"], m["receiver"], m["payload"]
+        if sender in _BATTERS and receiver in _BATTERS:
+            violations.append((seq, 1, f"batter-to-batter message {sender}->{receiver}"))
+        if sender in _BATTERS and receiver == PITCHER:
+            violations.append((seq, 2, f"batter-to-pitcher message from {sender}"))
+        tid = payload.get("trial_id")
+        if not (type(tid) is int and -(1 << 63) <= tid < 1 << 63):
+            if m["kind"] in ("ball", "result_report"):
+                got = json.dumps(tid) if "trial_id" in payload else "none"
+                violations.append(
+                    (seq, 4, f"{m['kind']} has trial id {got}, not a 64-bit integer"))
+            tid = None
+        elif not self.trial_ids or self.trial_ids[-1] != tid:
+            self.trial_ids.append(tid)
+        if m["kind"] == "ball":
+            self.balls += 1
+            extra = set(payload) - _BALL_KEYS
+            if extra:
+                violations.append(
+                    (seq, 3, f"ball payload carries forbidden fields {sorted(extra)}")
+                )
+            if tid is not None and receiver in self.ball_ids:
+                self.ball_ids[receiver].append(tid)
+        if m["kind"] == "result_report" and receiver != COORDINATOR:
+            violations.append((seq, 5, f"result report routed to {receiver}"))
+
+    def report(self, kind) -> AuditReport:
+        """The audit of the messages tallied: their violations, then rule
+        4's count of each trial's balls to each batter."""
+        violations = self.violations
+        if kind != "QM":
+            # the distinct trial ids, sorted: np.unique would import numpy.ma
+            tids = np.sort(np.asarray(self.trial_ids, dtype=np.int64))
+            keep = np.ones(tids.size, dtype=bool)
+            np.not_equal(tids[1:], tids[:-1], out=keep[1:])
+            tids = tids[keep]
+            got = np.stack([
+                np.bincount(np.searchsorted(tids, np.asarray(self.ball_ids[b], dtype=np.int64)),
+                            minlength=tids.size)
+                for b in _BATTERS
+            ], axis=1)
+            for i, j in np.argwhere(got != 1):
+                violations.append(
+                    (-1, 4, f"trial {tids[i]}: {got[i, j]} balls to {_BATTERS[j]}, expected 1")
+                )
+        elif self.balls:
+            violations.append((-1, 4, "analytic reference run contains ball messages"))
+        return AuditReport(passed=not violations, violations=violations, messages=self.messages)
+
+
 def audit_locality(log, kind: str) -> AuditReport:
     """Check the message-flow discipline that operationalizes 'no communication'.
 
@@ -618,57 +695,10 @@ def audit_locality(log, kind: str) -> AuditReport:
     keeps only an integer per trial and per ball, so a log streamed from disk
     is never held in memory.
     """
-    violations = []
-    batters = (BATTER_L, BATTER_R)
-    allowed_ball_keys = {"trial_id", "spin", "t_pitch", "delta_t"}
-    trial_ids = array("q")  # each trial id, once per run of messages carrying it
-    ball_ids = {b: array("q") for b in batters}
-    n_messages = n_balls = 0
+    tally = _Tally()
     for m in log:
-        n_messages += 1
-        seq, sender, receiver, payload = m["seq"], m["sender"], m["receiver"], m["payload"]
-        if sender in batters and receiver in batters:
-            violations.append((seq, 1, f"batter-to-batter message {sender}->{receiver}"))
-        if sender in batters and receiver == PITCHER:
-            violations.append((seq, 2, f"batter-to-pitcher message from {sender}"))
-        tid = payload.get("trial_id")
-        if not (type(tid) is int and -(1 << 63) <= tid < 1 << 63):
-            if m["kind"] in ("ball", "result_report"):
-                got = json.dumps(tid) if "trial_id" in payload else "none"
-                violations.append(
-                    (seq, 4, f"{m['kind']} has trial id {got}, not a 64-bit integer"))
-            tid = None
-        elif not trial_ids or trial_ids[-1] != tid:
-            trial_ids.append(tid)
-        if m["kind"] == "ball":
-            n_balls += 1
-            extra = set(payload) - allowed_ball_keys
-            if extra:
-                violations.append(
-                    (seq, 3, f"ball payload carries forbidden fields {sorted(extra)}")
-                )
-            if tid is not None and receiver in ball_ids:
-                ball_ids[receiver].append(tid)
-        if m["kind"] == "result_report" and receiver != COORDINATOR:
-            violations.append((seq, 5, f"result report routed to {receiver}"))
-    if kind != "QM":
-        # the distinct trial ids, sorted: np.unique would import numpy.ma
-        tids = np.sort(np.asarray(trial_ids, dtype=np.int64))
-        keep = np.ones(tids.size, dtype=bool)
-        np.not_equal(tids[1:], tids[:-1], out=keep[1:])
-        tids = tids[keep]
-        got = np.stack([
-            np.bincount(np.searchsorted(tids, np.asarray(ball_ids[b], dtype=np.int64)),
-                        minlength=tids.size)
-            for b in batters
-        ], axis=1)
-        for i, j in np.argwhere(got != 1):
-            violations.append(
-                (-1, 4, f"trial {tids[i]}: {got[i, j]} balls to {batters[j]}, expected 1")
-            )
-    elif n_balls:
-        violations.append((-1, 4, "analytic reference run contains ball messages"))
-    return AuditReport(passed=not violations, violations=violations, messages=n_messages)
+        tally.check(m)
+    return tally.report(kind)
 
 
 def write_event_log(log: EventLog, path):
@@ -719,6 +749,15 @@ def _message(line):
     return m
 
 
+def _numbered_message(line, lineno):
+    """The message of event-log line number ``lineno``, given stripped; a
+    ValueError names the line."""
+    try:
+        return _message(line)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"malformed event log at line {lineno}: {exc}") from exc
+
+
 def read_event_log(path):
     """The messages of an event-log file, parsed one line at a time as they
     are iterated; a line that is not strict JSON, not an object, nested too
@@ -726,14 +765,62 @@ def read_event_log(path):
     not finite raises ValueError naming its number."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if line := line.strip():
+                yield _numbered_message(line, lineno)
+
+
+# A ball or a result report as _chunk_lines spells it, with its numbers
+# bounded so that the JSON parser takes each without error and to the same
+# type: an integer of at most 18 digits, inside int64 and far below Python's
+# limit on the digits of an int, and a number of at most 16 integer and 20
+# fraction digits (all that repr writes) and a two-digit exponent, which is
+# finite.  The groups are a ball's receiver and trial id and a report's trial
+# id.
+_INT = r"(?:0|[1-9][0-9]{0,17})"
+_NUM = r"-?(?:0|[1-9][0-9]{0,15})(?:\.[0-9]{1,20})?(?:e[-+][0-9]{2})?"
+_WRITER_LINE = (
+    r'\{"seq": INT, "t_send": NUM, "sender": (?:'
+    r'"pitcher", "receiver": "(batter_[LR])", "kind": "ball", "payload": \{"trial_id": (INT), '
+    r'"spin": \[NUM, NUM, NUM\], "t_pitch": NUM, "delta_t": NUM\}'
+    r'|"batter_[LR]", "receiver": "coordinator", "kind": "result_report", '
+    r'"payload": \{"trial_id": (INT), "outcome": -?1\})\}\n'
+).replace("INT", _INT).replace("NUM", _NUM)
+
+
+def audit_event_log(path, kind: str) -> AuditReport:
+    """:func:`audit_locality` of :func:`read_event_log`, with the same report
+    or ValueError, reading a line in the writer's own spelling without
+    parsing it.  A line spelled exactly as :func:`_chunk_lines` writes a ball
+    or a result report breaks none of rules 1, 2, 3 and 5 and names its trial
+    by a 64-bit integer, so it is tallied from its trial id and, for a ball,
+    its receiver; every other line is stripped, parsed and checked as
+    before."""
+    tally = _Tally()
+    # compiled on the first audit, not at import; re keeps it for the next
+    writer_line = re.compile(_WRITER_LINE, re.ASCII).fullmatch
+    trial_ids, ball_ids = tally.trial_ids, tally.ball_ids
+    # the trial id of the last line in the writer's spelling, and its value
+    last = tid = None
+    messages = balls = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            hit = writer_line(line)
+            if hit is None:
+                if line := line.strip():
+                    tally.check(_numbered_message(line, lineno))
                 continue
-            try:
-                m = _message(line)
-            except (ValueError, RecursionError) as exc:
-                raise ValueError(f"malformed event log at line {lineno}: {exc}") from exc
-            yield m
+            receiver, ball_tid, report_tid = hit.groups()
+            spelled = ball_tid or report_tid
+            if spelled != last:
+                last, tid = spelled, int(spelled)
+                trial_ids.append(tid)
+            messages += 1
+            if receiver is not None:
+                balls += 1
+                ball_ids[receiver].append(tid)
+    tally.messages += messages
+    tally.balls += balls
+    return tally.report(kind)
 
 
 def f17(x) -> str:

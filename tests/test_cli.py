@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from singletsim import protocol
+from singletsim import cli, protocol
 from singletsim.cli import (
     EXIT_AUDIT,
     EXIT_OK,
@@ -316,18 +316,25 @@ def test_chsh_bad_coarse_deg_is_config_error(capsys, coarse):
     assert len(err) == 1 and err[0].startswith("config error:")
 
 
-@pytest.mark.parametrize("source", [["--optimize", "--coarse-deg", "90"], ["--config"]])
-def test_chsh_bad_trials_is_config_error_before_any_output(tmp_path, capsys, source):
-    if source == ["--config"]:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"a": [0, 0, 1], "a_prime": [1, 0, 0],
-                                   "b": [0, 0, 1], "b_prime": [1, 0, 0]}))
-        source = ["--config", str(cfg)]
-    assert run(["chsh", "--model", "QM", *source, "--mode", "empirical",
-                "--trials", "0"]) == EXIT_USAGE
+@pytest.mark.parametrize("trials", ["50", "99", "0"])
+@pytest.mark.parametrize("source", ["optimize", "config"])
+def test_chsh_empirical_too_few_trials_is_usage_error_before_any_chunk(
+        tmp_path, monkeypatch, capsys, source, trials):
+    # an empirical E needs as many trials per settings pair as verify's
+    # goodness-of-fit test: fewer is refused before the optimizer or any
+    # chunk runs, with nothing printed (50 trials of model A gave E = 3)
+    calls = []
+    monkeypatch.setattr(protocol, "run_chunk", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli, "maximize_chsh", lambda *a: calls.append(a))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FOUND_CFG))
+    argv = ["--optimize"] if source == "optimize" else ["--config", str(cfg)]
+    assert run(["chsh", "--model", "A", *argv, "--mode", "empirical", "--trials", trials,
+                "--seed", "0"]) == EXIT_USAGE
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.splitlines() == ["config error: trials must be >= 1"]
+    assert out == "" and calls == []
+    assert err.splitlines() == [f"usage error: --trials must be >= 100 for an empirical E, "
+                                f"got {trials}"]
 
 
 def test_grid_candidate_pairs_match_nested_reference():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -947,6 +948,134 @@ def test_read_event_log_skips_blank_lines_and_takes_crlf(tmp_path):
     path = tmp_path / "events.ndjson"
     path.write_bytes(("\r\n".join(lines[:3] + ["", "  "] + lines[3:]) + "\r\n").encode())
     assert list(read_event_log(path)) == messages
+
+
+def _written_log(tmp_path, kind, trials=3):
+    """The bytes of a fixed-settings log as the writer spells it."""
+    _, log = run_experiment(kind, fixed_config(trials=trials, seed=2, log_events=True))
+    write_event_log(log, tmp_path / "written.ndjson")
+    return (tmp_path / "written.ndjson").read_bytes()
+
+
+def _both_audits(path, kind):
+    """The report or error of the audit of ``path`` by audit_event_log and
+    by audit_locality of read_event_log, the generic reference."""
+    def outcome(audit):
+        try:
+            return audit()
+        except ValueError as exc:
+            return f"{type(exc).__name__}: {exc}"
+    return (outcome(lambda: protocol.audit_event_log(path, kind)),
+            outcome(lambda: audit_locality(read_event_log(path), kind)))
+
+
+def _first_line_replaced(old, new):
+    return lambda log: log.replace(old, new, 1)
+
+
+# edits of a three-trial log of model A: audit_event_log must give each
+# edited log the report or the error that the generic path gives it
+DIFFERENTIAL = {
+    "as written": lambda log: log,
+    "invalid UTF-8 byte": lambda log: log.replace(b"batter_R", b"batter_\xff", 1),
+    "CRLF line ends": lambda log: log.replace(b"\n", b"\r\n"),
+    "blank lines and lines of spaces": lambda log: log.replace(b"\n", b"\n\n   \n\t\n", 2),
+    "last line without a line break": lambda log: log[:-1],
+    "byte order mark": lambda log: b"\xef\xbb\xbf" + log,
+    "t_send 1e+99": lambda log: re.sub(rb'"t_send": [^,]*', b'"t_send": 1e+99', log, 1),
+    "t_send 1e+100": lambda log: re.sub(rb'"t_send": [^,]*', b'"t_send": 1e+100', log, 1),
+    "t_send 1e400": lambda log: re.sub(rb'"t_send": [^,]*', b'"t_send": 1e400', log, 1),
+    "19-digit trial id in int64": lambda log: log.replace(
+        b'"trial_id": 0,', b'"trial_id": 1000000000000000000,'),
+    "19-digit trial id past int64": _first_line_replaced(
+        b'"trial_id": 0,', b'"trial_id": 9223372036854775808,'),
+    "5000-digit seq": _first_line_replaced(b'"seq": 0,', b'"seq": 1' + b"0" * 4999 + b","),
+    "duplicated ball line": lambda log: log.split(b"\n", 1)[0] + b"\n" + log,
+    "deleted ball line": lambda log: log.split(b"\n", 1)[1],
+    "Arabic-Indic digit in a trial id": _first_line_replaced(
+        b'"trial_id": 0,', '"trial_id": \u0663,'.encode()),
+    "leading zero in a trial id": _first_line_replaced(b'"trial_id": 0,', b'"trial_id": 00,'),
+    "ball to the coordinator": _first_line_replaced(b'"batter_L", "kind": "ball"',
+                                                     b'"coordinator", "kind": "ball"'),
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_fast_audit_matches_the_generic_audit(tmp_path, name):
+    path = tmp_path / "events.ndjson"
+    path.write_bytes(DIFFERENTIAL[name](_written_log(tmp_path, "A")))
+    fast, generic = _both_audits(path, "A")
+    assert fast == generic
+
+
+# what a random edit inserts or writes over: JSON's punctuation, digits and
+# whitespace, line breaks, bytes of no UTF-8 character, and numbers the
+# parser refuses or reads as infinite
+EDITS = (b'"', b"0", b"1", b"7", b"-", b"+", b".", b"e", b"E", b",", b":", b"{", b"}",
+         b"[", b"]", b" ", b"\t", b"\r", b"\n", b"\r\n", b"\x1c", b"\xff", b"\x80",
+         "\u2028".encode(), "\u0663".encode(), b"x", b"1e400", b"NaN", b"9" * 5000)
+
+
+def test_fast_audit_matches_the_generic_audit_on_random_edits(tmp_path):
+    rng = np.random.default_rng(21)
+    logs = {kind: _written_log(tmp_path, kind) for kind in ("A", "QM")}
+    path = tmp_path / "events.ndjson"
+    for _ in range(400):
+        kind = ("A", "QM")[rng.integers(2)]
+        log = logs[kind]
+        op, at = rng.integers(4), rng.integers(len(log))
+        edit = EDITS[rng.integers(len(EDITS))]
+        if op == 0:  # insert
+            log = log[:at] + edit + log[at:]
+        elif op == 1:  # write over one byte
+            log = log[:at] + edit + log[at + 1:]
+        else:  # duplicate or delete one whole line
+            lines = log.splitlines(keepends=True)
+            i = rng.integers(len(lines))
+            lines[i:i + 1] = [lines[i]] * (2 if op == 2 else 0)
+            log = b"".join(lines)
+        path.write_bytes(log)
+        fast, generic = _both_audits(path, kind)
+        assert fast == generic, log
+
+
+def _parsed_lines(monkeypatch):
+    """The lines that protocol._message parses from now on."""
+    parsed = []
+    message = protocol._message
+    monkeypatch.setattr(protocol, "_message", lambda line: parsed.append(line) or message(line))
+    return parsed
+
+
+@pytest.mark.parametrize("settings", [["--theta-deg", "60", "90"], ["--watch-driven"]],
+                         ids=["fixed", "watch-driven"])
+@pytest.mark.parametrize("kind", ["A", "B1", "B2", "C", "QM"])
+def test_every_written_line_takes_the_fast_path(tmp_path, monkeypatch, capsys, kind, settings):
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", kind, *settings, "--trials", "300", "--seed", "3",
+                 "--log-events", "--out", str(out)]) == EXIT_OK
+    parsed = _parsed_lines(monkeypatch)
+    report = protocol.audit_event_log(out / "events.ndjson", kind)
+    assert report.passed and parsed == []
+    assert report.messages == json.loads((out / "manifest.json").read_text())["events"]
+
+
+@pytest.mark.parametrize("epoch, fast", [(1e17, True), (1e300, False)])
+def test_far_epoch_log_audits_on_its_spelling_path(tmp_path, monkeypatch, capsys, epoch, fast):
+    # pitch times near 1e17 are spelled 1.0000000000001e+17, which the fast
+    # path takes; 1e+300 has a three-digit exponent, which it leaves to the
+    # generic path
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epoch": epoch}))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--model", "B1", "--theta-deg", "60",
+                 "--trials", "300", "--seed", "3", "--log-events", "--out", str(out)]) == EXIT_OK
+    lines = (out / "events.ndjson").read_text().splitlines()
+    assert all(json.dumps(json.loads(line)) == line for line in lines)
+    parsed = _parsed_lines(monkeypatch)
+    report = protocol.audit_event_log(out / "events.ndjson", "B1")
+    assert report.passed and report.messages == len(lines) == 1200
+    assert parsed == ([] if fast else lines)
 
 
 def test_counts_csv_format(tmp_path):
