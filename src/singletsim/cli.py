@@ -26,6 +26,7 @@ from .metrics import (
     chi_square_gof,
     chsh_analytic,
     chsh_empirical,
+    chsh_standard_error,
     free_will_M,
     normalization_check,
     two_sample_chi_square,
@@ -369,15 +370,17 @@ def cmd_chsh(args) -> int:
     for name, v in (("a", cfg.a), ("a'", cfg.a_prime), ("b", cfg.b), ("b'", cfg.b_prime)):
         print(f"{name:2s} = ({v.x:+.6f}, {v.y:+.6f}, {v.z:+.6f})")
     print(f"E = {f17(res.E)}")
+    report = {"metric": "chsh", "model": args.model, "mode": args.mode, "E": res.E}
+    if args.mode == "empirical":
+        report["SE"] = chsh_standard_error(res.correlators, args.trials)
+        print(f"SE(E) = {f17(report['SE'])}")
     print("bounds: Bell 2, Cirel'son 2*sqrt(2) ~ 2.8284271, algebraic 4")
     if args.out:
+        report["config"] = {k: [v.x, v.y, v.z] for k, v in
+                            (("a", cfg.a), ("a_prime", cfg.a_prime),
+                             ("b", cfg.b), ("b_prime", cfg.b_prime))}
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"metric": "chsh", "model": args.model, "mode": args.mode,
-                       "E": res.E,
-                       "config": {k: [v.x, v.y, v.z] for k, v in
-                                  (("a", cfg.a), ("a_prime", cfg.a_prime),
-                                   ("b", cfg.b), ("b_prime", cfg.b_prime))}},
-                      fh, indent=2)
+            json.dump(report, fh, indent=2)
             fh.write("\n")
     return EXIT_OK
 

@@ -103,24 +103,53 @@ def chsh_empirical(kind: str, config: ChshConfig, trials: int, seed: int,
     return chsh({tb.label: tb for tb in tables})
 
 
+def chsh_standard_error(correlators: dict, trials: int) -> float:
+    """Standard error of an empirical E whose four correlators are independent
+    means of ``trials`` outcome products each: a product is +-1 with mean C,
+    so its variance is 1 - C^2, and SE(E) = sqrt(sum_i (1 - C_i^2) / N)."""
+    return math.sqrt(sum(1.0 - c * c for c in correlators.values()) / trials)
+
+
 # ---------------------------------------------------------------------------
 # exact sign-cell masses
 
-def sign_moment2(m1, m2) -> float:
+def sign_moment2(m1, m2):
     """E[sgn(u.m1) sgn(u.m2)] for u uniform on S2: 1 - 2 gamma/pi, with gamma
-    the angle between the normals.
+    the angle between the normals.  A float for two (3,) normals, an (n,)
+    array for two (n, 3) stacks of them.
 
     gamma comes from atan2(|m1 x m2|, m1.m2), which keeps full precision near
     parallel and antipodal normals, where acos of the dot product does not.
+    It is math.atan2, row by row: NumPy's arctan2 picks its kernel, and so its
+    last bits, by CPU feature.
     """
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
-    gamma = math.atan2(float(np.linalg.norm(np.cross(m1, m2))), float(m1 @ m2))
-    return 1.0 - 2.0 * gamma / math.pi
+    x = np.cross(m1, m2)
+    # a stacked matmul sums each row as the 1-D a @ b of that row alone does,
+    # to the last bit; geometry.rowdot's einsum does not
+    xx, cos = (np.matmul(a[..., None, :], b[..., :, None]).ravel() for a, b in ((x, x), (m1, m2)))
+    gamma = np.array(list(map(math.atan2, np.sqrt(xx).tolist(), cos.tolist())))
+    e = 1.0 - 2.0 * gamma / math.pi
+    return float(e[0]) if x.ndim == 1 else e
 
 
-def sign_moment4(m1, m2, m3, m4) -> float:
-    """E[s1 s2 s3 s4] for s_i = sgn(u.m_i), u uniform on S2.
+def _sign_moments4(m):
+    """The pair moments E_ij, i < j, keyed by (i, j), and the moment E4 of the
+    four normals m[..., i, :]; see sign_moment4."""
+    e = {(i, j): sign_moment2(m[..., i, :], m[..., j, :])
+         for i in range(4) for j in range(i + 1, 4)}
+    lam = np.linalg.svd(np.swapaxes(m, -1, -2))[2][..., -1, :]
+    sig = sign_array(lam)
+    acc = 1.0
+    for (i, j), eij in e.items():
+        acc = acc + sig[..., i] * sig[..., j] * eij
+    return e, -np.prod(sig, axis=-1) * acc
+
+
+def sign_moment4(m1, m2, m3, m4):
+    """E[s1 s2 s3 s4] for s_i = sgn(u.m_i), u uniform on S2.  A float for four
+    (3,) normals, an (n,) array for four (n, 3) stacks of them.
 
     Odd moments vanish (u -> -u), so the sign cell sigma has mass
     (1 + sum_{i<j} sigma_i sigma_j E_ij + sigma_1 sigma_2 sigma_3 sigma_4 E4)/16.
@@ -128,14 +157,9 @@ def sign_moment4(m1, m2, m3, m4) -> float:
     with sum_i lambda_i m_i = 0, no u has sgn(u.m_i) = sgn(lambda_i) wherever
     lambda_i != 0, so that cell is empty, and its zero mass fixes E4.
     """
-    m = np.array([m1, m2, m3, m4], dtype=float)
-    lam = np.linalg.svd(m.T)[2][-1]
-    sig = sign_array(lam)
-    acc = 1.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            acc += sig[i] * sig[j] * sign_moment2(m[i], m[j])
-    return -float(np.prod(sig)) * acc
+    e4 = _sign_moments4(np.stack([np.asarray(x, dtype=float) for x in (m1, m2, m3, m4)],
+                                 axis=-2))[1]
+    return float(e4) if np.ndim(e4) == 0 else e4
 
 
 def normalization_check(
@@ -165,14 +189,6 @@ def normalization_check(
     raise ValueError(f"unknown method: {method!r}")
 
 
-def joint_from_hall_density(sigma: int, tau: int, s: SettingsPair) -> float:
-    """P(sigma, tau) obtained by integrating the deterministic responses
-    sigma = sgn(u.n_L), tau = sgn(-u.n_R) against the Hall density; should
-    reproduce the singlet law."""
-    e = sign_moment2(s.n_L.as_array(), s.n_R.as_array())
-    return math.pi * (1.0 - sigma * tau * e) * float(hall_g_array(sigma * tau * s.cos_angle()))
-
-
 # ---------------------------------------------------------------------------
 # measurement dependence
 
@@ -196,26 +212,26 @@ def _total_variation_atomic(s: SettingsPair, s2: SettingsPair) -> float:
     return sum(abs(w) for _, w in merged)
 
 
-def _total_variation_hall(s: SettingsPair, s2: SettingsPair) -> float:
-    """Total variation between the Hall densities of two settings pairs.
+def _total_variation_hall(candidates) -> list:
+    """Total variation between the Hall densities of the two settings pairs
+    (s, s2) of each candidate, every candidate in one stacked pass.
 
     Each density is constant where p = sgn(u.n_L) sgn(u.n_R) is, with value
     g(-p n_L.n_R); the cell (p1, p2) covers the area
     pi (1 + p1 E1 + p2 E2 + p1 p2 E4) of the sphere.
     """
-    normals = [s.n_L.as_array(), s.n_R.as_array(), s2.n_L.as_array(), s2.n_R.as_array()]
-    c1, c2 = s.cos_angle(), s2.cos_angle()
-    e1 = sign_moment2(normals[0], normals[1])
-    e2 = sign_moment2(normals[2], normals[3])
-    e4 = sign_moment4(*normals)
+    normals = np.array([[(v.x, v.y, v.z) for s in cand for v in (s.n_L, s.n_R)]
+                        for cand in candidates], dtype=float)
+    c1, c2 = np.array([[s.cos_angle() for s in cand] for cand in candidates]).T
+    e, e4 = _sign_moments4(normals)
+    e1, e2 = e[0, 1], e[2, 3]
     # g1[p1] = g(-p1 c1) and g2[p2] = g(-p2 c2), from one call
-    g = hall_g_array([-c1, c1, -c2, c2]).tolist()
-    g1, g2 = {1: g[0], -1: g[1]}, {1: g[2], -1: g[3]}
-    return sum(
-        math.pi * (1.0 + p1 * e1 + p2 * e2 + p1 * p2 * e4) * abs(g1[p1] - g2[p2])
-        for p1 in (1, -1)
-        for p2 in (1, -1)
-    )
+    g = hall_g_array(np.stack([-c1, c1, -c2, c2], axis=1))
+    g1, g2 = {1: g[:, 0], -1: g[:, 1]}, {1: g[:, 2], -1: g[:, 3]}
+    cells = [math.pi * (1.0 + p1 * e1 + p2 * e2 + p1 * p2 * e4) * np.abs(g1[p1] - g2[p2])
+             for p1 in (1, -1) for p2 in (1, -1)]
+    # Python's sum, in cell order, as for one candidate alone
+    return [sum(row) for row in zip(*(cell.tolist() for cell in cells))]
 
 
 def free_will_M(kind: str, candidate_pairs):
@@ -236,8 +252,10 @@ def free_will_M(kind: str, candidate_pairs):
     candidates = list(candidate_pairs)
     if not candidates:
         raise ValueError("need at least one candidate pair of settings pairs")
-    tv = _total_variation_atomic if kind in ("A", "C") else _total_variation_hall
-    ms = [tv(sa, sb) for sa, sb in candidates]
+    if kind in ("A", "C"):
+        ms = [_total_variation_atomic(sa, sb) for sa, sb in candidates]
+    else:
+        ms = _total_variation_hall(candidates)
     best = max(ms)
     best_i = next(i for i, m in enumerate(ms) if m >= best - _TIE_TOL)
     return min(2.0, max(0.0, best)), best_i

@@ -283,6 +283,28 @@ def test_chsh_empirical_pairs_are_independent(tmp_path, capsys):
     assert len({c["C(ab)"], c["C(a'b)"], c["C(ab')"]}) > 1
 
 
+def test_chsh_standard_error_only_in_empirical_mode(tmp_path, capsys):
+    # SE(E) = sqrt(sum_i (1 - C_i^2) / N) follows E in empirical mode only
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FOUND_CFG))
+    outs, docs = {}, {}
+    for mode in ("analytic", "empirical"):
+        report = tmp_path / f"{mode}.json"
+        assert run(["chsh", "--model", "QM", "--config", str(cfg), "--mode", mode,
+                    "--trials", "20000", "--seed", "5", "--out", str(report)]) == EXIT_OK
+        outs[mode] = capsys.readouterr().out.splitlines()
+        docs[mode] = json.loads(report.read_text())
+    assert not any(ln.startswith("SE") for ln in outs["analytic"])
+    assert "SE" not in docs["analytic"]
+    lines = outs["empirical"]
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("E = "))
+    assert lines[i + 1].startswith("SE(E) = ")
+    assert float(lines[i + 1].split(" = ")[1]) == docs["empirical"]["SE"]
+    c = [float(ln.split(" = ")[1]) for ln in lines if ln.startswith("C(")]
+    assert docs["empirical"]["SE"] == pytest.approx(
+        math.sqrt(sum(1.0 - x * x for x in c) / 20000), rel=1e-5)
+
+
 def test_chsh_optimize_empirical_honours_threads(monkeypatch, capsys):
     # a recording stand-in for the pool: it starts no thread
     asked = []

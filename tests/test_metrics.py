@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singletsim.cli import _grid_candidate_pairs
-from singletsim.geometry import UnitVector
+from singletsim import metrics
+from singletsim.cli import _grid_candidate_pairs, _load_pairs_file
+from singletsim.geometry import UnitVector, sign_array
 from singletsim.metrics import (
     CHSH_LABELS,
     ChshConfig,
@@ -15,15 +17,16 @@ from singletsim.metrics import (
     chi_square_p,
     chsh,
     chsh_analytic,
+    chsh_empirical,
+    chsh_standard_error,
     correlator,
     free_will_M,
-    joint_from_hall_density,
     normalization_check,
     sign_moment2,
     sign_moment4,
     two_sample_chi_square,
 )
-from singletsim.models import SettingsPair, correlator_law, joint_analytic
+from singletsim.models import SettingsPair, correlator_law, hall_g_array, joint_analytic
 from singletsim.protocol import CountTable
 
 Z = UnitVector(0.0, 0.0, 1.0)
@@ -93,6 +96,18 @@ def test_chsh_recomputable_from_correlators():
     c = res.correlators
     again = abs(c["ab"] + c["a'b"] + c["ab'"] - c["a'b'"])
     assert abs(again - res.E) < 1e-12
+
+
+def test_chsh_standard_error_matches_spread_over_seeds():
+    # four independent correlators of N trials each: SE(E) should be the
+    # spread of E from seed to seed; 200 seeds estimate it to about 5%
+    trials = 4000
+    es, ses = [], []
+    for seed in range(200):
+        res = chsh_empirical("QM", qm_config(), trials, seed)
+        es.append(res.E)
+        ses.append(chsh_standard_error(res.correlators, trials))
+    assert float(np.mean(ses)) == pytest.approx(float(np.std(es, ddof=1)), rel=0.10)
 
 
 def cell_mass2(signs, m1, m2):
@@ -209,6 +224,14 @@ def test_normalization_monte_carlo():
     assert err < 1e-3
 
 
+def joint_from_hall_density(sigma: int, tau: int, s: SettingsPair) -> float:
+    """P(sigma, tau) obtained by integrating the deterministic responses
+    sigma = sgn(u.n_L), tau = sgn(-u.n_R) against the Hall density; should
+    reproduce the singlet law."""
+    e = sign_moment2(s.n_L.as_array(), s.n_R.as_array())
+    return math.pi * (1.0 - sigma * tau * e) * float(hall_g_array(sigma * tau * s.cos_angle()))
+
+
 def test_joint_from_hall_density_matches_singlet_law():
     for deg in (20.0, 60.0, 90.0, 150.0):
         s = pair(deg)
@@ -279,6 +302,113 @@ def test_free_will_M_rejects_bad_input():
         free_will_M("QM", [(pair(0.0), pair(1.0))])
     with pytest.raises(ValueError):
         free_will_M("A", [])
+
+
+# the per-candidate Hall scoring that free_will_M's stacked pass replaced,
+# kept as the oracle that every stacked value must equal bit for bit
+
+def oracle_sign_moment2(m1, m2) -> float:
+    m1 = np.asarray(m1, dtype=float)
+    m2 = np.asarray(m2, dtype=float)
+    gamma = math.atan2(float(np.linalg.norm(np.cross(m1, m2))), float(m1 @ m2))
+    return 1.0 - 2.0 * gamma / math.pi
+
+
+def oracle_sign_moment4(m1, m2, m3, m4) -> float:
+    m = np.array([m1, m2, m3, m4], dtype=float)
+    lam = np.linalg.svd(m.T)[2][-1]
+    sig = sign_array(lam)
+    acc = 1.0
+    for i in range(4):
+        for j in range(i + 1, 4):
+            acc += sig[i] * sig[j] * oracle_sign_moment2(m[i], m[j])
+    return -float(np.prod(sig)) * acc
+
+
+def oracle_total_variation_hall(s: SettingsPair, s2: SettingsPair) -> float:
+    normals = [s.n_L.as_array(), s.n_R.as_array(), s2.n_L.as_array(), s2.n_R.as_array()]
+    c1, c2 = s.cos_angle(), s2.cos_angle()
+    e1 = oracle_sign_moment2(normals[0], normals[1])
+    e2 = oracle_sign_moment2(normals[2], normals[3])
+    e4 = oracle_sign_moment4(*normals)
+    g = hall_g_array([-c1, c1, -c2, c2]).tolist()
+    g1, g2 = {1: g[0], -1: g[1]}, {1: g[2], -1: g[3]}
+    return sum(
+        math.pi * (1.0 + p1 * e1 + p2 * e2 + p1 * p2 * e4) * abs(g1[p1] - g2[p2])
+        for p1 in (1, -1)
+        for p2 in (1, -1)
+    )
+
+
+def assert_hall_scores_equal_oracle(cands):
+    want = [oracle_total_variation_hall(s, s2) for s, s2 in cands]
+    assert metrics._total_variation_hall(cands) == want
+    best = max(want)
+    best_i = next(i for i, m in enumerate(want) if m >= best - metrics._TIE_TOL)
+    for kind in ("B1", "B2"):
+        assert free_will_M(kind, cands) == (min(2.0, max(0.0, best)), best_i)
+
+
+def random_candidates(rng, n):
+    """n candidates of four random unit normals each.  Of every four, the
+    first stays generic, the second shares a normal between its two pairs,
+    the third repeats its first pair, and the fourth's n_R is antipodal to
+    the first pair's."""
+    v = rng.normal(size=(n, 4, 3))
+    v /= np.linalg.norm(v, axis=2, keepdims=True)
+    v[1::4, 2] = v[1::4, 0]
+    v[2::4, 2:] = v[2::4, :2]
+    v[3::4, 3] = -v[3::4, 1]
+    units = [[UnitVector(*map(float, r)) for r in c] for c in v]
+    return [(SettingsPair(u[0], u[1]), SettingsPair(u[2], u[3])) for u in units]
+
+
+def test_free_will_M_stacked_equals_per_candidate_on_grids():
+    for k in range(2, 41):
+        assert_hall_scores_equal_oracle(_grid_candidate_pairs(k))
+
+
+def test_free_will_M_stacked_equals_per_candidate_on_random_normals():
+    cands = random_candidates(np.random.default_rng(22), 5000)
+    assert_hall_scores_equal_oracle(cands)
+    assert_hall_scores_equal_oracle(cands[:1])
+    normals = np.array([[v.as_array() for s in c for v in (s.n_L, s.n_R)] for c in cands])
+    m = normals.transpose(1, 0, 2)
+    assert sign_moment2(m[0], m[1]).tolist() == [oracle_sign_moment2(a, b)
+                                                 for a, b in zip(m[0], m[1])]
+    assert sign_moment4(*m).tolist() == [oracle_sign_moment4(*n) for n in normals]
+    # one row stays the scalar API
+    assert type(sign_moment2(m[0][0], m[1][0])) is float
+    assert type(sign_moment4(*normals[0])) is float
+
+
+def test_free_will_M_stacked_equals_per_candidate_on_a_pairs_file(tmp_path):
+    # the non-unit vectors of the CLI's non-coplanar --pairs test
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps([
+        [{"n_L": [0.3, 0.2, 0.9], "n_R": [-0.5, 0.1, 0.3]},
+         {"n_L": [0.2, -0.7, 0.1], "n_R": [0.6, 0.5, -0.4]}],
+    ]))
+    assert_hall_scores_equal_oracle(_load_pairs_file(path))
+
+
+def test_free_will_M_scores_hall_candidates_in_one_pass(monkeypatch):
+    calls = {"hall_g_array": 0, "svd": 0, "cross": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(metrics, "hall_g_array", counted("hall_g_array", metrics.hall_g_array))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np, "cross", counted("cross", np.cross))
+    cands = _grid_candidate_pairs(8)
+    assert len(cands) == 220
+    free_will_M("B1", cands)
+    # one cross product per pair of the four normals, whatever the count
+    assert calls == {"hall_g_array": 1, "svd": 1, "cross": 6}
 
 
 def test_chi_square_p_values():
