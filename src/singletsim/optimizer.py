@@ -21,6 +21,8 @@ from .models import correlator_law
 
 _EPS = 1e-12
 _SLACK = 1e-13  # the coarse scan's rounding allowance; see _coarse_scan
+_ROW_BATCH = 64  # the most rows the coarse scan scores at once
+MAX_GRID = 3600  # the most coarse grid angles, so the finest step is 0.1 degrees
 
 
 @dataclass(frozen=True)
@@ -30,6 +32,9 @@ class SearchOptions:
 
     def __post_init__(self):
         c = self.coarse_deg
+        if c > 0.0 and 360.0 / c > MAX_GRID + 0.5:
+            raise ValueError(f"coarse grid resolution must be at least {360 / MAX_GRID:g} "
+                             f"degrees ({MAX_GRID} grid angles), got {c}")
         if not 0.0 < c < math.inf or abs(360.0 / c - round(360.0 / c)) > 1e-9:
             raise ValueError(
                 f"coarse grid resolution must be a positive divisor of 360 degrees, got {c}")
@@ -62,20 +67,97 @@ def _scores(kind: str, a, a_p, b, b_p):
     return e, margin
 
 
+def _best_tie(law_a, law_ap, pair_m, rows, floor=None):
+    """(margin, b, b', E) of the configuration of largest margin among those of
+    the ascending ``rows`` with E >= floor, the first in row-major order.  The
+    floor defaults to the rows' own largest E less _EPS; the margin is -1 if
+    no configuration reaches it."""
+    # b down the rows, b' across the columns
+    e = chsh_E(law_a[rows, None], law_ap[rows, None], law_a[None, :], law_ap[None, :])
+    if floor is None:
+        floor = e.max() - _EPS
+    m = np.where(e >= floor, np.minimum(pair_m[rows, None], pair_m[None, :]), -1.0)
+    i, j = np.unravel_index(m.argmax(), m.shape)
+    return float(m[i, j]), int(rows[i]), int(j), float(e[i, j])
+
+
+def _search_rows(law_a, law_ap, pair_m, r, d, rows, thr):
+    """_best_tie over a whole slice at its exact tie window, scoring only the
+    ``rows`` that can hold the result; see _coarse_scan."""
+    # the slice's largest E lies in its row of largest or of smallest r
+    ext = [r.argmax(), r.argmin()]
+    floor = chsh_E(law_a[ext, None], law_ap[ext, None], law_a, law_ap).max() - _EPS
+    # cap[b]: the largest margin among the columns with |r_b + d| >= thr, a
+    # prefix and a suffix of the columns by d
+    order = np.argsort(d)
+    d_sorted, m_sorted = d[order], pair_m[order]
+    head = np.concatenate(([-1.0], np.maximum.accumulate(m_sorted)))
+    tail = np.concatenate((np.maximum.accumulate(m_sorted[::-1])[::-1], [-1.0]))
+    cap = np.minimum(pair_m[rows], np.maximum(
+        head[np.searchsorted(d_sorted, -thr - r[rows], side="right")],
+        tail[np.searchsorted(d_sorted, thr - r[rows], side="left")]))
+    by_cap = np.lexsort((rows, -cap))
+    rows, cap = rows[by_cap], cap[by_cap]
+    win = (-1.0, -1, -1, -1.0)
+    i, k = 0, 1
+    # (margin, -b) orders the results: a larger margin, then an earlier row
+    while i < rows.size and (cap[i], -rows[i]) > (win[0], -win[1]):
+        cand = _best_tie(law_a, law_ap, pair_m, np.sort(rows[i:i + k]), floor)
+        if (cand[0], -cand[1]) > (win[0], -win[1]):
+            win = cand
+        i += k
+        k = min(2 * k, _ROW_BATCH)
+    return win
+
+
 def _coarse_scan(kind: str, step_deg: float):
     """Exhaustive coplanar scan with the first angle pinned at 0; returns the
     best (E, margin, angles) in deterministic lexicographic order.
 
-    Every grid configuration is covered, but only the b rows that can still
-    win or tie are scored.  For a fixed a', with r_b = C(a,b) + C(a',b) and
-    d_b' = C(a,b') - C(a',b'), the float E[b, b'] = |(r_b + C(a,b')) - C(a',b')|
-    and the float |r_b + d_b'| each round twice on values of magnitude <= 4,
-    so they differ by at most 2 ulp(4) ~ 2e-15, far below _SLACK.  |r + d| is
-    convex in d, so max over b' of |r_b + d_b'| is
-    max(r_b + max d, -(r_b + min d)): an O(1) bound per row.  A slice or row
-    whose bound falls short of the tie window by more than _SLACK cannot hold
-    a winning or tying configuration.  The rows that remain are scored
-    exactly, in the same order and with the same tie rules as a full scan."""
+    The result is that of scoring every grid configuration, but only the
+    configurations that can decide it are scored.  In the slice of a fixed
+    a', b runs down the rows and b' across the columns.  The slice's
+    candidate is the configuration of largest margin in its tie window,
+    E >= (slice max E) - _EPS, the first in row-major order; it replaces the
+    best if its E is larger by more than _EPS, or equal within _EPS with a
+    margin larger by more than _EPS.
+
+    Row bounds.  With r_b = C(a,b) + C(a',b) and d_b' = C(a,b') - C(a',b'),
+    the float E[b, b'] = |(r_b + C(a,b')) - C(a',b')| and the float
+    |r_b + d_b'| each round twice on values of magnitude <= 4, so they differ
+    by at most 2 ulp(4) ~ 2e-15, far below _SLACK.  |r + d| is convex in d,
+    so bound[b] = max(r_b + max d, -(r_b + min d)) bounds row b in O(1), and
+    its maximum, top, is within 2 ulp(4) of the slice's max E.  A slice whose
+    top is below the best by more than _EPS + _SLACK cannot win or tie, and
+    every configuration of the tie window has |r_b + d_b'| >= thr = top -
+    _EPS - _SLACK, so it lies in a row with bound[b] >= thr.
+
+    At best a tie.  If top < best + _EPS - _SLACK, the candidate wins only
+    with a margin above the best's by more than _EPS, so both pair_m[b] and
+    pair_m[b'] exceed it.  The rows that can hold such a configuration are
+    found in O(1) each from the max and min of d over those high columns;
+    a slice with none is skipped, and the row search below looks only at
+    them.  As the candidate has the slice's largest margin, it can win only
+    if it lies in one of these rows, and then it is the best of them.
+
+    Exact tie window.  Rounding is monotone, so on each column the float
+    (r_b + C(a,b')) - C(a',b') does not decrease as r_b grows, and the
+    largest |.| over the rows is in the row of largest r or of smallest r.
+    Those two rows give the slice's max E exactly, and with it the brute
+    force's tie window.
+
+    Row selection.  If at most _ROW_BATCH rows reach thr, they are scored
+    in one batch, whose max E is the slice's.  Otherwise cap[b] =
+    min(pair_m[b], max pair_m[b'] over the columns with |r_b + d_b'| >= thr)
+    bounds the margin of any window configuration in row b.  Those columns
+    are a prefix and a suffix of the columns sorted by d, so every cap takes
+    one sort and two binary searches.  The rows are scored by decreasing cap,
+    lower row first among equal caps, in batches of 1, 2, 4, ... up to
+    _ROW_BATCH rows, and the search stops at a row whose cap is below the
+    largest margin found so far, or equal to it in a later row: no row left
+    can hold a larger margin, or an equal one earlier in row-major order.
+    For model C, whose E takes only the values 0, 2 and 4, a row's cap is its
+    exact largest window margin, so the search scores one row."""
     grid = np.arange(0.0, 360.0, step_deg)
     rad = np.radians(grid)
     best = (-1.0, -1.0, (0.0, 0.0, 0.0, 0.0))
@@ -92,32 +174,29 @@ def _coarse_scan(kind: str, step_deg: float):
         top = bound.max()
         if top < best[0] - _EPS - _SLACK:
             continue  # every E in the slice is below the best by more than _EPS
-        rows = np.flatnonzero(bound >= top - _EPS - _SLACK)
-        if top < best[0] + _EPS - _SLACK:
-            # at best a tie: bound the largest margin among each row's columns
-            # with |r + d| >= thr, a prefix and a suffix of the columns by d
-            thr = max(top, best[0]) - _EPS - _SLACK
-            order = np.argsort(d)
-            d_sorted, m_sorted = d[order], pair_m[order]
-            head = np.concatenate(([-1.0], np.maximum.accumulate(m_sorted)))
-            tail = np.concatenate((np.maximum.accumulate(m_sorted[::-1])[::-1], [-1.0]))
-            reach = np.maximum(head[np.searchsorted(d_sorted, -thr - r[rows], side="right")],
-                               tail[np.searchsorted(d_sorted, thr - r[rows], side="left")])
-            if np.minimum(pair_m[rows], reach).max() <= best[1] + _EPS:
+        thr = top - _EPS - _SLACK
+        tie_only = top < best[0] + _EPS - _SLACK
+        if tie_only:
+            # a winning tie has both b and b' of margin above the best's
+            high = pair_m > best[1] + _EPS
+            d_high = d[high]
+            if d_high.size == 0:
                 continue
-        # b down the rows, b' across the columns
-        e = chsh_E(law_a[rows, None], law_ap[rows, None], law_a[None, :], law_ap[None, :])
-        m = np.minimum(pair_m[rows, None], pair_m[None, :])
-        # scan the plateau of the max for the largest margin, lexicographic first
-        ties = np.argwhere(e >= e.max() - _EPS)
-        mi = ties[np.argmax(m[ties[:, 0], ties[:, 1]])]
-        cand_e = float(e[mi[0], mi[1]])
-        cand_m = float(m[mi[0], mi[1]])
+            keep = high & (np.maximum(r + d_high.max(), -(r + d_high.min())) >= thr)
+            if not keep.any():
+                continue
+        rows = np.flatnonzero(bound >= thr)
+        if rows.size <= _ROW_BATCH:
+            cand = _best_tie(law_a, law_ap, pair_m, rows)
+        else:
+            if tie_only:
+                rows = np.flatnonzero(keep)
+            cand = _search_rows(law_a, law_ap, pair_m, r, d, rows, thr)
+        cand_m, b, b_p, cand_e = cand
         if cand_e > best[0] + _EPS or (
             abs(cand_e - best[0]) <= _EPS and cand_m > best[1] + _EPS
         ):
-            best = (cand_e, cand_m,
-                    (0.0, math.degrees(ap), float(grid[rows[mi[0]]]), float(grid[mi[1]])))
+            best = (cand_e, cand_m, (0.0, math.degrees(ap), float(grid[b]), float(grid[b_p])))
     return best, grid.size ** 3
 
 

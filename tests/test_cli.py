@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from singletsim import cli, protocol
+from singletsim import cli, optimizer, protocol
 from singletsim.cli import (
     EXIT_AUDIT,
     EXIT_OK,
@@ -336,6 +336,22 @@ def test_chsh_bad_coarse_deg_is_config_error(capsys, coarse):
     assert run(["chsh", "--model", "QM", "--optimize", "--coarse-deg", coarse]) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
+
+
+@pytest.mark.parametrize("coarse", ["1e-9", "0.09", "5e-324"])
+def test_chsh_too_fine_coarse_deg_is_config_error_before_any_grid(monkeypatch, capsys, coarse):
+    # a divisor of 360 finer than 0.1 degrees is refused before the scan
+    # builds its grid, which at 1e-9 degrees would need terabytes
+    def no_scan(*args):
+        raise AssertionError("the coarse scan ran")
+
+    monkeypatch.setattr(optimizer, "_coarse_scan", no_scan)
+    assert run(["chsh", "--model", "A", "--optimize", "--coarse-deg", coarse]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"config error: coarse grid resolution must be at least 0.1 degrees "
+        f"(3600 grid angles), got {float(coarse)}"]
 
 
 @pytest.mark.parametrize("trials", ["50", "99", "0"])

@@ -6,6 +6,7 @@ import pytest
 from singletsim import optimizer
 from singletsim.cli import EXIT_OK, main
 from singletsim.metrics import chsh_analytic, chsh_empirical
+from singletsim.models import correlator_law
 from singletsim.optimizer import (
     SearchOptions,
     config_from_angles,
@@ -24,6 +25,16 @@ def test_options_validation():
             SearchOptions(coarse_deg=coarse)
     with pytest.raises(ValueError):
         SearchOptions(refine_iters=-1)
+
+
+def test_finest_grid_step():
+    # MAX_GRID angles per axis at most: a finer divisor of 360 is refused
+    # before any grid is built
+    assert optimizer.MAX_GRID == 3600
+    SearchOptions(coarse_deg=0.1)
+    for coarse in (0.09, 0.0999, 1e-9, 5e-324):
+        with pytest.raises(ValueError, match="at least 0.1 degrees"):
+            SearchOptions(coarse_deg=coarse)
 
 
 def test_planar_vector_in_plane():
@@ -152,14 +163,89 @@ def brute_force_scan(kind, step_deg):
 
 
 @pytest.mark.parametrize("kind", ["A", "B1", "B2", "C", "QM"])
-@pytest.mark.parametrize("step", [2.0, 3.0, 5.0, 7.2, 15.0, 45.0, 90.0, 120.0, 360.0])
+@pytest.mark.parametrize("step", [1.5, 2.0, 2.4, 3.0, 5.0, 7.2, 15.0, 45.0, 90.0, 120.0, 360.0])
 def test_pruned_scan_matches_brute_force(kind, step):
     assert optimizer._coarse_scan(kind, step) == brute_force_scan(kind, step)
 
 
-@pytest.mark.parametrize("kind", ["C", "QM"])
+@pytest.mark.parametrize("kind", ["A", "B1", "B2", "C", "QM"])
 def test_pruned_scan_matches_brute_force_at_one_degree(kind):
     assert optimizer._coarse_scan(kind, 1.0) == brute_force_scan(kind, 1.0)
+
+
+# correlator laws whose E has plateaus split by steps near _EPS, so that
+# ties, tie-window edges and rows whose margin bound overstates their tied
+# margin are common: at 1.2 degrees they run the row search and its
+# fallback to further rows, which the models' own laws rarely reach
+PLATEAU_LAWS = {
+    "halves+1e-12": lambda c: -np.round(c * 2) / 2 + 1.0e-12 * np.round(c * 5),
+    "halves+1.05e-12": lambda c: -np.round(c * 2) / 2 + 1.05e-12 * np.round(c * 3),
+    "signs+0.34e-12": lambda c: -np.sign(c) + 0.34e-12 * np.round(c * 4),
+    "units+0.52e-12": lambda c: -np.round(c) + 0.52e-12 * np.round(c * 7),
+}
+
+
+@pytest.mark.parametrize("law", sorted(PLATEAU_LAWS))
+def test_row_search_matches_brute_force_on_plateau_laws(monkeypatch, law):
+    monkeypatch.setattr(optimizer, "correlator_law", lambda kind, c: PLATEAU_LAWS[law](c))
+    assert optimizer._coarse_scan("A", 1.2) == brute_force_scan("A", 1.2)
+
+
+@pytest.mark.parametrize("law", sorted(PLATEAU_LAWS) + ["A", "C"])
+def test_row_search_matches_whole_slice(law):
+    # slice by slice, the row search over the rows that reach the top bound
+    # finds what scoring the whole slice at once finds
+    f = PLATEAU_LAWS[law] if law in PLATEAU_LAWS else (lambda c: correlator_law(law, c))
+    rad = np.radians(np.arange(0.0, 360.0, 2.4))
+    c_a = np.cos(0.0 - rad)
+    law_a = f(c_a)
+    searched = 0
+    for ap in rad:
+        c_ap = np.cos(ap - rad)
+        law_ap = f(c_ap)
+        pair_m = np.minimum(np.abs(c_a), np.abs(c_ap))
+        r, d = law_a + law_ap, law_a - law_ap
+        bound = np.maximum(r + d.max(), -(r + d.min()))
+        top = bound.max()
+        thr = top - optimizer._EPS - optimizer._SLACK
+        rows = np.flatnonzero(bound >= thr)
+        if rows.size > 1:
+            searched += 1
+            assert (optimizer._search_rows(law_a, law_ap, pair_m, r, d, rows, thr)
+                    == optimizer._best_tie(law_a, law_ap, pair_m, np.arange(rad.size)))
+    assert searched > 0
+
+
+# configurations scored by _coarse_scan(kind, 1.0); the brute force scores
+# 46,656,000, and the scan before row selection scored 4,605,120 for C
+SCORED_AT_ONE_DEGREE = {"A": 97_920, "B1": 97_920, "B2": 97_920, "C": 50_760, "QM": 97_920}
+
+
+@pytest.mark.parametrize("kind", sorted(SCORED_AT_ONE_DEGREE))
+def test_coarse_scan_work_is_bounded(monkeypatch, kind):
+    scored, chsh_E = [], optimizer.chsh_E
+
+    def counting_chsh_E(*args):
+        e = chsh_E(*args)
+        scored.append(np.size(e))
+        return e
+
+    monkeypatch.setattr(optimizer, "chsh_E", counting_chsh_E)
+    optimizer._coarse_scan(kind, 1.0)
+    assert 0 < sum(scored) <= SCORED_AT_ONE_DEGREE[kind]
+
+
+@pytest.mark.parametrize("kind,e", [("C", 4.0), ("QM", 2.8284271247461903)])
+def test_quarter_degree_search_pinned(kind, e):
+    res = maximize_chsh(kind, SearchOptions(coarse_deg=0.25))
+    assert (res.E, res.angles_deg, res.evaluations) == (e, (0.0, 90.0, 225.0, 135.0), 2985984126)
+
+
+@pytest.mark.xfail(strict=True, reason="the 90-degree grid's first tied maximum is the "
+                                       "all-equal configuration, which one-angle moves never improve")
+def test_ninety_degree_grid_reaches_tsirelson():
+    res = maximize_chsh("A", SearchOptions(coarse_deg=90.0))
+    assert res.E == pytest.approx(TSIRELSON, abs=1e-12)
 
 
 # chsh --model <kind> --optimize --coarse-deg 1, as printed by the brute-force scan
