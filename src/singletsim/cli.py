@@ -8,11 +8,11 @@ stable contract: 0 success, 1 usage or config error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
+import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -398,13 +398,24 @@ def _grid_candidate_pairs(k: int):
     """Candidate pairs of settings pairs from a coplanar grid of k angles in
     [0, 180) degrees.  A settings pair is an ordered pair of distinct grid
     angles; the candidates are all pairs of two different settings pairs,
-    thinned by a fixed stride to at most _GRID_CANDIDATE_CAP."""
-    degs = [180.0 * i / k for i in range(k)]
-    settings = [SettingsPair(planar_vector(a), planar_vector(b))
-                for a in degs for b in degs if a != b]
-    n = len(settings) * (len(settings) - 1) // 2
+    thinned by a fixed stride to at most _GRID_CANDIDATE_CAP.  Only the kept
+    candidates are built, each from its index, so any k takes about as long."""
+    m = k * (k - 1) if k > 1 else 0  # settings pairs, row-major in (a, b)
+    n = m * (m - 1) // 2  # their combinations, in lexicographic order
     stride = n // _GRID_CANDIDATE_CAP + 1 if n > _GRID_CANDIDATE_CAP else 1
-    return list(itertools.islice(itertools.combinations(settings, 2), 0, None, stride))
+    # settings pair j is the angles (a, b) = divmod(j, k - 1), b skipping a;
+    # each vector and each settings pair is built once
+    vector = cache(lambda a: planar_vector(180.0 * a / k))
+    setting = cache(lambda a, b: SettingsPair(vector(a), vector(b + (b >= a))))
+
+    def combination(i):
+        # combination i is (x, y), x < y: x is the floor of the smaller root
+        # of x (2m - x - 1) / 2 = i, the count of combinations that start below x
+        x = (2 * m - 2 - math.isqrt((2 * m - 1) ** 2 - 8 * i - 1)) // 2
+        y = i - x * (2 * m - x - 1) // 2 + x + 1
+        return setting(*divmod(x, k - 1)), setting(*divmod(y, k - 1))
+
+    return [combination(i) for i in range(0, n, stride)]
 
 
 def cmd_freewill(args) -> int:

@@ -192,24 +192,27 @@ def normalization_check(
 # ---------------------------------------------------------------------------
 # measurement dependence
 
-def _total_variation_atomic(s: SettingsPair, s2: SettingsPair) -> float:
-    """Total variation between the model A spin atoms of two settings pairs.
+def _total_variation_atomic(candidates) -> list:
+    """Total variation between the model A spin atoms of the two settings
+    pairs (s, s2) of each candidate, every candidate in one stacked pass.
 
-    Each pair puts weight 1/4 on each of +-n_R and +-n_L; the atoms of s enter
-    with +1/4, those of s2 with -1/4, coincident directions merge, and M is
-    the sum of the merged weights' magnitudes.
+    Each pair puts weight 1/4 on each of +-n_R and +-n_L, in that slot order;
+    the atoms of s enter with +1/4, those of s2 with -1/4.  Each atom joins
+    the first earlier group-leading atom within _ATOM_MERGE_TOL of it in every
+    component, and M is the sum of the groups' weights' magnitudes.
     """
-    merged = []  # [direction, signed weight]
-    for pair, w in ((s, 0.25), (s2, -0.25)):
-        n_R, n_L = pair.n_R.as_array(), pair.n_L.as_array()
-        for v in (n_R, -n_R, n_L, -n_L):
-            for entry in merged:
-                if np.max(np.abs(entry[0] - v)) <= _ATOM_MERGE_TOL:
-                    entry[1] += w
-                    break
-            else:
-                merged.append([v, w])
-    return sum(abs(w) for _, w in merged)
+    atoms = np.array([[(d * v.x, d * v.y, d * v.z) for s in cand for v in (s.n_R, s.n_L)
+                       for d in (1.0, -1.0)] for cand in candidates], dtype=float)
+    near = np.max(np.abs(atoms[:, :, None] - atoms[:, None]), axis=3) <= _ATOM_MERGE_TOL
+    group = np.tile(np.arange(8), (len(atoms), 1))
+    for j in range(1, 8):
+        # the earlier slots that lead their own group, within reach of slot j
+        joins = near[:, j, :j] & (group[:, :j] == np.arange(j))
+        group[:, j] = np.where(joins.any(axis=1), joins.argmax(axis=1), j)
+    weights = np.zeros(group.shape)
+    np.add.at(weights, (np.arange(len(group))[:, None], group), np.repeat([0.25, -0.25], 4))
+    # sums of +-1/4 are exact in any order
+    return np.abs(weights).sum(axis=1).tolist()
 
 
 def _total_variation_hall(candidates) -> list:
@@ -252,10 +255,7 @@ def free_will_M(kind: str, candidate_pairs):
     candidates = list(candidate_pairs)
     if not candidates:
         raise ValueError("need at least one candidate pair of settings pairs")
-    if kind in ("A", "C"):
-        ms = [_total_variation_atomic(sa, sb) for sa, sb in candidates]
-    else:
-        ms = _total_variation_hall(candidates)
+    ms = (_total_variation_atomic if kind in ("A", "C") else _total_variation_hall)(candidates)
     best = max(ms)
     best_i = next(i for i, m in enumerate(ms) if m >= best - _TIE_TOL)
     return min(2.0, max(0.0, best)), best_i

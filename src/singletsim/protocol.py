@@ -177,8 +177,7 @@ class EventLog:
             for ci in range(self.config.chunks()):
                 # the line generator holds the only reference to the chunk's
                 # columns, so each chunk is freed before the next one is run
-                yield from _chunk_lines(_first_id(self.config, si, ci),
-                                        *_both_passes(self.kind, self.config, si, ci),
+                yield from _chunk_lines(*_both_passes(self.kind, self.config, si, ci),
                                         self.config.delta_t)
 
 
@@ -322,12 +321,6 @@ def _pitch_times(pitcher, first_id, k, config, out=None):
     return t_pitch
 
 
-def _first_id(config, stream, chunk):
-    """The trial id of a chunk's first trial.  Trial ids number every
-    stream's trials consecutively, so they are unique across a run."""
-    return stream * config.trials + chunk * _CHUNK
-
-
 def _chunk(kind, config, stream, chunk):
     """The size, first trial id and settings pair (None when free-running)
     of a chunk, and a function that keys the chunk's stream of a role."""
@@ -335,7 +328,9 @@ def _chunk(kind, config, stream, chunk):
         raise ValueError(f"unknown model kind: {kind!r}")
     pair = config.streams()[stream][1]
     tag = f"{kind}:free" if pair is None else f"{kind}:pair{stream}"
-    return (min(_CHUNK, config.trials - chunk * _CHUNK), _first_id(config, stream, chunk),
+    # trial ids number every stream's trials consecutively, so they are
+    # unique across a run
+    return (min(_CHUNK, config.trials - chunk * _CHUNK), stream * config.trials + chunk * _CHUNK,
             pair, lambda role: _stream(config.seed, tag, chunk, role))
 
 
@@ -450,19 +445,20 @@ def chunk_balls(kind: str, config: ExperimentConfig, stream: int, chunk: int, re
 
 
 def _both_passes(kind, config, stream, chunk):
-    """(sigma, tau, t_pitch, spin): :func:`run_chunk`'s outcomes and
-    :func:`chunk_balls`'s balls of one chunk.  Where the settings come off
-    the watches, the counting pass reads them once per watch into fresh
-    arrays, freed before the ball pass draws the spin, and hands the ball
-    pass its pitch times and setting vectors."""
+    """(first_id, sigma, tau, t_pitch, spin): the trial id of a chunk's first
+    trial, :func:`run_chunk`'s outcomes and :func:`chunk_balls`'s balls.
+    Where the settings come off the watches, the counting pass reads them
+    once per watch into fresh arrays, freed before the ball pass draws the
+    spin, and hands the ball pass its pitch times and setting vectors."""
     k, first_id, pair, key = _chunk(kind, config, stream, chunk)
     if pair is not None or kind == "B2":
-        return (*run_chunk(kind, config, stream, chunk), *chunk_balls(kind, config, stream, chunk))
+        return (first_id, *run_chunk(kind, config, stream, chunk),
+                *chunk_balls(kind, config, stream, chunk))
     pitcher = key(PITCHER)
     t_pitch = _pitch_times(pitcher, first_id, k, config)
     (sigma, tau), settings = _watch_counts(kind, config, first_id, key, t_pitch, pitcher,
                                            [np.empty(k) for _ in range(5)], kind != "QM")
-    return sigma, tau, *chunk_balls(kind, config, stream, chunk, (t_pitch, settings))
+    return first_id, sigma, tau, *chunk_balls(kind, config, stream, chunk, (t_pitch, settings))
 
 
 def _negated(s):
@@ -521,7 +517,7 @@ def joint_chunk(kind: str, config: ExperimentConfig, chunk: int):
     given the spin."""
     if kind not in ("B1", "B2"):
         raise ValueError("joint sampling is defined for the Hall realizations only")
-    sigma, tau, _, spin = _both_passes(kind, config, 0, chunk)
+    _, sigma, tau, _, spin = _both_passes(kind, config, 0, chunk)
     return spin, sigma, tau
 
 
@@ -728,24 +724,15 @@ _INF = float("inf")
 def _message(line):
     """The message of one event-log line, given without its line break.
     Raises ValueError unless the line is one strict JSON object holding every
-    field of _FIELD_TYPES with its type, and a finite t_send.  A line the
-    scanner cannot take whole is parsed again by the same decoder, so the
-    error is the parser's own."""
-    try:
-        m, end = _DECODER.scan_once(line, 0)
-    except StopIteration:
-        end = -1
-    if end != len(line):
-        m = _DECODER.decode(line)
+    field of _FIELD_TYPES with its type, and a finite t_send."""
+    m = _DECODER.decode(line)
     if type(m) is not dict:
         raise ValueError("a message must be a JSON object")
-    get = m.get
-    if not (type(get("seq")) is int and type(t := get("t_send")) in (float, int)
-            and -_INF < t < _INF
-            and type(get("sender")) is str and type(get("receiver")) is str
-            and type(get("kind")) is str and type(get("payload")) is dict):
-        bad = [k for k, types in _FIELD_TYPES.items() if type(get(k)) not in types]
-        raise ValueError(f"missing or ill-typed fields {bad}" if bad else "t_send is not finite")
+    bad = [k for k, types in _FIELD_TYPES.items() if type(m.get(k)) not in types]
+    if bad:
+        raise ValueError(f"missing or ill-typed fields {bad}")
+    if not -_INF < m["t_send"] < _INF:
+        raise ValueError("t_send is not finite")
     return m
 
 

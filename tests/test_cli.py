@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 import os
@@ -385,6 +386,35 @@ def test_grid_candidate_pairs_match_nested_reference():
         if len(combos) > 256:
             combos = combos[::len(combos) // 256 + 1]
         assert _grid_candidate_pairs(k) == combos
+
+
+def islice_grid_candidate_pairs(k):
+    """The candidates as freewill built them before they were built by
+    index: every combination of the k(k - 1) settings pairs walked through
+    itertools.islice.  Kept as the reference for the index build."""
+    degs = [180.0 * i / k for i in range(k)]
+    settings = [SettingsPair(planar_vector(a), planar_vector(b))
+                for a in degs for b in degs if a != b]
+    n = len(settings) * (len(settings) - 1) // 2
+    stride = n // 256 + 1 if n > 256 else 1
+    return list(itertools.islice(itertools.combinations(settings, 2), 0, None, stride))
+
+
+def test_grid_candidate_pairs_match_islice_reference():
+    for k in range(-3, 61):
+        assert _grid_candidate_pairs(k) == islice_grid_candidate_pairs(k)
+
+
+def test_grid_candidate_pairs_build_only_the_kept_settings_pairs(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return SettingsPair(*args)
+
+    monkeypatch.setattr(cli, "SettingsPair", counted)
+    assert len(_grid_candidate_pairs(10**6)) == 256
+    assert len(built) <= 512
 
 
 PAIR = {"n_L": [0, 0, 1], "n_R": [1, 0, 0]}

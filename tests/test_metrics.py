@@ -411,6 +411,54 @@ def test_free_will_M_scores_hall_candidates_in_one_pass(monkeypatch):
     assert calls == {"hall_g_array": 1, "svd": 1, "cross": 6}
 
 
+# the per-candidate atom merge that free_will_M's stacked pass replaced for A
+# and C, kept as the oracle that every stacked value must equal
+
+def oracle_total_variation_atomic(s: SettingsPair, s2: SettingsPair) -> float:
+    merged = []  # [direction, signed weight]
+    for p, w in ((s, 0.25), (s2, -0.25)):
+        n_R, n_L = p.n_R.as_array(), p.n_L.as_array()
+        for v in (n_R, -n_R, n_L, -n_L):
+            for entry in merged:
+                if np.max(np.abs(entry[0] - v)) <= metrics._ATOM_MERGE_TOL:
+                    entry[1] += w
+                    break
+            else:
+                merged.append([v, w])
+    return sum(abs(w) for _, w in merged)
+
+
+def assert_atomic_scores_equal_oracle(cands):
+    want = [oracle_total_variation_atomic(s, s2) for s, s2 in cands]
+    assert metrics._total_variation_atomic(cands) == want
+    best = max(want)
+    best_i = next(i for i, m in enumerate(want) if m >= best - metrics._TIE_TOL)
+    for kind in ("A", "C"):
+        assert free_will_M(kind, cands) == (min(2.0, max(0.0, best)), best_i)
+
+
+def test_free_will_M_atomic_stacked_equals_per_candidate():
+    for k in range(2, 41):
+        assert_atomic_scores_equal_oracle(_grid_candidate_pairs(k))
+    cands = random_candidates(np.random.default_rng(22), 5000)
+    assert_atomic_scores_equal_oracle(cands)
+    assert_atomic_scores_equal_oracle(cands[:1])
+
+
+def test_free_will_M_atomic_merges_a_near_chain_as_the_loop_does():
+    # three directions 0.8e-9 apart: the middle one lies within the merge
+    # tolerance of both ends, the ends do not.  Each atom joins the first
+    # group leader within reach, so the middle one joins the first end and
+    # the far end leads a group of its own: M = 1
+    d = [UnitVector(1.0, i * 0.8e-9, 0.0) for i in range(3)]
+    # and two n_R exactly the tolerance apart, which merge: M = 0
+    e = UnitVector(1.0, metrics._ATOM_MERGE_TOL, 0.0)
+    cands = [(SettingsPair(d[1], d[0]), SettingsPair(d[2], d[1])),
+             (SettingsPair(Z, d[0]), SettingsPair(Z, e))]
+    assert metrics._total_variation_atomic(cands) == [1.0, 0.0]
+    assert_atomic_scores_equal_oracle(cands)
+
+
 def test_chi_square_p_values():
     assert chi_square_p(0.0, 3) == pytest.approx(1.0)
     # oracle: chi2 survival at dof=2 is exp(-x/2)

@@ -90,7 +90,7 @@ def test_chunk_deterministic():
         for col_a, col_b in zip(a, b):  # sigma, tau, t_pitch, spin
             assert np.array_equal(col_a, col_b)
     t_pitch = a[2]
-    assert (protocol._first_id(cfg, 0, 0), t_pitch.size) == (0, 100)
+    assert (protocol._chunk(kind, cfg, 0, 0)[1], t_pitch.size) == (0, 100)
     assert np.all(np.diff(t_pitch) > 0.0)  # pitch times increase with trial id
 
 
@@ -502,7 +502,7 @@ def test_far_fixed_chunk_follows_its_law(kind):
     # sizes reaches still follows its model's law
     chunk = 1 << 40
     config = fixed_config(deg=60.0, trials=(chunk + 1) * protocol._CHUNK, seed=3)
-    assert protocol._first_id(config, 0, chunk) == 1 << 57
+    assert protocol._chunk(kind, config, 0, chunk)[1] == 1 << 57
     counts = protocol._chunk_counts(kind, config, 0, chunk)
     table = protocol.CountTable("theta=60", kind, config.settings_pairs[0][1],
                                 {o: int(n) for o, n in zip(protocol.OUTCOMES, counts)})
@@ -940,6 +940,39 @@ def test_read_event_log_needs_one_whole_object_per_line(tmp_path, name):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="line 3"):
         list(read_event_log(path))
+
+
+# the error that protocol._message raises for each malformed line above but
+# the nested ones, whose RecursionError text is the interpreter's
+MESSAGE_ERRORS = {
+    "seq string": "missing or ill-typed fields ['seq']",
+    "seq bool": "missing or ill-typed fields ['seq']",
+    "seq float": "missing or ill-typed fields ['seq']",
+    "t_send string": "missing or ill-typed fields ['t_send']",
+    "t_send NaN": "NaN is not a JSON number",
+    "t_send Infinity": "Infinity is not a JSON number",
+    "t_send -Infinity": "-Infinity is not a JSON number",
+    "sender number": "missing or ill-typed fields ['sender']",
+    "payload list": "missing or ill-typed fields ['payload']",
+    "top-level list": "a message must be a JSON object",
+    "no kind": "missing or ill-typed fields ['kind']",
+    "t_send 1e400": "t_send is not finite",
+    "t_send -1e400": "t_send is not finite",
+    "t_send 2e308": "t_send is not finite",
+    "two objects": "Extra data: line 1 column 142 (char 141)",
+    "two objects, spaced": "Extra data: line 1 column 143 (char 142)",
+    "trailing garbage": "Extra data: line 1 column 143 (char 142)",
+    "unterminated": "Expecting ',' delimiter: line 1 column 141 (char 140)",
+    "top-level array": "a message must be a JSON object",
+}
+
+
+@pytest.mark.parametrize("name", MESSAGE_ERRORS)
+def test_message_error_text_pinned(name):
+    lines = {**{k: json.dumps(m) for k, m in ILL_TYPED.items()}, **UNREADABLE, **NOT_ONE_OBJECT}
+    with pytest.raises(ValueError) as exc:
+        protocol._message(lines[name])
+    assert str(exc.value) == MESSAGE_ERRORS[name]
 
 
 def test_read_event_log_skips_blank_lines_and_takes_crlf(tmp_path):
