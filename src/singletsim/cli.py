@@ -39,10 +39,10 @@ from .protocol import (
     ExperimentConfig,
     ProtocolIntegrityError,
     audit_event_log,
+    chunk_passes,
     count_jobs,
     count_tables,
     f17,
-    joint_chunk,
     pool_map,
     run_experiment,
     write_counts_csv,
@@ -70,9 +70,14 @@ def _threads(args) -> int:
     if n is None:
         env = os.environ.get("SINGLET_SIM_THREADS")
         n = int(env) if env else 1
-    if n < 1:
-        raise UsageError(f"thread count must be >= 1, got {n}")
+    _at_least("thread count", n, 1)
     return n
+
+
+def _at_least(name, value, minimum, why=""):
+    """Refuse a value of ``name`` below ``minimum``, saying ``why`` if given."""
+    if value < minimum:
+        raise UsageError(f"{name} must be >= {minimum}{' ' + why if why else ''}, got {value}")
 
 
 def _theta_pairs(theta_list):
@@ -124,18 +129,22 @@ _CONFIG_KEYS = {
 }
 
 
-def _unit(v) -> UnitVector:
-    """The direction of a JSON vector of three numbers."""
+def _unit(doc, key, where) -> UnitVector:
+    """The direction of the vector ``key`` of a JSON object, three numbers;
+    ``where`` names the object's file in errors."""
+    if key not in doc:
+        raise ValueError(f"{where}: missing vector {key!r}")
+    v = doc[key]
     if not (isinstance(v, list) and len(v) == 3 and all(map(_number, v))):
         raise ValueError(f"a vector must be three numbers, got {v!r}")
     return UnitVector.normalized(*v)
 
 
-def _pair(entry) -> SettingsPair:
+def _pair(entry, where) -> SettingsPair:
     """A settings pair from a JSON object with vectors n_L and n_R."""
     if not isinstance(entry, dict):
         raise ValueError(f"a settings pair must be an object, got {entry!r}")
-    return SettingsPair(_unit(entry["n_L"]), _unit(entry["n_R"]))
+    return SettingsPair(_unit(entry, "n_L", where), _unit(entry, "n_R", where))
 
 
 def _settings_pairs(entries, where):
@@ -143,7 +152,7 @@ def _settings_pairs(entries, where):
     ``where`` names the list's file in errors."""
     pairs = []
     for i, entry in enumerate(entries):
-        pair = _pair(entry)  # checks that the entry is an object
+        pair = _pair(entry, where)  # checks that the entry is an object
         label = entry.get("label", f"pair{i}")
         if type(label) is not str:
             raise ValueError(f"{where}: a label must be a string, got {label!r}")
@@ -203,6 +212,13 @@ def _build_experiment_config(args) -> tuple[dict, ExperimentConfig]:
     )
 
 
+def _write_json(path, doc, **dump):
+    """Write ``doc`` to ``path`` as JSON, indented by 2, and a line break."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, **dump)
+        fh.write("\n")
+
+
 def _write_manifest(out_dir, args, record):
     manifest = {
         "artifact_version": __version__,
@@ -212,10 +228,7 @@ def _write_manifest(out_dir, args, record):
         },
         **record,
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -267,19 +280,17 @@ def _verify_watches(seed):
     n = 10_000
     t = rng.uniform(0.0, 1.0e7, size=n)
     dt = rng.uniform(0.0, 100.0, size=n)
-    worst = 0.0
-    for w in (bank.watch_H, bank.watch_T):
-        pitcher = wt.watch_vectors_array(w, t - dt)
-        batter = wt.batter_vectors_array(w.mirrored(), t, dt)
-        worst = max(worst, float(np.max(np.abs(pitcher - batter))))
-    ok = worst <= SETTING_AGREEMENT_TOL
-    return [("watch round-trip", f"max err={worst:.3e}", ok)], ok
+    worst = max(float(wt.round_trip_error(w, t - dt,
+                                          wt.batter_vectors_array(w.mirrored(), t, dt)).max())
+                for w in (bank.watch_H, bank.watch_T))
+    return "watches", "watch round-trip", f"max err={worst:.3e}", worst <= SETTING_AGREEMENT_TOL
 
 
 def _joint_cells(kind, config, chunk):
     """Counts of one chunk of a realization's joint samples over the
     (u octant, sigma, tau) cells."""
-    u, sig, tau = joint_chunk(kind, config, chunk)
+    _, sig, tau, t_pitch, u = chunk_passes(kind, config, 0, chunk)
+    del t_pitch  # freed before the binning's temporaries are taken
     oct_idx = (u[:, 0] >= 0) * 4 + (u[:, 1] >= 0) * 2 + (u[:, 2] >= 0)
     return np.bincount(oct_idx * 4 + (1 - sig) + (1 - tau) // 2, minlength=32)
 
@@ -291,11 +302,8 @@ def cmd_verify(args) -> int:
             raise UsageError(f"unknown model {m!r}")
         if m in models[:i]:  # its rows would print twice
             raise UsageError(f"model {m!r} is named twice")
-    if args.grid < 2:
-        raise UsageError(f"--grid must be >= 2 to span 0..180 degrees, got {args.grid}")
-    if args.trials < GOF_MIN_TRIALS:
-        raise UsageError(f"--trials must be >= {GOF_MIN_TRIALS} for the asymptotic test, "
-                         f"got {args.trials}")
+    _at_least("--grid", args.grid, 2, "to span 0..180 degrees")
+    _at_least("--trials", args.trials, GOF_MIN_TRIALS, "for the asymptotic test")
     threads = _threads(args)
     config = ExperimentConfig(
         trials=args.trials, seed=args.seed, threads=threads,
@@ -323,9 +331,8 @@ def cmd_verify(args) -> int:
                 ok_n = abs(v - 1.0) <= 1e-12
                 overall &= ok_n
                 all_rows.append((m, f"norm quad {label}", f"err={abs(v - 1.0):.2e}", ok_n))
-    w_rows, w_ok = _verify_watches(args.seed)
-    all_rows += [("watches",) + r for r in w_rows]
-    overall &= w_ok
+    all_rows.append(_verify_watches(args.seed))
+    overall &= all_rows[-1][-1]
     if joint_jobs:
         bins = np.reshape(results[:len(joint_jobs)], (2, -1, 32)).sum(axis=1)
         stat, p, dof = two_sample_chi_square(bins[0], bins[1])
@@ -339,17 +346,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if overall else EXIT_VERIFY
 
 
-def _load_chsh_config(path) -> ChshConfig:
-    doc = _load_json(path, dict)
-    return ChshConfig(*(_unit(doc[k]) for k in ("a", "a_prime", "b", "b_prime")))
-
-
 def cmd_chsh(args) -> int:
     if bool(args.config) == bool(args.optimize):
         raise UsageError("exactly one of --config or --optimize is required")
-    if args.mode == "empirical" and args.trials < GOF_MIN_TRIALS:
-        raise UsageError(f"--trials must be >= {GOF_MIN_TRIALS} for an empirical E, "
-                         f"got {args.trials}")
+    if args.mode == "empirical":
+        _at_least("--trials", args.trials, GOF_MIN_TRIALS, "for an empirical E")
     threads = _threads(args)
     # where the configuration comes from, then how it is scored; nothing is
     # printed until both are done, so a config error leaves stdout empty
@@ -357,7 +358,8 @@ def cmd_chsh(args) -> int:
         result = maximize_chsh(args.model, SearchOptions(coarse_deg=args.coarse_deg))
         cfg = result.config
     else:
-        cfg = _load_chsh_config(args.config)
+        doc = _load_json(args.config, dict)
+        cfg = ChshConfig(*(_unit(doc, k, args.config) for k in ("a", "a_prime", "b", "b_prime")))
     if args.mode == "analytic":
         res = chsh_analytic(args.model, cfg)
     else:
@@ -376,12 +378,8 @@ def cmd_chsh(args) -> int:
         print(f"SE(E) = {f17(report['SE'])}")
     print("bounds: Bell 2, Cirel'son 2*sqrt(2) ~ 2.8284271, algebraic 4")
     if args.out:
-        report["config"] = {k: [v.x, v.y, v.z] for k, v in
-                            (("a", cfg.a), ("a_prime", cfg.a_prime),
-                             ("b", cfg.b), ("b_prime", cfg.b_prime))}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        report["config"] = {k: [v.x, v.y, v.z] for k, v in vars(cfg).items()}
+        _write_json(args.out, report)
     return EXIT_OK
 
 
@@ -390,7 +388,7 @@ def _load_pairs_file(path):
     for entry in _load_json(path, list):
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ValueError(f"a candidate must be a list of two settings pairs, got {entry!r}")
-        out.append((_pair(entry[0]), _pair(entry[1])))
+        out.append((_pair(entry[0], path), _pair(entry[1], path)))
     return out
 
 
@@ -424,6 +422,7 @@ def cmd_freewill(args) -> int:
     if args.pairs:
         candidates = _load_pairs_file(args.pairs)
     else:
+        _at_least("--grid", args.grid, 2, "to give a pair of distinct settings pairs")
         candidates = _grid_candidate_pairs(args.grid)
     m, best_i = free_will_M(args.model, candidates)
     sa, sb = candidates[best_i]
@@ -432,10 +431,7 @@ def cmd_freewill(args) -> int:
         print(f"{name} n_L=({s.n_L.x:+.4f},{s.n_L.y:+.4f},{s.n_L.z:+.4f})"
               f" n_R=({s.n_R.x:+.4f},{s.n_R.y:+.4f},{s.n_R.z:+.4f})")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"metric": "free_will_M", "model": args.model, "M": m},
-                      fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, {"metric": "free_will_M", "model": args.model, "M": m})
     return EXIT_OK
 
 

@@ -67,6 +67,12 @@ def _scores(kind: str, a, a_p, b, b_p):
     return e, margin
 
 
+def _beats(e, m, best_e, best_m) -> bool:
+    """Whether (E, margin) = (e, m) replaces the best so far: E is larger by
+    more than _EPS, or equal within _EPS and the margin larger by more."""
+    return e > best_e + _EPS or (abs(e - best_e) <= _EPS and m > best_m + _EPS)
+
+
 def _best_tie(law_a, law_ap, pair_m, rows, floor=None):
     """(margin, b, b', E) of the configuration of largest margin among those of
     the ascending ``rows`` with E >= floor, the first in row-major order.  The
@@ -119,8 +125,7 @@ def _coarse_scan(kind: str, step_deg: float):
     a', b runs down the rows and b' across the columns.  The slice's
     candidate is the configuration of largest margin in its tie window,
     E >= (slice max E) - _EPS, the first in row-major order; it replaces the
-    best if its E is larger by more than _EPS, or equal within _EPS with a
-    margin larger by more than _EPS.
+    best if it beats it (see _beats).
 
     Row bounds.  With r_b = C(a,b) + C(a',b) and d_b' = C(a,b') - C(a',b'),
     the float E[b, b'] = |(r_b + C(a,b')) - C(a',b')| and the float
@@ -193,9 +198,7 @@ def _coarse_scan(kind: str, step_deg: float):
                 rows = np.flatnonzero(keep)
             cand = _search_rows(law_a, law_ap, pair_m, r, d, rows, thr)
         cand_m, b, b_p, cand_e = cand
-        if cand_e > best[0] + _EPS or (
-            abs(cand_e - best[0]) <= _EPS and cand_m > best[1] + _EPS
-        ):
+        if _beats(cand_e, cand_m, *best[:2]):
             best = (cand_e, cand_m, (0.0, math.degrees(ap), float(grid[b]), float(grid[b_p])))
     return best, grid.size ** 3
 
@@ -214,7 +217,7 @@ def _pattern_search(kind: str, angles, step_deg: float, iters: int):
                 cand[i] = (cand[i] + delta) % 360.0
                 ce, cm = _scores(kind, *map(math.radians, cand))
                 evals += 1
-                if ce > fe + _EPS or (abs(ce - fe) <= _EPS and cm > fm + _EPS):
+                if _beats(ce, cm, fe, fm):
                     x, fe, fm = cand, ce, cm
                     improved = True
         if not improved:
@@ -231,8 +234,7 @@ def maximize_chsh(kind: str, opts: SearchOptions = SearchOptions()) -> SearchRes
     if opts.refine_iters > 0:
         refined, extra = _pattern_search(kind, best[2], opts.coarse_deg / 2.0, opts.refine_iters)
         evals += extra
-        # the coarse result wins ties
-        best = min(best, refined, key=lambda t: (-t[0], -t[1]))
+        best = refined if _beats(*refined[:2], *best[:2]) else best
     angles = best[2]
     cfg = config_from_angles(*angles)
     return SearchResult(cfg, chsh_analytic(kind, cfg).E, angles, evals)

@@ -19,7 +19,7 @@ passes, one for each thing that reads a chunk:
   pitch times and the spins, drawn in order from a freshly keyed pitcher
   stream: the jitter, then the spin.  Only the event log and the B1/B2
   joint samples run it, after the counting pass, whose watch read it
-  reuses (see :func:`_both_passes`).
+  reuses (see :func:`chunk_passes`).
 
 The overlap from the phases differs from the rounded dot product of the
 built vectors by up to about 1e-15, so a watch-driven outcome can differ
@@ -60,6 +60,7 @@ from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -177,7 +178,7 @@ class EventLog:
             for ci in range(self.config.chunks()):
                 # the line generator holds the only reference to the chunk's
                 # columns, so each chunk is freed before the next one is run
-                yield from _chunk_lines(*_both_passes(self.kind, self.config, si, ci),
+                yield from _chunk_lines(*chunk_passes(self.kind, self.config, si, ci),
                                         self.config.delta_t)
 
 
@@ -253,8 +254,8 @@ def _watch_counts(kind, config, first_id, key, t_pitch, pitcher, buffers, vector
                 else None)
     if config.log_events:
         bank, (n_L, n_R) = config.bank, settings
-        err = np.maximum(np.abs(wt.watch_vectors_array(bank.watch_T, t_pitch) - n_L).max(axis=1),
-                         np.abs(wt.watch_vectors_array(bank.watch_H, t_pitch) - n_R).max(axis=1))
+        err = np.maximum(wt.round_trip_error(bank.watch_T, t_pitch, n_L),
+                         wt.round_trip_error(bank.watch_H, t_pitch, n_R))
         bad = np.flatnonzero(err > SETTING_AGREEMENT_TOL)
         if bad.size:
             raise ProtocolIntegrityError(
@@ -444,8 +445,9 @@ def chunk_balls(kind: str, config: ExperimentConfig, stream: int, chunk: int, re
     return t_pitch, _atom_spin(pitcher, k, *settings)
 
 
-def _both_passes(kind, config, stream, chunk):
-    """(first_id, sigma, tau, t_pitch, spin): the trial id of a chunk's first
+def chunk_passes(kind: str, config: ExperimentConfig, stream: int, chunk: int):
+    """Both passes of a chunk, for the event log and the joint samples:
+    (first_id, sigma, tau, t_pitch, spin), the trial id of the chunk's first
     trial, :func:`run_chunk`'s outcomes and :func:`chunk_balls`'s balls.
     Where the settings come off the watches, the counting pass reads them
     once per watch into fresh arrays, freed before the ball pass draws the
@@ -509,24 +511,17 @@ def _chunk_lines(first_id, sigma, tau, t_pitch, spin, dt):
             )
 
 
-def joint_chunk(kind: str, config: ExperimentConfig, chunk: int):
-    """B1's or B2's joint (u, sigma, tau) samples with free settings, of one
-    chunk of the free-running run ``config``: the ball pass's spin and the
+def sample_joint_spin_outcomes(kind: str, n: int, seed: int):
+    """B1's or B2's joint (u, sigma, tau) samples with free settings, of n
+    free-running trials, as three arrays: the ball pass's spins and the
     counting pass's outcomes of the run that ``simulate --watch-driven``
     counts and logs.  B1 draws the spin given the settings, B2 the settings
-    given the spin."""
+    given the spin.  Each chunk's pitch times are dropped as it is read."""
     if kind not in ("B1", "B2"):
         raise ValueError("joint sampling is defined for the Hall realizations only")
-    _, sigma, tau, _, spin = _both_passes(kind, config, 0, chunk)
-    return spin, sigma, tau
-
-
-def sample_joint_spin_outcomes(kind: str, n: int, seed: int):
-    """The :func:`joint_chunk` samples of n free-running trials, as three
-    arrays."""
     config = ExperimentConfig(trials=n, seed=seed, watch_driven=True)
-    return tuple(map(np.concatenate,
-                     zip(*(joint_chunk(kind, config, ci) for ci in range(config.chunks())))))
+    chunks = (chunk_passes(kind, config, 0, ci) for ci in range(config.chunks()))
+    return tuple(map(np.concatenate, zip(*map(itemgetter(4, 1, 2), chunks))))
 
 
 # the workspace of the pool_map call whose job the calling thread runs

@@ -156,6 +156,12 @@ def watch_vectors_array(w: WatchSpec, t) -> np.ndarray:
     return sphere_points(*read_phases_array(w, t))
 
 
+def round_trip_error(w: WatchSpec, t_pitch, batter_vectors) -> np.ndarray:
+    """Per row, the largest component of |n - n'|: n read off the clockwise
+    watch ``w`` at ``t_pitch``, n' the batter's ``batter_vectors``, (n, 3)."""
+    return np.abs(watch_vectors_array(w, t_pitch) - batter_vectors).max(axis=1)
+
+
 def batter_phases_array(mirror: WatchSpec, t_arrival, delta_t,
                         out=None) -> tuple[np.ndarray, np.ndarray]:
     """Reconstruct the pitch-time hand phases (small, large) from a mirrored

@@ -984,3 +984,87 @@ def test_watch_driven_logged_run_stops_at_the_first_round_trip_mismatch(tmp_path
     err = capsys.readouterr().err.splitlines()
     assert err == ["runtime failure: watch round-trip mismatch 6.511e-09 at trial 1369"]
     assert not (out / "counts.csv").exists()
+
+
+# every flag-minimum refusal, spelled by one helper: (argv, stderr)
+FLAG_MINIMUMS = [
+    (["verify", "--model", "A", "--grid", "1"],
+     "usage error: --grid must be >= 2 to span 0..180 degrees, got 1\n"),
+    (["verify", "--model", "A", "--trials", "99"],
+     "usage error: --trials must be >= 100 for the asymptotic test, got 99\n"),
+    (["chsh", "--model", "A", "--optimize", "--mode", "empirical", "--trials", "99"],
+     "usage error: --trials must be >= 100 for an empirical E, got 99\n"),
+    (["verify", "--model", "A", "--threads", "0"],
+     "usage error: thread count must be >= 1, got 0\n"),
+    *((["freewill", "--model", "B1", "--grid", k],
+      f"usage error: --grid must be >= 2 to give a pair of distinct settings pairs, got {k}\n")
+      for k in ("1", "0", "-1")),
+]
+
+
+@pytest.mark.parametrize("argv,err", FLAG_MINIMUMS, ids=[" ".join(a) for a, _ in FLAG_MINIMUMS])
+def test_flag_minimum_refusals_pinned(capsys, argv, err):
+    # freewill --grid below 2 once ended in a config error that did not
+    # name the flag: no grid of fewer angles gives a candidate
+    assert run(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", err)
+
+
+def test_freewill_pairs_file_is_scored_whatever_the_grid(tmp_path, capsys):
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps([[PAIR, {"n_L": [0, 1, 0], "n_R": [1, 0, 1]}]]))
+    assert run(["freewill", "--model", "B1", "--pairs", str(pairs), "--grid", "1"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("M = ")
+
+
+# a file whose object lacks a vector: (command, document, the missing key)
+MISSING_VECTOR = {
+    "chsh": ({k: v for k, v in VECTORS.items() if k != "a_prime"}, "a_prime"),
+    "settings": ([PAIR, {"n_L": [0, 1, 0]}], "n_R"),
+    "pairs": ([[PAIR, {"n_R": [0, 1, 0]}]], "n_L"),
+    "config": ({**PAIRS_CONFIG, "settings_pairs": [{"n_R": [0, 1, 0]}]}, "n_L"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MISSING_VECTOR))
+def test_missing_vector_is_named_with_its_file(tmp_path, capsys, kind):
+    # a bare KeyError once printed only the key, as "config error: 'a_prime'"
+    doc, key = MISSING_VECTOR[kind]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    argv = COMMANDS[kind] + [str(path)]
+    if argv[0] == "simulate":
+        argv += ["--out", str(tmp_path / "run")]
+    assert run(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"config error: {path}: missing vector {key!r}\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_settings_file_without_pairs_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "pairs.json"
+    path.write_text("[]")
+    assert run(["simulate", "--model", "A", "--settings-file", str(path),
+                "--out", str(tmp_path / "run")]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"usage error: no settings pairs in {path}\n")
+
+
+def test_simulate_without_a_model_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({k: v for k, v in CONFIG.items() if k != "model"}))
+    for argv in (["--theta-deg", "60"], ["--config", str(path)]):
+        assert run(["simulate", *argv, "--out", str(tmp_path / "run")]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "usage error: --model is required (or 'model' in the config file)\n")
+
+
+def test_unknown_model_in_a_config_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CONFIG, "model": "Z"}))
+    assert run(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: unknown model 'Z'; choose from ")
+
+
+def test_verify_unknown_model_is_usage_error(capsys):
+    assert run(["verify", "--model", "A,Z", "--grid", "3", "--trials", "100"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "usage error: unknown model 'Z'\n")

@@ -304,6 +304,11 @@ def test_free_will_M_rejects_bad_input():
         free_will_M("A", [])
 
 
+def test_free_will_M_rejects_an_unknown_model():
+    with pytest.raises(ValueError, match="^unknown model kind: 'Z'$"):
+        free_will_M("Z", [(pair(0.0), pair(1.0))])
+
+
 # the per-candidate Hall scoring that free_will_M's stacked pass replaced,
 # kept as the oracle that every stacked value must equal bit for bit
 
@@ -518,6 +523,12 @@ def test_chi_square_gof_forbidden_cell():
 def test_chi_square_gof_needs_enough_trials():
     with pytest.raises(ValueError):
         chi_square_gof(table({(1, 1): 10, (1, -1): 10, (-1, 1): 10, (-1, -1): 10}), "A")
+
+
+def test_chi_square_gof_refuses_a_table_of_another_model():
+    counts = {(1, 1): 100, (1, -1): 100, (-1, 1): 100, (-1, -1): 100}
+    with pytest.raises(ValueError, match="^a model A table scored as model QM$"):
+        chi_square_gof(table(counts), "QM")
 
 
 def test_two_sample_chi_square():

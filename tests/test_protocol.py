@@ -345,7 +345,7 @@ def test_logged_watch_chunk_reads_each_batter_watch_once(monkeypatch):
     config = ExperimentConfig(trials=(1 << 17) + 3, seed=7, watch_driven=True)
     for ci in range(config.chunks()):
         reads.clear()
-        protocol.joint_chunk("B1", config, ci)
+        protocol.chunk_passes("B1", config, 0, ci)
         assert reads == once
 
 
@@ -1151,6 +1151,12 @@ def test_joint_samples_are_the_free_running_kernels_chunks():
             u, np.concatenate([chunk_balls(kind, config, 0, ci)[1] for ci in range(2)]))
         np.testing.assert_array_equal(sigma, np.concatenate([c[0] for c in counts]))
         np.testing.assert_array_equal(tau, np.concatenate([c[1] for c in counts]))
+
+
+@pytest.mark.parametrize("kind", ["A", "C", "QM"])
+def test_joint_samples_are_defined_for_the_hall_realizations_only(kind):
+    with pytest.raises(ValueError, match="^joint sampling is defined for the Hall realizations"):
+        sample_joint_spin_outcomes(kind, 10, seed=7)
 
 
 def test_free_running_b1_ball_pass_holds_one_row_block_of_geometry():
