@@ -43,6 +43,7 @@ from .protocol import (
     count_jobs,
     count_tables,
     f17,
+    outcome_cells,
     pool_map,
     run_experiment,
     write_counts_csv,
@@ -65,11 +66,15 @@ class UsageError(Exception):
 
 
 def _threads(args) -> int:
-    """--threads, else SINGLET_SIM_THREADS, else 1; below 1 is a usage error."""
+    """--threads, else SINGLET_SIM_THREADS, else 1; below 1, or a variable
+    that is not an integer, is a usage error."""
     n = getattr(args, "threads", None)
     if n is None:
-        env = os.environ.get("SINGLET_SIM_THREADS")
-        n = int(env) if env else 1
+        env = os.environ.get("SINGLET_SIM_THREADS") or "1"
+        try:
+            n = int(env)
+        except ValueError:
+            raise UsageError(f"SINGLET_SIM_THREADS must be an integer >= 1, got {env!r}") from None
     _at_least("thread count", n, 1)
     return n
 
@@ -292,7 +297,7 @@ def _joint_cells(kind, config, chunk):
     _, sig, tau, t_pitch, u = chunk_passes(kind, config, 0, chunk)
     del t_pitch  # freed before the binning's temporaries are taken
     oct_idx = (u[:, 0] >= 0) * 4 + (u[:, 1] >= 0) * 2 + (u[:, 2] >= 0)
-    return np.bincount(oct_idx * 4 + (1 - sig) + (1 - tau) // 2, minlength=32)
+    return np.bincount(oct_idx * 4 + outcome_cells(sig, tau), minlength=32)
 
 
 def cmd_verify(args) -> int:

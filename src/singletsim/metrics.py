@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import UnitVector, sample_uniform_sphere_array, sign_array
-from .models import MODEL_KINDS, SettingsPair, correlator_law, hall_f_array, hall_g_array
+from .models import SettingsPair, check_kind, correlator_law, hall_f_array, hall_g_array
 from .protocol import OUTCOMES, CountTable, ExperimentConfig, run_experiment
 
 _ATOM_MERGE_TOL = 1e-9
@@ -135,8 +135,16 @@ def sign_moment2(m1, m2):
 
 
 def _sign_moments4(m):
-    """The pair moments E_ij, i < j, keyed by (i, j), and the moment E4 of the
-    four normals m[..., i, :]; see sign_moment4."""
+    """The pair moments E_ij, i < j, keyed by (i, j), and the moment
+    E4 = E[s1 s2 s3 s4] of s_i = sgn(u.m_i), u uniform on S2, for the four
+    normals m[..., i, :].
+
+    Odd moments vanish (u -> -u), so the sign cell sigma has mass
+    (1 + sum_{i<j} sigma_i sigma_j E_ij + sigma_1 sigma_2 sigma_3 sigma_4 E4)/16.
+    Three-dimensional normals are linearly dependent: for a nonzero lambda
+    with sum_i lambda_i m_i = 0, no u has sgn(u.m_i) = sgn(lambda_i) wherever
+    lambda_i != 0, so that cell is empty, and its zero mass fixes E4.
+    """
     e = {(i, j): sign_moment2(m[..., i, :], m[..., j, :])
          for i in range(4) for j in range(i + 1, 4)}
     lam = np.linalg.svd(np.swapaxes(m, -1, -2))[2][..., -1, :]
@@ -145,21 +153,6 @@ def _sign_moments4(m):
     for (i, j), eij in e.items():
         acc = acc + sig[..., i] * sig[..., j] * eij
     return e, -np.prod(sig, axis=-1) * acc
-
-
-def sign_moment4(m1, m2, m3, m4):
-    """E[s1 s2 s3 s4] for s_i = sgn(u.m_i), u uniform on S2.  A float for four
-    (3,) normals, an (n,) array for four (n, 3) stacks of them.
-
-    Odd moments vanish (u -> -u), so the sign cell sigma has mass
-    (1 + sum_{i<j} sigma_i sigma_j E_ij + sigma_1 sigma_2 sigma_3 sigma_4 E4)/16.
-    Three-dimensional normals are linearly dependent: for a nonzero lambda
-    with sum_i lambda_i m_i = 0, no u has sgn(u.m_i) = sgn(lambda_i) wherever
-    lambda_i != 0, so that cell is empty, and its zero mass fixes E4.
-    """
-    e4 = _sign_moments4(np.stack([np.asarray(x, dtype=float) for x in (m1, m2, m3, m4)],
-                                 axis=-2))[1]
-    return float(e4) if np.ndim(e4) == 0 else e4
 
 
 def normalization_check(
@@ -248,8 +241,7 @@ def free_will_M(kind: str, candidate_pairs):
     candidates tie up to rounding, and the first of them should not depend on
     the last bits of the arithmetic.
     """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind: {kind!r}")
+    check_kind(kind)
     if kind == "QM":
         raise ValueError("the quantum reference has no hidden-variable density")
     candidates = list(candidate_pairs)

@@ -32,6 +32,12 @@ MODEL_KINDS = ("A", "B1", "B2", "C", "QM")
 FOUR_PI = 4.0 * math.pi
 
 
+def check_kind(kind: str) -> None:
+    """Refuse a model kind that is not one of MODEL_KINDS."""
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind: {kind!r}")
+
+
 @dataclass(frozen=True)
 class SettingsPair:
     """Bat orientations for the left and right stations."""
@@ -235,8 +241,7 @@ def correlator_law(kind: str, c):
     """The model's correlator E[sigma tau] at setting overlap c = n_L.n_R,
     elementwise: -c for models A, B1, B2 and the quantum reference, -sgn(c)
     for model C."""
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind: {kind!r}")
+    check_kind(kind)
     return -sign_array(c) if kind == "C" else -c
 
 

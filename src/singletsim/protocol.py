@@ -68,8 +68,8 @@ import numpy as np
 from . import watches as wt
 from .geometry import sample_uniform_sphere_array, sphere_points
 from .models import (
-    MODEL_KINDS,
     SettingsPair,
+    check_kind,
     joint_analytic,
     lune_outcomes,
     outcome_int8,
@@ -157,7 +157,7 @@ class EventLog:
     the run's chunks one at a time and spells each trial out as its balls at
     the pitch time, then its result reports at the arrival time.  Each
     message is the JSON object of its event-log line, parsed from that line
-    as :func:`read_event_log` parses it."""
+    as :func:`audit_event_log` parses a line it does not match."""
 
     kind: str
     config: ExperimentConfig
@@ -272,8 +272,14 @@ _ATOMS = (np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))  # the coins (w, up) o
 def _atom_coins(rng, k):
     """The pitcher's two fair coins per trial of a model A or C spin
     u = d * n_w, in their draw order: the watch w (1 -> H, the right
-    setting; 0 -> T, the left) and the direction (1 -> d = +1, 0 -> -1)."""
-    return rng.integers(0, 2, size=k), rng.integers(0, 2, size=k)
+    setting; 0 -> T, the left) and the direction (1 -> d = +1, 0 -> -1).
+    They are the top bits of the 32-bit halves of the stream's next k raw
+    words, low half first, the first k halves w and the last k the
+    direction: two uint32 views of one array, and on NumPy 2.4 the coins
+    and stream position of two ``integers(0, 2, size=k)`` calls."""
+    halves = rng.bit_generator.random_raw(k).astype("<u8", copy=False).view("<u4")
+    halves >>= 31
+    return halves[:k], halves[k:]
 
 
 def _atom_spin(rng, k, n_L, n_R):
@@ -325,8 +331,7 @@ def _pitch_times(pitcher, first_id, k, config, out=None):
 def _chunk(kind, config, stream, chunk):
     """The size, first trial id and settings pair (None when free-running)
     of a chunk, and a function that keys the chunk's stream of a role."""
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind: {kind!r}")
+    check_kind(kind)
     pair = config.streams()[stream][1]
     tag = f"{kind}:free" if pair is None else f"{kind}:pair{stream}"
     # trial ids number every stream's trials consecutively, so they are
@@ -396,11 +401,11 @@ def _outcomes(kind, k, key, c, pitcher, scratch):
     if c.size == 1:
         # a c shared by every trial: the rule is evaluated once on the four
         # atoms (w, up) = 00, 01, 10, 11, and each trial looks up its row;
-        # the batters' uniforms are then drawn over the spent up coins
+        # the batters' uniforms are then drawn into one array d
         rows, up = _atom_coins(pitcher, k)
         rows *= 2
         rows += up
-        d = up.view(np.float64)
+        d = np.empty(k)
         u_n_L, u_n_R = _atom_overlaps(*_ATOMS, np.repeat(c, 4), np.empty(4), np.empty(4))
     else:
         rows, (d, u_n_L) = slice(None), spare(2)
@@ -568,10 +573,14 @@ def pool_map(jobs, threads: int) -> list:
     return [run(job) for job in jobs]
 
 
+def outcome_cells(sigma, tau):
+    """Each trial's index into OUTCOMES, from its outcomes, int8 +-1."""
+    return (1 - sigma) + (1 - tau) // 2
+
+
 def _chunk_counts(kind, config, stream, chunk):
     """A chunk's counting-pass outcomes, counted in OUTCOMES order."""
-    sigma, tau = run_chunk(kind, config, stream, chunk)
-    return np.bincount((1 - sigma) + (1 - tau) // 2, minlength=4)
+    return np.bincount(outcome_cells(*run_chunk(kind, config, stream, chunk)), minlength=4)
 
 
 def count_jobs(kind: str, config: ExperimentConfig) -> list:
@@ -731,26 +740,6 @@ def _message(line):
     return m
 
 
-def _numbered_message(line, lineno):
-    """The message of event-log line number ``lineno``, given stripped; a
-    ValueError names the line."""
-    try:
-        return _message(line)
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"malformed event log at line {lineno}: {exc}") from exc
-
-
-def read_event_log(path):
-    """The messages of an event-log file, parsed one line at a time as they
-    are iterated; a line that is not strict JSON, not an object, nested too
-    deeply to parse, or has a field missing, of the wrong type or (t_send)
-    not finite raises ValueError naming its number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line := line.strip():
-                yield _numbered_message(line, lineno)
-
-
 # A ball or a result report as _chunk_lines spells it, with its numbers
 # bounded so that the JSON parser takes each without error and to the same
 # type: an integer of at most 18 digits, inside int64 and far below Python's
@@ -770,13 +759,13 @@ _WRITER_LINE = (
 
 
 def audit_event_log(path, kind: str) -> AuditReport:
-    """:func:`audit_locality` of :func:`read_event_log`, with the same report
-    or ValueError, reading a line in the writer's own spelling without
-    parsing it.  A line spelled exactly as :func:`_chunk_lines` writes a ball
-    or a result report breaks none of rules 1, 2, 3 and 5 and names its trial
-    by a 64-bit integer, so it is tallied from its trial id and, for a ball,
-    its receiver; every other line is stripped, parsed and checked as
-    before."""
+    """:func:`audit_locality` of the messages of an event-log file, one per
+    non-blank line, reading a line in the writer's own spelling without
+    parsing it.  A line spelled exactly as :func:`_chunk_lines` writes a
+    ball or a result report breaks none of rules 1, 2, 3 and 5 and names its
+    trial by a 64-bit integer, so it is tallied from its trial id and, for a
+    ball, its receiver; every other line is stripped and parsed by
+    :func:`_message`, and a ValueError names its number."""
     tally = _Tally()
     # compiled on the first audit, not at import; re keeps it for the next
     writer_line = re.compile(_WRITER_LINE, re.ASCII).fullmatch
@@ -789,7 +778,11 @@ def audit_event_log(path, kind: str) -> AuditReport:
             hit = writer_line(line)
             if hit is None:
                 if line := line.strip():
-                    tally.check(_numbered_message(line, lineno))
+                    try:
+                        m = _message(line)
+                    except (ValueError, RecursionError) as exc:
+                        raise ValueError(f"malformed event log at line {lineno}: {exc}") from exc
+                    tally.check(m)
                 continue
             receiver, ball_tid, report_tid = hit.groups()
             spelled = ball_tid or report_tid

@@ -577,6 +577,26 @@ def test_thread_count_below_one_rejected(tmp_path, capsys, monkeypatch, value):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("value", ["two", "1.5", "2x"])
+def test_thread_variable_not_an_integer_rejected(tmp_path, capsys, monkeypatch, value):
+    # it once ended in a bare "config error: invalid literal for int()"
+    # that named neither the variable nor the rule
+    monkeypatch.setenv("SINGLET_SIM_THREADS", value)
+    err = f"usage error: SINGLET_SIM_THREADS must be an integer >= 1, got {value!r}\n"
+    out = tmp_path / "run"
+    for argv in (["verify", "--model", "A", "--grid", "3", "--trials", "100"],
+                 ["simulate", "--model", "A", "--theta-deg", "60", "--trials", "200",
+                  "--out", str(out)],
+                 ["chsh", "--model", "QM", "--optimize", "--coarse-deg", "90"]):
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", err)
+    assert not out.exists()
+    # a --threads flag is read first, and the variable is then not parsed
+    assert run(["chsh", "--model", "QM", "--optimize", "--coarse-deg", "90",
+                "--threads", "1"]) == EXIT_OK
+    capsys.readouterr()
+
+
 def test_chsh_empirical_independent_of_threads(tmp_path, capsys):
     # more trials than one 2^17-trial chunk, so two threads share the work
     cfg = tmp_path / "cfg.json"

@@ -23,10 +23,10 @@ from singletsim.metrics import (
     free_will_M,
     normalization_check,
     sign_moment2,
-    sign_moment4,
     two_sample_chi_square,
 )
 from singletsim.models import SettingsPair, correlator_law, hall_g_array, joint_analytic
+from singletsim.optimizer import config_from_angles
 from singletsim.protocol import CountTable
 
 Z = UnitVector(0.0, 0.0, 1.0)
@@ -150,6 +150,15 @@ def test_sign_moment2_antipodal_normals():
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+def sign_moment4(m1, m2, m3, m4):
+    """E[s1 s2 s3 s4] for s_i = sgn(u.m_i), u uniform on S2, from the stacked
+    metrics._sign_moments4: a float for four (3,) normals, an (n,) array for
+    four (n, 3) stacks of them."""
+    e4 = metrics._sign_moments4(np.stack([np.asarray(x, dtype=float) for x in (m1, m2, m3, m4)],
+                                         axis=-2))[1]
+    return float(e4) if np.ndim(e4) == 0 else e4
 
 
 def test_sign_moment4_exact_reductions():
@@ -307,6 +316,70 @@ def test_free_will_M_rejects_bad_input():
 def test_free_will_M_rejects_an_unknown_model():
     with pytest.raises(ValueError, match="^unknown model kind: 'Z'$"):
         free_will_M("Z", [(pair(0.0), pair(1.0))])
+
+
+# ---------------------------------------------------------------------------
+# the relaxed CHSH bound: with D(rho_p, rho_r) the L1 distance between the
+# spin densities of settings pairs p and r, and S_r the CHSH sum of the same
+# local mean responses under the one density rho_r (|S_r| <= 2, Bell),
+# E = S_r + sum_{p != r} s_p int A_p B_p (rho_p - rho_r), and each term is at
+# most D(rho_p, rho_r), so E <= 2 + min_r sum_{p != r} D(rho_p, rho_r)
+
+TSIRELSON_ANGLES = (0.0, 90.0, 225.0, 135.0)
+
+
+def relaxed_chsh_bound(kind, configs):
+    """2 + min_r sum_{p != r} D(rho_p, rho_r) of each CHSH configuration,
+    with every D from the stacked scorer that free_will_M uses for ``kind``."""
+    score = (metrics._total_variation_atomic if kind in ("A", "C")
+             else metrics._total_variation_hall)
+    couples = [(p, r) for p in range(4) for r in range(p + 1, 4)]
+    cands = []
+    for cfg in configs:
+        pairs = [cfg.pairs()[lab] for lab in CHSH_LABELS]
+        cands += [(pairs[p], pairs[r]) for p, r in couples]
+    d = np.reshape(score(cands), (len(configs), len(couples)))
+    dist = np.zeros((len(configs), 4, 4))
+    for j, (p, r) in enumerate(couples):
+        dist[:, p, r] = dist[:, r, p] = d[:, j]
+    return 2.0 + dist.sum(axis=2).min(axis=1)
+
+
+def random_chsh_configs(rng, n):
+    """n CHSH configurations: the first half coplanar at uniform angles, the
+    rest with four settings uniform on the sphere."""
+    half = n // 2
+    coplanar = [config_from_angles(*rng.uniform(0.0, 360.0, 4).tolist()) for _ in range(half)]
+    spread = [ChshConfig(*(UnitVector.normalized(*v) for v in c.tolist()))
+              for c in rng.normal(size=(n - half, 4, 3))]
+    return coplanar + spread
+
+
+@pytest.mark.parametrize("kind", ["A", "B1", "B2", "C"])
+def test_chsh_within_relaxed_bound(kind):
+    configs = random_chsh_configs(np.random.default_rng(1), 3000)
+    e = np.array([chsh_analytic(kind, cfg).E for cfg in configs])
+    excess = e - relaxed_chsh_bound(kind, configs)
+    assert excess.max() <= 1e-12, configs[int(excess.argmax())]
+
+
+@pytest.mark.parametrize("kind", ["B1", "B2"])
+def test_hall_meets_relaxed_bound_at_tsirelson(kind):
+    cfg = config_from_angles(*TSIRELSON_ANGLES)
+    e = chsh_analytic(kind, cfg).E
+    assert e == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+    assert relaxed_chsh_bound(kind, [cfg])[0] == pytest.approx(e, abs=1e-12)
+
+
+@pytest.mark.parametrize("name, scale", [("hall_g_array", 0.9), ("correlator_law", 1.01)])
+def test_relaxed_bound_breaks_under_a_scaled_law(monkeypatch, name, scale):
+    # negative controls: a Hall amplitude scaled down lowers every D, and a
+    # correlator law scaled up raises E; either must break the bound
+    law = getattr(metrics, name)
+    monkeypatch.setattr(metrics, name, lambda *a: scale * law(*a))
+    cfg = config_from_angles(*TSIRELSON_ANGLES)
+    for kind in ("B1", "B2"):
+        assert chsh_analytic(kind, cfg).E > relaxed_chsh_bound(kind, [cfg])[0] + 0.01
 
 
 # the per-candidate Hall scoring that free_will_M's stacked pass replaced,

@@ -5,7 +5,7 @@ import pytest
 
 from singletsim import models
 from singletsim.geometry import UnitVector, rowdot, sample_uniform_sphere_array, sign_array
-from singletsim.metrics import two_sample_chi_square
+from singletsim.metrics import free_will_M, two_sample_chi_square
 from singletsim.models import (
     MODEL_KINDS,
     SettingsPair,
@@ -421,6 +421,21 @@ def test_joint_analytic_examples():
     assert joint_analytic("C", 1, -1, s) == 0.5
     with pytest.raises(ValueError):
         joint_analytic("D", 1, 1, s)
+
+
+def test_an_unknown_model_kind_has_one_refusal():
+    # the kernel's chunks, the correlator law and M refuse it through
+    # models.check_kind, with one text
+    config = ExperimentConfig(trials=10, seed=0, watch_driven=True)
+    for refuse in (lambda: models.check_kind("Z"),
+                   lambda: correlator_law("Z", 0.5),
+                   lambda: run_chunk("Z", config, 0, 0),
+                   lambda: chunk_balls("Z", config, 0, 0),
+                   lambda: free_will_M("Z", [(pair(0.0), pair(1.0))])):
+        with pytest.raises(ValueError, match="^unknown model kind: 'Z'$"):
+            refuse()
+    for kind in MODEL_KINDS:
+        assert models.check_kind(kind) is None
 
 
 def test_correlator_law_matches_joint_analytic():

@@ -34,7 +34,6 @@ from singletsim.protocol import (
     ProtocolIntegrityError,
     audit_locality,
     chunk_balls,
-    read_event_log,
     run_chunk,
     run_experiment,
     sample_joint_spin_outcomes,
@@ -43,6 +42,21 @@ from singletsim.protocol import (
 )
 
 Z = UnitVector(0.0, 0.0, 1.0)
+
+
+def read_event_log(path):
+    """The messages of an event-log file, parsed one line at a time by
+    protocol._message as they are iterated, blank lines skipped: the
+    generic reader that audit_event_log's line match is checked against.
+    A line that is no message, or is nested too deeply to parse, raises
+    ValueError naming its number, with the text audit_event_log gives."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line := line.strip():
+                try:
+                    yield protocol._message(line)
+                except (ValueError, RecursionError) as exc:
+                    raise ValueError(f"malformed event log at line {lineno}: {exc}") from exc
 
 
 def planar(deg):
@@ -350,9 +364,9 @@ def test_logged_watch_chunk_reads_each_batter_watch_once(monkeypatch):
 
 
 # the most the second watch-driven counting chunk of a pool worker may
-# allocate, in bytes: A and C draw their two int64 coin columns fresh, B1,
-# B2 and QM only boolean masks and the int8 outcomes
-SECOND_CHUNK_BYTES = {"A": 2.5e6, "B1": 1e6, "B2": 1e6, "C": 2.5e6, "QM": 1e6}
+# allocate, in bytes: A and C draw their coins as one fresh array of raw
+# words, B1, B2 and QM only boolean masks and the int8 outcomes
+SECOND_CHUNK_BYTES = {"A": 1.5e6, "B1": 1e6, "B2": 1e6, "C": 1.5e6, "QM": 1e6}
 
 
 @pytest.mark.parametrize("kind", sorted(SECOND_CHUNK_BYTES))
@@ -372,6 +386,46 @@ def test_watch_driven_counting_reuses_the_workers_workspace(kind):
 
     protocol.pool_map([lambda: run_chunk(kind, config, 0, 0), second_chunk], 1)
     assert peaks[0] <= SECOND_CHUNK_BYTES[kind], f"peak {peaks[0] / 1e6:.2f} MB"
+
+
+def test_outcome_cells_index_outcomes():
+    sigma, tau = (np.array(col, dtype=np.int8) for col in zip(*protocol.OUTCOMES))
+    assert protocol.outcome_cells(sigma, tau).tolist() == [0, 1, 2, 3]
+
+
+def coin_oracle(words, k):
+    """The two coin columns of k trials from their k raw 64-bit words, by
+    bit arithmetic: the words' 32-bit halves in order, low half first, the
+    top bit of each, split into the first k and the last k."""
+    halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()
+    coins = (halves >> 31).astype(np.int64)
+    return coins[:k], coins[k:]
+
+
+@pytest.mark.parametrize("k", [*range(1, 40), 1000, 1001, 131071, 131072])
+def test_atom_coins_are_the_top_bits_of_raw_words(k):
+    # a chunk's pitcher stream, one word in, so the coins start mid-block
+    rng, twin = (protocol._stream(3, "A:free", 0, PITCHER) for _ in range(2))
+    rng.random()
+    twin.random()
+    w, up = protocol._atom_coins(rng, k)
+    want_w, want_up = coin_oracle(twin.bit_generator.random_raw(k), k)
+    assert w.shape == up.shape == (k,)
+    assert np.array_equal(w, want_w) and np.array_equal(up, want_up)
+    # the stream ends where the k words leave it
+    assert rng.random(9).tolist() == twin.random(9).tolist()
+
+
+def test_generator_floats_are_raw_words_canary():
+    # the kernel's uniforms are NumPy's Generator methods over Philox words:
+    # random() is (word >> 11) 2^-53 and uniform(-1, 1) is -1 + 2 U.  A
+    # NumPy release that changes either fails here, by name, before any of
+    # the output digests
+    words = np.random.Philox(key=11).random_raw(1001)
+    u = (words >> 11) * 2.0 ** -53
+    assert np.array_equal(np.random.Generator(np.random.Philox(key=11)).random(1001), u)
+    assert np.array_equal(
+        np.random.Generator(np.random.Philox(key=11)).uniform(-1.0, 1.0, 1001), -1.0 + 2.0 * u)
 
 
 def test_workspace_lives_for_one_pool_map_call():
