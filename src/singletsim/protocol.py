@@ -13,7 +13,7 @@ passes, one for each thing that reads a chunk:
   vector (see :func:`watches.phases_overlap`); B1 and B2 take their
   outcomes from the lune draws of the Hall spin (see
   :func:`models.lune_outcomes`) and need no spin, and watch-driven B2 no
-  settings.  In a job of :func:`pool_map`, a watch-driven chunk computes
+  settings.  In a job of :func:`pool_map`, every counting chunk computes
   in place in the worker's workspace (see :func:`_buffers`);
 * the ball pass, :func:`chunk_balls`, returns what the pitcher pitches, the
   pitch times and the spins, drawn in order from a freshly keyed pitcher
@@ -122,18 +122,17 @@ class ExperimentConfig:
             raise ValueError("fixed-settings mode needs at least one settings pair")
         if self.watch_driven and self.settings_pairs:
             raise ValueError("give one source of settings: the watches or settings pairs")
+        total = len(self.streams()) * self.trials
+        if total > 1 << 61:  # the last message's seq, 4 * trial id + 3, is an int64
+            raise ValueError(f"a run has at most 2**61 trials, got {total}")
         if self.watch_driven:
             # a hand phase is (t - epoch) / period: refuse periods so short
             # that this ratio overflows by the run's last arrival
             epoch = self.bank.watch_H.epoch
             shortest = min(p for w in (self.bank.watch_H, self.bank.watch_T)
                            for p in (w.period_small, w.period_large))
-            try:
-                last = epoch + len(self.streams()) * self.trials * self.pitch_gap + self.delta_t
-                finite = np.isfinite((last - epoch) / shortest)
-            except OverflowError:  # a trial count past the largest float
-                finite = False
-            if not finite:
+            last = epoch + total * self.pitch_gap + self.delta_t
+            if not np.isfinite((last - epoch) / shortest):
                 raise ValueError(f"watch periods down to {shortest!r} s are too short for "
                                  "this run: a hand phase overflows by its last arrival")
         seen = set()
@@ -241,14 +240,13 @@ def _watch_counts(kind, config, first_id, key, t_pitch, pitcher, buffers, vector
     """The outcomes (sigma, tau) of a chunk whose settings come off the
     watches at the pitch times ``t_pitch``, and the setting vectors (n_L, n_R)
     if ``vectors``, else None.  The phases are read into ``buffers``, five
-    float arrays of the chunk's size (see :func:`_watch_phases`), the vectors
-    built from them, and the overlap c = n_L.n_R then taken over them, one
-    read per watch; c, clipped to [-1, 1], takes the first array and the
-    outcome arithmetic the other four.  Clipping c changes no A or C
-    outcome: their uniforms lie in [0, 1).  ``pitcher`` is the pitcher's
-    stream past its jitter draws, or None to key it afresh.  A logged run
-    first stops if the batters' setting vectors differ from the pitcher's
-    reads of its clockwise watches by more than SETTING_AGREEMENT_TOL."""
+    float arrays of the chunk's size (see :func:`_buffers`), one read per
+    watch; the vectors are built from them, and the overlap c = n_L.n_R
+    taken over them.  Clipping c to [-1, 1] changes no A or C outcome: their
+    uniforms lie in [0, 1).  ``pitcher`` is the pitcher's stream past its
+    jitter draws.  A logged run first stops if the batters' setting vectors
+    differ from the pitcher's reads of its clockwise watches by more than
+    SETTING_AGREEMENT_TOL."""
     phases = _watch_phases(config, t_pitch, buffers)
     settings = (tuple(sphere_points(*p) for p in phases) if vectors or config.log_events
                 else None)
@@ -343,47 +341,45 @@ def _chunk(kind, config, stream, chunk):
 def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int):
     """The counting pass: the outcomes (sigma, tau), int8 +-1, of trials
     [chunk * 2^17, (chunk + 1) * 2^17) of trial stream ``stream`` (an index
-    into ``config.streams()``).  It keys and draws only what they need."""
+    into ``config.streams()``), from c = n_L.n_R of the settings pair, the
+    coordinator or the watches (see :func:`_buffers`).  It keys and draws
+    only what they need."""
     k, first_id, pair, key = _chunk(kind, config, stream, chunk)
     if pair is not None:
         c = settings_overlap((pair.n_L.as_array(), pair.n_R.as_array()))
-        return _outcomes(kind, k, key, c, None, None)
+        return _outcomes(kind, k, key, c, None, _buffers(k))
     if kind == "B2":
         # A free-ticking spin watch gives a uniform spin, the pitcher's draws
         # after the jitter; the coordinator realizes the clock coupling by
         # installing settings given that spin into the batters' watches before
-        # the trial (shared state, not a message).  The settings' overlap c is
-        # the coordinator's first draw, uniform on [-1, 1) as -1 + 2 U (see
-        # sample_settings_B2_array), and the lune fixes the outcomes.
-        coordinator, (c, u) = key(COORDINATOR), _buffers(k)[:2]
-        coordinator.random(out=c)
+        # the trial (shared state, not a message).  Their overlap c is the
+        # coordinator's first draw, -1 + 2 U (see sample_settings_B2_array).
+        coordinator, buffers = key(COORDINATOR), _buffers(k)
+        c = coordinator.random(out=buffers[0])
         c *= 2.0
         c -= 1.0
-        return lune_outcomes(c, coordinator, k, (u, c))
-    # the settings come off the watches at the pitch times, computed in the
-    # pool worker's workspace; unlogged, the arrival times and then a phase
-    # overwrite them, and a logged run's round-trip check reads them last
+        return _outcomes(kind, k, key, c, coordinator, buffers[1:])
+    # a logged run's round-trip check reads the pitch times after the
+    # phases, so they take the workspace only unlogged
     pitcher, buffers = key(PITCHER), _buffers(k)
     t_pitch = _pitch_times(pitcher, first_id, k, config,
                            None if config.log_events else (buffers[4], buffers[3]))
     return _watch_counts(kind, config, first_id, key, t_pitch, pitcher, buffers)[0]
 
 
-def _outcomes(kind, k, key, c, pitcher, scratch):
-    """The outcomes (sigma, tau) of k trials of a model other than
-    watch-driven B2, given the settings' overlap c, of shape (1,) for one
-    settings pair shared by every trial or (k,) for watch-driven settings,
-    which the arithmetic overwrites.  ``pitcher`` is the pitcher's stream
-    past its jitter draws, or None to key it; ``scratch`` is float arrays of
-    k rows to compute in, or None for fresh ones."""
-    def spare(n):
-        return scratch[:n] if scratch is not None else [np.empty(k) for _ in range(n)]
-
+def _outcomes(kind, k, key, c, draws, scratch):
+    """The outcomes (sigma, tau) of k trials, given the settings' overlap c,
+    of shape (1,) for one settings pair shared by every trial or (k,) for
+    watch-driven or free-running settings, which the arithmetic overwrites.
+    ``draws`` is the stream the coins or the lune come from, past its first
+    k words: the pitcher past its jitter, or free-running B2's coordinator
+    past its overlaps; None keys the pitcher and skips them.  ``scratch`` is
+    float arrays of k rows to compute in (see :func:`_buffers`)."""
     if kind == "QM":
         # one uniform per trial falls in the cells (+,+), (+,-), (-,+), (-,-)
         # laid out in that order on [0, 1) with widths (1 - sigma tau c) / 4:
         # tau = +1 below 0.25 (1 - c) in the lower half, 0.25 (3 + c) above
-        r, cut = spare(2)
+        r, cut = scratch[:2]
         lower = key(COORDINATOR).random(out=r) < 0.5
         np.add(3.0, c, out=cut)
         cut *= 0.25
@@ -391,25 +387,23 @@ def _outcomes(kind, k, key, c, pitcher, scratch):
         c *= 0.25
         np.copyto(cut, c, where=lower)
         return outcome_int8(lower), outcome_int8(r < cut)
-    if pitcher is None:
-        pitcher = skip_words(key(PITCHER), k)
+    if draws is None:
+        draws = skip_words(key(PITCHER), k)
     if kind in ("B1", "B2"):
-        # the spin given the settings (fixed-settings B2 conditions the clock
-        # coupling on the pinned settings, which is the same spin law as B1);
-        # the lune it lies in fixes the outcomes
-        return lune_outcomes(c, pitcher, k, (*spare(1), c))
+        # the lune the spin lies in fixes the outcomes, whether B1 draws the
+        # spin given the settings or B2 the settings given the spin (with
+        # fixed settings, B2's clock coupling conditioned on them is B1's law)
+        return lune_outcomes(c, draws, k, (scratch[0], c))
+    rows, (d, u_n_L) = slice(None), scratch[:2]
     if c.size == 1:
         # a c shared by every trial: the rule is evaluated once on the four
-        # atoms (w, up) = 00, 01, 10, 11, and each trial looks up its row;
-        # the batters' uniforms are then drawn into one array d
-        rows, up = _atom_coins(pitcher, k)
+        # atoms (w, up) = 00, 01, 10, 11, and each trial looks up its row
+        rows, up = _atom_coins(draws, k)
         rows *= 2
         rows += up
-        d = np.empty(k)
         u_n_L, u_n_R = _atom_overlaps(*_ATOMS, np.repeat(c, 4), np.empty(4), np.empty(4))
     else:
-        rows, (d, u_n_L) = slice(None), spare(2)
-        u_n_L, u_n_R = _atom_overlaps(*_atom_coins(pitcher, k), c, d, u_n_L)
+        u_n_L, u_n_R = _atom_overlaps(*_atom_coins(draws, k), c, d, u_n_L)
     if kind == "C":
         return (outcome_int8(u_n_L >= 0.0)[rows],
                 outcome_int8(np.negative(u_n_R, out=u_n_R) >= 0.0)[rows])
@@ -455,8 +449,8 @@ def chunk_passes(kind: str, config: ExperimentConfig, stream: int, chunk: int):
     (first_id, sigma, tau, t_pitch, spin), the trial id of the chunk's first
     trial, :func:`run_chunk`'s outcomes and :func:`chunk_balls`'s balls.
     Where the settings come off the watches, the counting pass reads them
-    once per watch into fresh arrays, freed before the ball pass draws the
-    spin, and hands the ball pass its pitch times and setting vectors."""
+    once per watch into fresh arrays (see :func:`_buffers`), and hands the
+    ball pass its pitch times and setting vectors."""
     k, first_id, pair, key = _chunk(kind, config, stream, chunk)
     if pair is not None or kind == "B2":
         return (first_id, *run_chunk(kind, config, stream, chunk),
@@ -534,10 +528,15 @@ _active = threading.local()
 
 
 def _buffers(k):
-    """Five float arrays of k rows for a watch-driven counting pass: in a
-    job of :func:`pool_map`, views of the calling worker's workspace, which
-    its first such chunk allocates and every later one reuses; elsewhere
-    fresh arrays."""
+    """Five float arrays of k rows for a counting pass: in a job of
+    :func:`pool_map`, views of the calling worker's workspace, which its
+    first counting chunk allocates and every later one reuses; elsewhere
+    fresh arrays.  Every counting pass computes in them; one that keys its
+    stream in :func:`run_chunk` keys it first.  :func:`chunk_passes`'
+    watch-driven A, B1, C and QM take five fresh arrays after the pitch
+    times and free them before the spin: a workspace held through the ball
+    pass is real memory, not malloc arena placement (``verify``'s peak RSS
+    rises with one arena too)."""
     workspace = getattr(_active, "workspace", None)
     if workspace is None:
         return [np.empty(k) for _ in range(5)]

@@ -215,6 +215,24 @@ def test_verify_too_few_trials_is_usage_error_before_any_chunk(monkeypatch, caps
                                 f"test, got {trials}"]
 
 
+def test_simulate_refuses_a_run_past_the_trial_range(tmp_path):
+    # a child process capped in memory and time: a build without the
+    # refusal runs out of memory building the run's chunks
+    import singletsim
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(singletsim.__file__)))
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29)); "
+            "from singletsim.cli import main; sys.exit(main(sys.argv[1:]))")
+    trials = 10**20
+    got = subprocess.run(
+        [sys.executable, "-c", code, "simulate", "--model", "QM", "--theta-deg", "60",
+         "--trials", str(trials), "--out", str(tmp_path / "run")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert got.returncode == EXIT_USAGE and got.stdout == ""
+    assert got.stderr.splitlines() == [f"config error: a run has at most 2**61 trials, got {trials}"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_theta_labels_that_print_alike_are_config_error(tmp_path, capsys):
     # both angles print as theta=60 under :g
     assert run(["simulate", "--model", "QM", "--theta-deg", "60", "60.00001",

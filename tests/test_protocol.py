@@ -85,15 +85,32 @@ def test_config_validation():
 
 
 def test_watch_driven_config_refuses_overflowing_hand_phases():
-    # a hand phase is (t - epoch) / period: with 1e-306-scaled periods, or a
-    # trial count past the largest float, it overflows by the last arrival
+    # a hand phase is (t - epoch) / period: with 1e-306-scaled periods it
+    # overflows by the last arrival (a trial count past the largest float
+    # is refused by the trial range first)
     tiny = wt.WatchBank(*(wt.WatchSpec(*(p * 1e-306 for p in wt.DEFAULT_PERIODS[k]))
                           for k in "HT"))
-    for kw in ({"trials": 10, "bank": tiny}, {"trials": 10**400}):
-        with pytest.raises(ValueError, match="a hand phase overflows"):
-            ExperimentConfig(seed=1, watch_driven=True, **kw)
+    with pytest.raises(ValueError, match="a hand phase overflows"):
+        ExperimentConfig(trials=10, seed=1, watch_driven=True, bank=tiny)
     # fixed settings read no watch
     ExperimentConfig(trials=10, seed=1, settings_pairs=[("x", SettingsPair(Z, Z))], bank=tiny)
+
+
+def test_config_refuses_runs_whose_last_seq_overflows_int64():
+    # the last message's seq, 4 * trial id + 3, is an int64, so a run holds
+    # at most 2**61 trials over all its streams; the refusal allocates
+    # nothing, where the run it stops ran out of memory building its chunks
+    assert 4 * ((1 << 61) - 1) + 3 == np.iinfo(np.int64).max
+    pair = SettingsPair(Z, planar(60.0))
+    for streams, kw in ((1, {"settings_pairs": [("x", pair)]}),
+                        (2, {"settings_pairs": [("x", pair), ("y", pair)]}),
+                        (1, {"watch_driven": True})):
+        most = (1 << 61) // streams
+        ExperimentConfig(trials=most, seed=1, **kw)
+        for trials in (most + 1, 10**20, 10**400):
+            with pytest.raises(ValueError) as refused:
+                ExperimentConfig(trials=trials, seed=1, **kw)
+            assert str(refused.value) == f"a run has at most 2**61 trials, got {streams * trials}"
 
 
 def test_chunk_deterministic():
@@ -363,17 +380,43 @@ def test_logged_watch_chunk_reads_each_batter_watch_once(monkeypatch):
         assert reads == once
 
 
-# the most the second watch-driven counting chunk of a pool worker may
-# allocate, in bytes: A and C draw their coins as one fresh array of raw
-# words, B1, B2 and QM only boolean masks and the int8 outcomes
+# the most the second counting chunk of a pool worker may allocate, in
+# bytes: A and C draw their coins as one fresh array of raw words, and with
+# fixed settings A gathers each trial's atom threshold, one float array per
+# side; B1, B2 and QM take only boolean masks and the int8 outcomes
 SECOND_CHUNK_BYTES = {"A": 1.5e6, "B1": 1e6, "B2": 1e6, "C": 1.5e6, "QM": 1e6}
+SECOND_FIXED_CHUNK_BYTES = {**SECOND_CHUNK_BYTES, "A": 2.5e6}
 
 
 @pytest.mark.parametrize("kind", sorted(SECOND_CHUNK_BYTES))
 def test_watch_driven_counting_reuses_the_workers_workspace(kind):
+    config = ExperimentConfig(trials=2 << 17, seed=3, watch_driven=True)
+    peak = second_chunk_peak(kind, config)
+    assert peak <= SECOND_CHUNK_BYTES[kind], f"peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("kind", sorted(SECOND_FIXED_CHUNK_BYTES))
+def test_fixed_settings_counting_reuses_the_workers_workspace(kind):
+    peak = second_chunk_peak(kind, fixed_config(33.0, trials=2 << 17, seed=3))
+    assert peak <= SECOND_FIXED_CHUNK_BYTES[kind], f"peak {peak / 1e6:.2f} MB"
+
+
+def test_a_joint_chunks_ball_pass_leaves_the_workspace_unallocated():
+    # both passes of a watch-driven B1 chunk take fresh arrays, freed before
+    # the spin, and never the worker's workspace (see protocol._buffers)
+    config = ExperimentConfig(trials=1000, seed=3, watch_driven=True)
+
+    def job():
+        protocol.chunk_passes("B1", config, 0, 0)
+        return getattr(protocol._active.workspace, "arrays", None)
+
+    assert protocol.pool_map([job], 1) == [None]
+
+
+def second_chunk_peak(kind, config):
+    """The tracemalloc peak of a pool worker's second counting chunk."""
     import tracemalloc
 
-    config = ExperimentConfig(trials=2 << 17, seed=3, watch_driven=True)
     peaks = []
 
     def second_chunk():
@@ -385,7 +428,7 @@ def test_watch_driven_counting_reuses_the_workers_workspace(kind):
             tracemalloc.stop()
 
     protocol.pool_map([lambda: run_chunk(kind, config, 0, 0), second_chunk], 1)
-    assert peaks[0] <= SECOND_CHUNK_BYTES[kind], f"peak {peaks[0] / 1e6:.2f} MB"
+    return peaks[0]
 
 
 def test_outcome_cells_index_outcomes():
