@@ -12,7 +12,9 @@ import json
 import math
 import os
 import sys
+from contextlib import closing
 from functools import cache, partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -313,21 +315,20 @@ def cmd_verify(args) -> int:
     config = ExperimentConfig(
         trials=args.trials, seed=args.seed, threads=threads,
         settings_pairs=_theta_pairs([180.0 * k / (args.grid - 1) for k in range(args.grid)]))
-    joint_jobs = []
-    if "B1" in models and "B2" in models:
-        joint = ExperimentConfig(trials=min(args.trials, 1_000_000), seed=args.seed,
-                                 watch_driven=True)
-        joint_jobs = [partial(_joint_cells, kind, joint, ci)
-                      for kind in ("B1", "B2") for ci in range(joint.chunks())]
-    # one pool runs the B1/B2 joint chunks, B1's first as the longest jobs,
-    # and every model's counting chunks; results are merged by job index
-    results = pool_map(joint_jobs + [job for m in models for job in count_jobs(m, config)],
-                       threads)
+    joint_kinds = ("B1", "B2") if "B1" in models and "B2" in models else ()
+    joint = ExperimentConfig(trials=min(args.trials, 1_000_000), seed=args.seed, watch_driven=True)
+    jobs = chain((partial(_joint_cells, kind, joint, ci)
+                  for kind in joint_kinds for ci in range(joint.chunks())),
+                 *(count_jobs(m, config) for m in models))
+    # one pool runs the B1/B2 joint chunks, B1's first as the longest jobs, then
+    # every model's counting chunks; each result is read off it in job order
+    with closing(pool_map(jobs, threads)) as results:
+        bins = [sum(islice(results, joint.chunks())) for _ in joint_kinds]
+        model_tables = [count_tables(m, config, results) for m in models]
     all_rows = []
     overall = True
-    per_model = np.split(np.asarray(results[len(joint_jobs):]), len(models))
-    for m, counts in zip(models, per_model):
-        rows, ok = _verify_model(m, count_tables(m, config, counts), args.inject_bias)
+    for m, tables in zip(models, model_tables):
+        rows, ok = _verify_model(m, tables, args.inject_bias)
         all_rows += [(m,) + r for r in rows]
         overall &= ok
         if m in ("B1", "B2"):
@@ -338,9 +339,8 @@ def cmd_verify(args) -> int:
                 all_rows.append((m, f"norm quad {label}", f"err={abs(v - 1.0):.2e}", ok_n))
     all_rows.append(_verify_watches(args.seed))
     overall &= all_rows[-1][-1]
-    if joint_jobs:
-        bins = np.reshape(results[:len(joint_jobs)], (2, -1, 32)).sum(axis=1)
-        stat, p, dof = two_sample_chi_square(bins[0], bins[1])
+    if joint_kinds:
+        stat, p, dof = two_sample_chi_square(*bins)
         ok = p > P_THRESHOLD
         overall &= ok
         all_rows.append(("B1/B2", "equivalence in law", f"p={p:.4g}", ok))

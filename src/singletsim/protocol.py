@@ -58,8 +58,10 @@ import re
 import threading
 from array import array
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from operator import itemgetter
 from typing import Optional
 
@@ -89,6 +91,7 @@ SETTING_AGREEMENT_TOL = 1e-9
 
 _CHUNK = 1 << 17
 _LOG_ROWS = 1024  # trials turned into Python objects at a time when logging
+_POOL_BATCH = 1024  # jobs that pool_map draws and maps at a time
 
 
 class ProtocolIntegrityError(RuntimeError):
@@ -556,20 +559,20 @@ def _in_workspace(workspace, job):
         _active.workspace = outer
 
 
-def pool_map(jobs, threads: int) -> list:
-    """[job() for job in jobs], on one pool of min(threads, cpu count)
-    worker threads that take the jobs in list order; at one worker, or for
-    one job, on the calling thread.  The results are in job order whatever
-    the schedule, and a chunk's job draws only from the chunk's own keyed
-    streams, so they are the same at every thread count.  Each worker
-    thread has its own workspace for the call (see :func:`_buffers`),
-    dropped when the call returns."""
+def pool_map(jobs, threads: int):
+    """job() for each job of the iterable ``jobs``, yielded in job order.
+    The jobs are drawn _POOL_BATCH at a time, so a call holds at most one
+    batch, and each batch is mapped on one pool of min(threads, cpu count)
+    worker threads, or on the calling thread at one worker or for one job.
+    A chunk's job draws only from the chunk's own keyed streams, so the
+    results are the same at every thread count.  Each worker thread has its
+    own workspace for the call (see :func:`_buffers`), dropped with the stream."""
     run = partial(_in_workspace, threading.local())
     workers = min(threads, os.cpu_count() or 1)
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(run, jobs))
-    return [run(job) for job in jobs]
+    jobs = iter(jobs)
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        while batch := list(islice(jobs, _POOL_BATCH)):
+            yield from pool.map(run, batch) if pool and len(batch) > 1 else map(run, batch)
 
 
 def outcome_cells(sigma, tau):
@@ -582,22 +585,19 @@ def _chunk_counts(kind, config, stream, chunk):
     return np.bincount(outcome_cells(*run_chunk(kind, config, stream, chunk)), minlength=4)
 
 
-def count_jobs(kind: str, config: ExperimentConfig) -> list:
-    """A run's counting jobs, one per chunk, stream by stream: each returns
-    its chunk's outcome counts."""
-    return [partial(_chunk_counts, kind, config, si, ci)
-            for si in range(len(config.streams())) for ci in range(config.chunks())]
+def count_jobs(kind: str, config: ExperimentConfig):
+    """A run's counting jobs, one per chunk, stream by stream, each made as
+    it is drawn: each returns its chunk's outcome counts."""
+    return (partial(_chunk_counts, kind, config, si, ci)
+            for si in range(len(config.streams())) for ci in range(config.chunks()))
 
 
 def count_tables(kind: str, config: ExperimentConfig, counts) -> list:
-    """The count table of each stream, from the results of the run's
-    :func:`count_jobs`, in their order."""
-    streams = config.streams()
-    per_stream = np.reshape(counts, (len(streams), config.chunks(), 4)).sum(axis=1)
-    return [
-        CountTable(label, kind, pair, {OUTCOMES[i]: int(per_stream[si, i]) for i in range(4)})
-        for si, (label, pair) in enumerate(streams)
-    ]
+    """The count table of each stream, its chunks summed as they are read
+    off ``counts``, an iterator of the run's :func:`count_jobs` results."""
+    return [CountTable(label, kind, pair,
+                       dict(zip(OUTCOMES, map(int, sum(islice(counts, config.chunks()))))))
+            for label, pair in config.streams()]
 
 
 def run_experiment(kind: str, config: ExperimentConfig):
@@ -607,8 +607,8 @@ def run_experiment(kind: str, config: ExperimentConfig):
     Returns (tables, log) where ``log`` is None unless event logging was
     requested, and otherwise the :class:`EventLog` view of the same trials.
     """
-    counts = pool_map(count_jobs(kind, config), config.threads)
-    return count_tables(kind, config, counts), EventLog(kind, config) if config.log_events else None
+    tables = count_tables(kind, config, pool_map(count_jobs(kind, config), config.threads))
+    return tables, EventLog(kind, config) if config.log_events else None
 
 
 _BATTERS = (BATTER_L, BATTER_R)

@@ -324,27 +324,11 @@ def test_chsh_standard_error_only_in_empirical_mode(tmp_path, capsys):
         math.sqrt(sum(1.0 - x * x for x in c) / 20000), rel=1e-5)
 
 
-def test_chsh_optimize_empirical_honours_threads(monkeypatch, capsys):
-    # a recording stand-in for the pool: it starts no thread
-    asked = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
+def test_chsh_optimize_empirical_honours_threads(monkeypatch, capsys, recording_pool):
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: 4)
     assert run(["chsh", "--model", "QM", "--optimize", "--coarse-deg", "90",
                 "--mode", "empirical", "--trials", "2000", "--threads", "2"]) == EXIT_OK
+    asked = [p.max_workers for p in recording_pool]
     assert asked == [2]
     out = capsys.readouterr().out
     assert "C(ab)" not in out and "E = " in out
@@ -915,26 +899,8 @@ def test_verify_prints_the_same_bytes_at_every_thread_count(monkeypatch, capsys,
     assert printed[1] == printed[0] and printed[2] == printed[0]
 
 
-def test_verify_maps_every_chunk_through_one_pool(monkeypatch, capsys):
-    # a recording stand-in for the pool: it starts no thread
-    pools = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            self.max_workers, self.jobs = max_workers, 0
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            self.jobs += len(jobs)
-            return map(fn, jobs)
-
-    monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
+def test_verify_maps_every_chunk_through_one_pool(monkeypatch, capsys, recording_pool):
+    pools = recording_pool
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: 4)
     assert run(VERIFY_ALL + ["--threads", "2"]) == EXIT_OK
     # 5 models x 3 angles x 2 chunks, and 2 joint chunks each for B1 and B2

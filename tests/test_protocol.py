@@ -3,6 +3,8 @@ import json
 import math
 import re
 import sys
+from functools import partial
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -410,7 +412,7 @@ def test_a_joint_chunks_ball_pass_leaves_the_workspace_unallocated():
         protocol.chunk_passes("B1", config, 0, 0)
         return getattr(protocol._active.workspace, "arrays", None)
 
-    assert protocol.pool_map([job], 1) == [None]
+    assert list(protocol.pool_map([job], 1)) == [None]
 
 
 def second_chunk_peak(kind, config):
@@ -427,7 +429,7 @@ def second_chunk_peak(kind, config):
         finally:
             tracemalloc.stop()
 
-    protocol.pool_map([lambda: run_chunk(kind, config, 0, 0), second_chunk], 1)
+    list(protocol.pool_map([lambda: run_chunk(kind, config, 0, 0), second_chunk], 1))
     return peaks[0]
 
 
@@ -478,13 +480,94 @@ def test_workspace_lives_for_one_pool_map_call():
     def views(k):
         return lambda: protocol._buffers(k)
 
-    first, short = protocol.pool_map([views(100), views(77)], 1)
+    first, short = list(protocol.pool_map([views(100), views(77)], 1))
     assert all(np.shares_memory(a, b) for a, b in zip(first, short))
     assert [len(a) for a in short] == [77] * 5
-    again, = protocol.pool_map([views(100)], 1)
+    again, = list(protocol.pool_map([views(100)], 1))
     assert not np.shares_memory(again[0], first[0])
     assert getattr(protocol._active, "workspace", None) is None
     assert not np.shares_memory(protocol._buffers(100)[0], protocol._buffers(100)[0])
+
+
+def test_pool_map_streams_jobs_in_order_in_batches(monkeypatch, recording_pool):
+    # 2,500 jobs of uneven length on three worker threads that switch often:
+    # the results come back in job order, mapped at most a batch at a time
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 3)
+    n, batch = 2500, protocol._POOL_BATCH
+
+    def job(i):
+        sum(range(i % 97 * 50))  # uneven work, so jobs finish out of order
+        return i
+
+    jobs = (partial(job, i) for i in range(n))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = list(protocol.pool_map(jobs, 3))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == list(range(n))
+    assert [p.max_workers for p in recording_pool] == [3]
+    assert recording_pool[0].maps == [min(batch, n - lo) for lo in range(0, n, batch)]
+    assert len(recording_pool[0].maps) > 1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pool_map_draws_one_batch_before_its_first_result(monkeypatch, threads):
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
+    batch, drawn = protocol._POOL_BATCH, []
+
+    def jobs():
+        for i in range(3 * batch + 5):
+            drawn.append(i)
+            yield partial(int, i)
+
+    stream = protocol.pool_map(jobs(), threads)
+    assert next(stream) == 0
+    assert len(drawn) <= batch
+    assert list(islice(stream, batch)) == list(range(1, batch + 1))
+    assert len(drawn) <= 2 * batch
+    assert list(stream) == list(range(batch + 1, 3 * batch + 5))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_count_tables_read_each_streams_chunks_off_the_stream(monkeypatch, threads):
+    # two streams of 1,500 chunks each, so a stream's chunks cross a batch
+    # boundary: each table sums exactly its own stream's chunk counts
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(protocol, "_chunk_counts",
+                        lambda kind, config, si, ci: np.array([1, si, ci, si * ci]))
+    pairs = [(f"theta={d:g}", SettingsPair(Z, planar(d))) for d in (0.0, 90.0)]
+    chunks = 1500
+    cfg = ExperimentConfig(trials=chunks << 17, seed=2, settings_pairs=pairs, threads=threads)
+    tables, _ = run_experiment("A", cfg)
+    tri = chunks * (chunks - 1) // 2
+    assert [list(t.counts.values()) for t in tables] == [[chunks, 0, tri, 0],
+                                                         [chunks, chunks, tri, tri]]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_bookkeeping_does_not_grow_with_its_chunk_count(monkeypatch, threads):
+    # with each chunk's counting stubbed, what a run holds besides its
+    # chunks is the same at 20 and at 20,000 chunks
+    import tracemalloc
+
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(protocol, "_chunk_counts", lambda *a: np.ones(4, dtype=np.int64))
+
+    def peak(chunks):
+        config = fixed_config(trials=chunks << 17, threads=threads)
+        tracemalloc.start()
+        try:
+            tables, _ = run_experiment("QM", config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(tables[0].counts.values()) == [chunks] * 4
+        return peak
+
+    small, large = peak(20), peak(20_000)
+    assert large - small <= 3e6, f"{small / 1e6:.2f} -> {large / 1e6:.2f} MB"
 
 
 def test_watch_driven_counts_are_the_same_at_one_two_and_three_threads(monkeypatch):
@@ -1272,30 +1355,15 @@ def test_free_running_b1_ball_pass_holds_one_row_block_of_geometry():
     assert peak <= 18e6, f"peak {peak / 1e6:.1f} MB"
 
 
-def test_worker_threads_capped_at_cpu_count(monkeypatch):
-    # a recording stand-in for the pool: it starts no thread
-    asked = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
+def test_worker_threads_capped_at_cpu_count(monkeypatch, recording_pool):
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: 3)
     pairs = [(f"theta={d:g}", SettingsPair(Z, planar(d))) for d in (0.0, 45.0, 90.0, 135.0)]
     cfg = ExperimentConfig(trials=500, seed=2, settings_pairs=pairs, threads=100_000)
     tables, _ = run_experiment("A", cfg)
+    asked = [p.max_workers for p in recording_pool]
     assert asked == [3]
     cfg.threads = 1
     serial, _ = run_experiment("A", cfg)
     assert [t.counts for t in tables] == [t.counts for t in serial]
+    asked = [p.max_workers for p in recording_pool]
     assert asked == [3]
