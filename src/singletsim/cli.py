@@ -193,8 +193,8 @@ def _build_experiment_config(args) -> tuple[dict, ExperimentConfig]:
         raise UsageError("--model is required (or 'model' in the config file)")
     if record["model"] not in MODEL_KINDS:
         raise UsageError(f"unknown model {record['model']!r}; choose from {MODEL_KINDS}")
-    record = {"trials": 10000, "seed": 0, "delta_t": 1.5, "epoch": 0.0,
-              "watch_periods": wt.DEFAULT_PERIODS, **record}
+    record = {"trials": 10000, "seed": 0, "delta_t": ExperimentConfig.delta_t,
+              "epoch": wt.WatchSpec.epoch, "watch_periods": wt.DEFAULT_PERIODS, **record}
     record.update(trials=int(record["trials"]), seed=int(record["seed"]))
     if "theta_deg" in record and "settings_pairs" in record:
         raise ValueError(f"{args.config}: give one of 'theta_deg' and 'settings_pairs'")
@@ -293,10 +293,10 @@ def _verify_watches(seed):
     return "watches", "watch round-trip", f"max err={worst:.3e}", worst <= SETTING_AGREEMENT_TOL
 
 
-def _joint_cells(kind, config, chunk):
+def _joint_cells(kind, config, chunk, workspace):
     """Counts of one chunk of a realization's joint samples over the
-    (u octant, sigma, tau) cells."""
-    _, sig, tau, t_pitch, u = chunk_passes(kind, config, 0, chunk)
+    (u octant, sigma, tau) cells, a job of :func:`pool_map`."""
+    _, sig, tau, t_pitch, u = chunk_passes(kind, config, 0, chunk, workspace)
     del t_pitch  # freed before the binning's temporaries are taken
     oct_idx = (u[:, 0] >= 0) * 4 + (u[:, 1] >= 0) * 2 + (u[:, 2] >= 0)
     return np.bincount(oct_idx * 4 + outcome_cells(sig, tau), minlength=32)
@@ -357,8 +357,8 @@ def cmd_chsh(args) -> int:
     if args.mode == "empirical":
         _at_least("--trials", args.trials, GOF_MIN_TRIALS, "for an empirical E")
     threads = _threads(args)
-    # where the configuration comes from, then how it is scored; nothing is
-    # printed until both are done, so a config error leaves stdout empty
+    # where the configuration comes from, then how it is scored; nothing is printed
+    # until both are done and the report is written, so a config error leaves stdout empty
     if args.optimize:
         result = maximize_chsh(args.model, SearchOptions(coarse_deg=args.coarse_deg))
         cfg = result.config
@@ -369,6 +369,12 @@ def cmd_chsh(args) -> int:
         res = chsh_analytic(args.model, cfg)
     else:
         res = chsh_empirical(args.model, cfg, args.trials, args.seed, threads)
+    report = {"metric": "chsh", "model": args.model, "mode": args.mode, "E": res.E}
+    if args.mode == "empirical":
+        report["SE"] = chsh_standard_error(res.correlators, args.trials)
+    if args.out:
+        report["config"] = {k: [v.x, v.y, v.z] for k, v in vars(cfg).items()}
+        _write_json(args.out, report)
     if args.optimize:
         print(f"angles_deg: {result.angles_deg}  evaluations: {result.evaluations}")
     else:
@@ -377,14 +383,9 @@ def cmd_chsh(args) -> int:
     for name, v in (("a", cfg.a), ("a'", cfg.a_prime), ("b", cfg.b), ("b'", cfg.b_prime)):
         print(f"{name:2s} = ({v.x:+.6f}, {v.y:+.6f}, {v.z:+.6f})")
     print(f"E = {f17(res.E)}")
-    report = {"metric": "chsh", "model": args.model, "mode": args.mode, "E": res.E}
-    if args.mode == "empirical":
-        report["SE"] = chsh_standard_error(res.correlators, args.trials)
+    if "SE" in report:
         print(f"SE(E) = {f17(report['SE'])}")
     print("bounds: Bell 2, Cirel'son 2*sqrt(2) ~ 2.8284271, algebraic 4")
-    if args.out:
-        report["config"] = {k: [v.x, v.y, v.z] for k, v in vars(cfg).items()}
-        _write_json(args.out, report)
     return EXIT_OK
 
 
@@ -430,13 +431,13 @@ def cmd_freewill(args) -> int:
         _at_least("--grid", args.grid, 2, "to give a pair of distinct settings pairs")
         candidates = _grid_candidate_pairs(args.grid)
     m, best_i = free_will_M(args.model, candidates)
+    if args.out:  # written first, so a config error leaves stdout empty
+        _write_json(args.out, {"metric": "free_will_M", "model": args.model, "M": m})
     sa, sb = candidates[best_i]
     print(f"M = {f17(m)}  (candidate {best_i} of {len(candidates)})")
     for name, s in (("s ", sa), ("s'", sb)):
         print(f"{name} n_L=({s.n_L.x:+.4f},{s.n_L.y:+.4f},{s.n_L.z:+.4f})"
               f" n_R=({s.n_R.x:+.4f},{s.n_R.y:+.4f},{s.n_R.z:+.4f})")
-    if args.out:
-        _write_json(args.out, {"metric": "free_will_M", "model": args.model, "M": m})
     return EXIT_OK
 
 
@@ -499,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--config", help="JSON file with vectors a, a_prime, b, b_prime")
     ch.add_argument("--optimize", action="store_true")
     ch.add_argument("--mode", choices=("analytic", "empirical"), default="analytic")
-    ch.add_argument("--coarse-deg", dest="coarse_deg", type=float, default=5.0)
+    ch.add_argument("--coarse-deg", dest="coarse_deg", type=float,
+                    default=SearchOptions.coarse_deg)
     ch.add_argument("--trials", type=int, default=100_000)
     ch.add_argument("--seed", type=int, default=0)
     ch.add_argument("--out", help="also write a JSON metrics report")

@@ -27,7 +27,7 @@ MAX_GRID = 3600  # the most coarse grid angles, so the finest step is 0.1 degree
 
 @dataclass(frozen=True)
 class SearchOptions:
-    coarse_deg: float = 15.0
+    coarse_deg: float = 5.0
     refine_iters: int = 40
 
     def __post_init__(self):

@@ -13,8 +13,8 @@ passes, one for each thing that reads a chunk:
   vector (see :func:`watches.phases_overlap`); B1 and B2 take their
   outcomes from the lune draws of the Hall spin (see
   :func:`models.lune_outcomes`) and need no spin, and watch-driven B2 no
-  settings.  In a job of :func:`pool_map`, every counting chunk computes
-  in place in the worker's workspace (see :func:`_buffers`);
+  settings.  A counting chunk computes in place in its job's workspace, or
+  in fresh arrays outside a job of :func:`pool_map` (see :func:`_buffers`);
 * the ball pass, :func:`chunk_balls`, returns what the pitcher pitches, the
   pitch times and the spins, drawn in order from a freshly keyed pitcher
   stream: the jitter, then the spin.  Only the event log and the B1/B2
@@ -128,13 +128,16 @@ class ExperimentConfig:
         total = len(self.streams()) * self.trials
         if total > 1 << 61:  # the last message's seq, 4 * trial id + 3, is an int64
             raise ValueError(f"a run has at most 2**61 trials, got {total}")
+        epoch = self.bank.watch_H.epoch  # no arrival of the run is later than `last`
+        last = epoch + total * self.pitch_gap + self.delta_t
+        if not np.isfinite(last):
+            raise ValueError(f"the run's last arrival time, epoch + {total} trials * "
+                             f"{self.pitch_gap:g} s + time of flight, is {last} s: not finite")
         if self.watch_driven:
             # a hand phase is (t - epoch) / period: refuse periods so short
             # that this ratio overflows by the run's last arrival
-            epoch = self.bank.watch_H.epoch
             shortest = min(p for w in (self.bank.watch_H, self.bank.watch_T)
                            for p in (w.period_small, w.period_large))
-            last = epoch + total * self.pitch_gap + self.delta_t
             if not np.isfinite((last - epoch) / shortest):
                 raise ValueError(f"watch periods down to {shortest!r} s are too short for "
                                  "this run: a hand phase overflows by its last arrival")
@@ -341,30 +344,30 @@ def _chunk(kind, config, stream, chunk):
             pair, lambda role: _stream(config.seed, tag, chunk, role))
 
 
-def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int):
+def run_chunk(kind: str, config: ExperimentConfig, stream: int, chunk: int, workspace=None):
     """The counting pass: the outcomes (sigma, tau), int8 +-1, of trials
     [chunk * 2^17, (chunk + 1) * 2^17) of trial stream ``stream`` (an index
     into ``config.streams()``), from c = n_L.n_R of the settings pair, the
-    coordinator or the watches (see :func:`_buffers`).  It keys and draws
-    only what they need."""
+    coordinator or the watches, computed in ``workspace`` (see
+    :func:`_buffers`).  It keys and draws only what they need."""
     k, first_id, pair, key = _chunk(kind, config, stream, chunk)
     if pair is not None:
         c = settings_overlap((pair.n_L.as_array(), pair.n_R.as_array()))
-        return _outcomes(kind, k, key, c, None, _buffers(k))
+        return _outcomes(kind, k, key, c, None, _buffers(k, workspace))
     if kind == "B2":
         # A free-ticking spin watch gives a uniform spin, the pitcher's draws
         # after the jitter; the coordinator realizes the clock coupling by
         # installing settings given that spin into the batters' watches before
         # the trial (shared state, not a message).  Their overlap c is the
         # coordinator's first draw, -1 + 2 U (see sample_settings_B2_array).
-        coordinator, buffers = key(COORDINATOR), _buffers(k)
+        coordinator, buffers = key(COORDINATOR), _buffers(k, workspace)
         c = coordinator.random(out=buffers[0])
         c *= 2.0
         c -= 1.0
         return _outcomes(kind, k, key, c, coordinator, buffers[1:])
     # a logged run's round-trip check reads the pitch times after the
     # phases, so they take the workspace only unlogged
-    pitcher, buffers = key(PITCHER), _buffers(k)
+    pitcher, buffers = key(PITCHER), _buffers(k, workspace)
     t_pitch = _pitch_times(pitcher, first_id, k, config,
                            None if config.log_events else (buffers[4], buffers[3]))
     return _watch_counts(kind, config, first_id, key, t_pitch, pitcher, buffers)[0]
@@ -447,21 +450,22 @@ def chunk_balls(kind: str, config: ExperimentConfig, stream: int, chunk: int, re
     return t_pitch, _atom_spin(pitcher, k, *settings)
 
 
-def chunk_passes(kind: str, config: ExperimentConfig, stream: int, chunk: int):
+def chunk_passes(kind: str, config: ExperimentConfig, stream: int, chunk: int, workspace=None):
     """Both passes of a chunk, for the event log and the joint samples:
     (first_id, sigma, tau, t_pitch, spin), the trial id of the chunk's first
     trial, :func:`run_chunk`'s outcomes and :func:`chunk_balls`'s balls.
-    Where the settings come off the watches, the counting pass reads them
-    once per watch into fresh arrays (see :func:`_buffers`), and hands the
-    ball pass its pitch times and setting vectors."""
+    Fixed settings and free-running B2 count in ``workspace``.  Where the
+    settings come off the watches, the counting pass reads them once per
+    watch into fresh arrays, never the workspace (see :func:`_buffers`), and
+    hands the ball pass its pitch times and setting vectors."""
     k, first_id, pair, key = _chunk(kind, config, stream, chunk)
     if pair is not None or kind == "B2":
-        return (first_id, *run_chunk(kind, config, stream, chunk),
+        return (first_id, *run_chunk(kind, config, stream, chunk, workspace),
                 *chunk_balls(kind, config, stream, chunk))
     pitcher = key(PITCHER)
     t_pitch = _pitch_times(pitcher, first_id, k, config)
     (sigma, tau), settings = _watch_counts(kind, config, first_id, key, t_pitch, pitcher,
-                                           [np.empty(k) for _ in range(5)], kind != "QM")
+                                           _buffers(k), kind != "QM")
     return first_id, sigma, tau, *chunk_balls(kind, config, stream, chunk, (t_pitch, settings))
 
 
@@ -526,21 +530,16 @@ def sample_joint_spin_outcomes(kind: str, n: int, seed: int):
     return tuple(map(np.concatenate, zip(*map(itemgetter(4, 1, 2), chunks))))
 
 
-# the workspace of the pool_map call whose job the calling thread runs
-_active = threading.local()
-
-
-def _buffers(k):
-    """Five float arrays of k rows for a counting pass: in a job of
-    :func:`pool_map`, views of the calling worker's workspace, which its
-    first counting chunk allocates and every later one reuses; elsewhere
-    fresh arrays.  Every counting pass computes in them; one that keys its
-    stream in :func:`run_chunk` keys it first.  :func:`chunk_passes`'
-    watch-driven A, B1, C and QM take five fresh arrays after the pitch
-    times and free them before the spin: a workspace held through the ball
-    pass is real memory, not malloc arena placement (``verify``'s peak RSS
-    rises with one arena too)."""
-    workspace = getattr(_active, "workspace", None)
+def _buffers(k, workspace=None):
+    """Five float arrays of k rows for a counting pass: views of the arrays
+    of ``workspace``, the worker's workspace that :func:`pool_map` gives a
+    job, which its first counting chunk allocates and every later one
+    reuses; fresh arrays without one.  Every counting pass computes in them;
+    one that keys its stream in :func:`run_chunk` keys it first.
+    :func:`chunk_passes`' watch-driven A, B1, C and QM take five fresh
+    arrays after the pitch times and free them before the spin: a workspace
+    held through the ball pass is real memory, not malloc arena placement
+    (``verify``'s peak RSS rises with one arena too)."""
     if workspace is None:
         return [np.empty(k) for _ in range(5)]
     arrays = getattr(workspace, "arrays", None)
@@ -549,25 +548,20 @@ def _buffers(k):
     return [a[:k] for a in arrays]
 
 
-def _in_workspace(workspace, job):
-    """job(), with ``workspace`` as the calling thread's workspace."""
-    outer = getattr(_active, "workspace", None)
-    _active.workspace = workspace
-    try:
-        return job()
-    finally:
-        _active.workspace = outer
-
-
 def pool_map(jobs, threads: int):
-    """job() for each job of the iterable ``jobs``, yielded in job order.
-    The jobs are drawn _POOL_BATCH at a time, so a call holds at most one
-    batch, and each batch is mapped on one pool of min(threads, cpu count)
-    worker threads, or on the calling thread at one worker or for one job.
-    A chunk's job draws only from the chunk's own keyed streams, so the
-    results are the same at every thread count.  Each worker thread has its
-    own workspace for the call (see :func:`_buffers`), dropped with the stream."""
-    run = partial(_in_workspace, threading.local())
+    """job(workspace) for each job of the iterable ``jobs``, yielded in job
+    order.  ``workspace`` is one ``threading.local`` made for the call, so
+    each worker thread has its own workspace in it (see :func:`_buffers`),
+    dropped with the stream.  The jobs are drawn _POOL_BATCH at a time, so a
+    call holds at most one batch, and each batch is mapped on one pool of
+    min(threads, cpu count) worker threads, or on the calling thread at one
+    worker or for one job.  A chunk's job draws only from the chunk's own
+    keyed streams, so the results are the same at every thread count."""
+    workspace = threading.local()
+
+    def run(job):
+        return job(workspace)
+
     workers = min(threads, os.cpu_count() or 1)
     jobs = iter(jobs)
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
@@ -580,14 +574,16 @@ def outcome_cells(sigma, tau):
     return (1 - sigma) + (1 - tau) // 2
 
 
-def _chunk_counts(kind, config, stream, chunk):
+def _chunk_counts(kind, config, stream, chunk, workspace=None):
     """A chunk's counting-pass outcomes, counted in OUTCOMES order."""
-    return np.bincount(outcome_cells(*run_chunk(kind, config, stream, chunk)), minlength=4)
+    return np.bincount(outcome_cells(*run_chunk(kind, config, stream, chunk, workspace)),
+                       minlength=4)
 
 
 def count_jobs(kind: str, config: ExperimentConfig):
     """A run's counting jobs, one per chunk, stream by stream, each made as
-    it is drawn: each returns its chunk's outcome counts."""
+    it is drawn: each takes its worker's workspace (see :func:`pool_map`) and
+    returns its chunk's outcome counts."""
     return (partial(_chunk_counts, kind, config, si, ci)
             for si in range(len(config.streams())) for ci in range(config.chunks()))
 

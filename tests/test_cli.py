@@ -681,6 +681,24 @@ def test_bad_delta_t_flag_is_config_error(tmp_path, capsys, mode, delta_t):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", [["--theta-deg", "60"], ["--watch-driven"]],
+                         ids=["fixed", "watch-driven"])
+def test_an_overflowing_arrival_time_is_config_error(tmp_path, capsys, mode):
+    # epoch 1e308 and a 1e308 s time of flight: the fixed-settings run once
+    # wrote result reports at t_send inf, which is no JSON number, and the
+    # watch-driven one was refused for its watch periods
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"epoch": 1e308}))
+    out = tmp_path / "run"
+    assert run(["simulate", "--model", "A", "--trials", "3", "--log-events", "--delta-t",
+                "1e308", "--config", str(config), "--out", str(out)] + mode) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [
+        "config error: the run's last arrival time, epoch + 3 trials * 100000 s + time of "
+        "flight, is inf s: not finite"]
+
+
 SETTINGS_SOURCES = {
     "watch-driven": ["--watch-driven"],
     "theta": ["--theta-deg", "60"],
@@ -932,6 +950,20 @@ def test_freewill_out_report(tmp_path, capsys):
     printed = float(capsys.readouterr().out.split()[2])
     assert json.loads(report.read_text()) == {"metric": "free_will_M", "model": "B1",
                                               "M": printed}
+
+
+@pytest.mark.parametrize("argv", [
+    ["chsh", "--model", "QM", "--optimize", "--coarse-deg", "90"],
+    ["freewill", "--model", "B1", "--grid", "4"],
+], ids=["chsh", "freewill"])
+def test_an_unwritable_out_report_prints_nothing(tmp_path, capsys, argv):
+    # the report is written before any result line, so a failed write leaves
+    # stdout empty
+    assert run(argv + ["--out", str(tmp_path / "missing" / "x.json")]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: [Errno 2]"), err
 
 
 def test_audit_unknown_model_is_usage_error(tmp_path, capsys):

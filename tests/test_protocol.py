@@ -3,6 +3,7 @@ import json
 import math
 import re
 import sys
+import threading
 from functools import partial
 from itertools import islice
 
@@ -408,9 +409,9 @@ def test_a_joint_chunks_ball_pass_leaves_the_workspace_unallocated():
     # the spin, and never the worker's workspace (see protocol._buffers)
     config = ExperimentConfig(trials=1000, seed=3, watch_driven=True)
 
-    def job():
-        protocol.chunk_passes("B1", config, 0, 0)
-        return getattr(protocol._active.workspace, "arrays", None)
+    def job(workspace):
+        protocol.chunk_passes("B1", config, 0, 0, workspace)
+        return getattr(workspace, "arrays", None)
 
     assert list(protocol.pool_map([job], 1)) == [None]
 
@@ -421,15 +422,15 @@ def second_chunk_peak(kind, config):
 
     peaks = []
 
-    def second_chunk():
+    def second_chunk(workspace):
         tracemalloc.start()
         try:
-            run_chunk(kind, config, 0, 1)
+            run_chunk(kind, config, 0, 1, workspace)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
 
-    list(protocol.pool_map([lambda: run_chunk(kind, config, 0, 0), second_chunk], 1))
+    list(protocol.pool_map([partial(run_chunk, kind, config, 0, 0), second_chunk], 1))
     return peaks[0]
 
 
@@ -474,19 +475,36 @@ def test_generator_floats_are_raw_words_canary():
 
 
 def test_workspace_lives_for_one_pool_map_call():
-    # one workspace per worker thread and call: a later job of the same
-    # worker gets views of the same arrays, a later call new ones, and
-    # outside a call every chunk gets fresh arrays
+    # one workspace per worker thread and call, passed to each job: a later
+    # job of the same worker gets views of the same arrays, a later call new
+    # ones, the module keeps no thread state, and outside a call every chunk
+    # gets fresh arrays
     def views(k):
-        return lambda: protocol._buffers(k)
+        return partial(protocol._buffers, k)
 
     first, short = list(protocol.pool_map([views(100), views(77)], 1))
     assert all(np.shares_memory(a, b) for a, b in zip(first, short))
     assert [len(a) for a in short] == [77] * 5
     again, = list(protocol.pool_map([views(100)], 1))
     assert not np.shares_memory(again[0], first[0])
-    assert getattr(protocol._active, "workspace", None) is None
+    assert not any(isinstance(v, threading.local) for v in vars(protocol).values())
     assert not np.shares_memory(protocol._buffers(100)[0], protocol._buffers(100)[0])
+
+
+def test_streams_read_alternately_on_one_thread_keep_their_own_workspaces():
+    # two pool_map calls read in turn on the calling thread: each job of a
+    # stream reuses its stream's arrays, and never shares memory with a job
+    # of the other stream
+    streams = [protocol.pool_map((partial(protocol._buffers, 100 - i) for i in range(3)), 1)
+               for _ in range(2)]
+    got = [[], []]
+    for _ in range(3):
+        for stream, arrays in zip(streams, got):
+            arrays.append(next(stream))
+    for mine, other in (got, got[::-1]):
+        assert all(np.shares_memory(a, b) for job in mine[1:] for a, b in zip(mine[0], job))
+        assert not any(np.shares_memory(a, b) for x in mine for y in other
+                       for a in x for b in y)
 
 
 def test_pool_map_streams_jobs_in_order_in_batches(monkeypatch, recording_pool):
@@ -495,7 +513,7 @@ def test_pool_map_streams_jobs_in_order_in_batches(monkeypatch, recording_pool):
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: 3)
     n, batch = 2500, protocol._POOL_BATCH
 
-    def job(i):
+    def job(i, workspace):
         sum(range(i % 97 * 50))  # uneven work, so jobs finish out of order
         return i
 
@@ -517,10 +535,13 @@ def test_pool_map_draws_one_batch_before_its_first_result(monkeypatch, threads):
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
     batch, drawn = protocol._POOL_BATCH, []
 
+    def job(i, workspace):
+        return i
+
     def jobs():
         for i in range(3 * batch + 5):
             drawn.append(i)
-            yield partial(int, i)
+            yield partial(job, i)
 
     stream = protocol.pool_map(jobs(), threads)
     assert next(stream) == 0
@@ -536,7 +557,7 @@ def test_count_tables_read_each_streams_chunks_off_the_stream(monkeypatch, threa
     # boundary: each table sums exactly its own stream's chunk counts
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(protocol, "_chunk_counts",
-                        lambda kind, config, si, ci: np.array([1, si, ci, si * ci]))
+                        lambda kind, config, si, ci, workspace: np.array([1, si, ci, si * ci]))
     pairs = [(f"theta={d:g}", SettingsPair(Z, planar(d))) for d in (0.0, 90.0)]
     chunks = 1500
     cfg = ExperimentConfig(trials=chunks << 17, seed=2, settings_pairs=pairs, threads=threads)
@@ -688,6 +709,48 @@ def test_far_fixed_chunk_follows_its_law(kind):
                                 {o: int(n) for o, n in zip(protocol.OUTCOMES, counts)})
     assert table.n_total == protocol._CHUNK
     assert chi_square_gof(table, kind)[1] > 1e-3
+
+
+def top_of_range_passes(kind):
+    """Both passes of the last chunk of the largest run a config accepts, one
+    fixed pair of 2^61 trials: chunk 2^44 - 1, with trial ids up to
+    2^61 - 1, and the run's config."""
+    config = fixed_config(deg=60.0, trials=1 << 61, seed=3)
+    assert config.chunks() == 1 << 44
+    passes = protocol.chunk_passes(kind, config, 0, (1 << 44) - 1)
+    assert passes[0] + passes[1].size == 1 << 61
+    return passes, config
+
+
+@pytest.mark.parametrize("kind", ["B1", "B2", "C"])
+def test_top_of_range_spins_reproduce_the_counting_outcomes(kind):
+    (_, sigma, tau, _, spin), config = top_of_range_passes(kind)
+    pair = config.settings_pairs[0][1]
+    want = _sign_responses(spin, pair.n_L.as_array(), pair.n_R.as_array())
+    np.testing.assert_array_equal(sigma, want[0])
+    np.testing.assert_array_equal(tau, want[1])
+
+
+@pytest.mark.parametrize("kind", ["A", "B1", "B2", "C", "QM"])
+def test_top_of_range_log_lines_audit_clean(tmp_path, kind):
+    # the chunk's last 1,000 trials as the log spells them: their trial ids
+    # and seqs are integers in range, the last seq 4 * (2^61 - 1) + 3, the
+    # largest int64, where a trial has four messages
+    (first_id, sigma, tau, t_pitch, spin), config = top_of_range_passes(kind)
+    last = slice(-1000, None)
+    path = tmp_path / "events.ndjson"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(protocol._chunk_lines(
+            first_id + sigma.size - 1000, sigma[last], tau[last], t_pitch[last],
+            None if spin is None else spin[last], config.delta_t))
+    per_trial = 2 if kind == "QM" else 4
+    report = protocol.audit_event_log(path, kind)
+    assert report.passed and report.messages == 1000 * per_trial, report.violations
+    messages = [json.loads(line) for line in path.read_text().splitlines()]
+    assert messages[-1]["seq"] == per_trial * (1 << 61) - 1
+    assert messages[-1]["payload"]["trial_id"] == (1 << 61) - 1
+    if kind != "QM":
+        assert messages[-1]["seq"] == np.iinfo(np.int64).max
 
 
 def _settings_of(kind, config, t_pitch, spin, stream, chunk):
