@@ -40,6 +40,7 @@ from .protocol import (
     SETTING_AGREEMENT_TOL,
     ExperimentConfig,
     ProtocolIntegrityError,
+    _stream,
     audit_event_log,
     chunk_passes,
     count_jobs,
@@ -282,7 +283,8 @@ def _verify_model(model, tables, inject_bias):
 
 
 def _verify_watches(seed):
-    rng = np.random.default_rng(seed)
+    # keyed like every stream of a run, so any whole seed draws the times
+    rng = _stream(seed, "verify", "watches")
     bank = wt.WatchBank.default()
     n = 10_000
     t = rng.uniform(0.0, 1.0e7, size=n)

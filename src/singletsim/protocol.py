@@ -15,11 +15,11 @@ passes, one for each thing that reads a chunk:
   :func:`models.lune_outcomes`) and need no spin, and watch-driven B2 no
   settings.  A counting chunk computes in place in its job's workspace, or
   in fresh arrays outside a job of :func:`pool_map` (see :func:`_buffers`);
-* the ball pass, :func:`chunk_balls`, returns what the pitcher pitches, the
-  pitch times and the spins, drawn in order from a freshly keyed pitcher
-  stream: the jitter, then the spin.  Only the event log and the B1/B2
-  joint samples run it, after the counting pass, whose watch read it
-  reuses (see :func:`chunk_passes`).
+* the ball pass returns what the pitcher pitches, the pitch times and the
+  spins, drawn in order from a freshly keyed pitcher stream: the jitter,
+  then the spin.  Only the event log and the B1/B2 joint samples run it,
+  through :func:`chunk_passes`, which runs both passes of a chunk, the
+  counting pass first, and hands the ball pass that pass's watch read.
 
 The overlap from the phases differs from the rounded dot product of the
 built vectors by up to about 1e-15, so a watch-driven outcome can differ
@@ -226,20 +226,19 @@ def _stream(seed: int, *key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
 
 
-def _watch_phases(config, t_pitch, out=None):
+def _watch_phases(config, t_pitch, out):
     """The hand phases (small, large) of the left and the right setting as
     the batters read them: the mirrored watch at arrival, corrected by the
-    time of flight.  ``out``, if given, is five float arrays of the pitch
-    times' size: the left phases, the right small phase, scratch, and the
-    arrival times, which the right large phase then overwrites; the last
-    may be ``t_pitch`` itself."""
+    time of flight, read into ``out``, five float arrays of the pitch times'
+    size: the left phases, the right small phase, scratch, and the arrival
+    times, which the right large phase then overwrites; the last may be
+    ``t_pitch`` itself."""
     bank, dt = config.bank, config.delta_t
-    t_arrival = np.add(t_pitch, dt, out=None if out is None else out[4])
-    left = right = None
-    if out is not None:
-        left, right = (out[0], out[1], out[3]), (out[2], out[4], out[3])
-    return (wt.batter_phases_array(bank.watch_T.mirrored(), t_arrival, dt, left),
-            wt.batter_phases_array(bank.watch_H.mirrored(), t_arrival, dt, right))
+    t_arrival = np.add(t_pitch, dt, out=out[4])
+    return (wt.batter_phases_array(bank.watch_T.mirrored(), t_arrival, dt,
+                                   (out[0], out[1], out[3])),
+            wt.batter_phases_array(bank.watch_H.mirrored(), t_arrival, dt,
+                                   (out[2], out[4], out[3])))
 
 
 def _watch_counts(kind, config, first_id, key, t_pitch, pitcher, buffers, vectors=False):
@@ -423,50 +422,40 @@ def _outcomes(kind, k, key, c, draws, scratch):
             outcome_int8(key(BATTER_R).random(out=d) < u_n_R[rows]))
 
 
-def chunk_balls(kind: str, config: ExperimentConfig, stream: int, chunk: int, read=None):
-    """The ball pass: the pitch times and spins (t_pitch, spin) of the same
-    trials as :func:`run_chunk`, drawn in order from the chunk's pitcher
-    stream, the jitter and then the spin.  The left ball spins along
-    ``spin``, shape (k, 3), the right ball along its negation; the QM
-    reference pitches no balls, and its spin is None.  ``read``, if given,
-    is the pitch times and the watch-driven setting vectors that the
-    counting pass read for the chunk: the jitter is then skipped, and the
-    watches are not read again."""
-    k, first_id, pair, key = _chunk(kind, config, stream, chunk)
-    pitcher = key(PITCHER)
-    if read is None:
-        t_pitch, settings = _pitch_times(pitcher, first_id, k, config), None
-    else:
-        (t_pitch, settings), pitcher = read, skip_words(pitcher, k)
-    if kind == "QM":
-        return t_pitch, None
-    if pair is None and kind == "B2":
-        return t_pitch, sample_uniform_sphere_array(pitcher, k)
-    if settings is None:
-        settings = ((pair.n_L.as_array(), pair.n_R.as_array()) if pair is not None
-                    else tuple(sphere_points(*p) for p in _watch_phases(config, t_pitch)))
-    if kind in ("B1", "B2"):
-        return t_pitch, sample_hidden_B1_array(settings, pitcher, k)
-    return t_pitch, _atom_spin(pitcher, k, *settings)
-
-
 def chunk_passes(kind: str, config: ExperimentConfig, stream: int, chunk: int, workspace=None):
     """Both passes of a chunk, for the event log and the joint samples:
     (first_id, sigma, tau, t_pitch, spin), the trial id of the chunk's first
-    trial, :func:`run_chunk`'s outcomes and :func:`chunk_balls`'s balls.
-    Fixed settings and free-running B2 count in ``workspace``.  Where the
-    settings come off the watches, the counting pass reads them once per
-    watch into fresh arrays, never the workspace (see :func:`_buffers`), and
-    hands the ball pass its pitch times and setting vectors."""
+    trial, :func:`run_chunk`'s outcomes, and the ball pass's pitch times and
+    spins, drawn in order from a freshly keyed pitcher stream: the jitter,
+    then the spin.  The left ball spins along ``spin``, shape (k, 3), the
+    right ball along its negation; the QM reference pitches no balls, and
+    its spin is None.  Fixed settings and free-running B2 count in
+    ``workspace`` before the pitcher is keyed.  Where the settings come off
+    the watches, the counting pass draws the pitch times and reads the
+    watches once each into fresh arrays, never the workspace (see
+    :func:`_buffers`), and the ball pass skips the jitter and draws the spin
+    for the setting vectors of that read."""
     k, first_id, pair, key = _chunk(kind, config, stream, chunk)
     if pair is not None or kind == "B2":
-        return (first_id, *run_chunk(kind, config, stream, chunk, workspace),
-                *chunk_balls(kind, config, stream, chunk))
-    pitcher = key(PITCHER)
-    t_pitch = _pitch_times(pitcher, first_id, k, config)
-    (sigma, tau), settings = _watch_counts(kind, config, first_id, key, t_pitch, pitcher,
-                                           _buffers(k), kind != "QM")
-    return first_id, sigma, tau, *chunk_balls(kind, config, stream, chunk, (t_pitch, settings))
+        sigma, tau = run_chunk(kind, config, stream, chunk, workspace)
+        pitcher = key(PITCHER)
+        t_pitch = _pitch_times(pitcher, first_id, k, config)
+        settings = None if pair is None else (pair.n_L.as_array(), pair.n_R.as_array())
+    else:
+        pitcher = key(PITCHER)
+        t_pitch = _pitch_times(pitcher, first_id, k, config)
+        (sigma, tau), settings = _watch_counts(kind, config, first_id, key, t_pitch, pitcher,
+                                               _buffers(k), kind != "QM")
+        pitcher = skip_words(key(PITCHER), k)
+    if kind == "QM":
+        spin = None
+    elif settings is None:  # free-running B2 pitches a uniform spin
+        spin = sample_uniform_sphere_array(pitcher, k)
+    elif kind in ("B1", "B2"):
+        spin = sample_hidden_B1_array(settings, pitcher, k)
+    else:
+        spin = _atom_spin(pitcher, k, *settings)
+    return first_id, sigma, tau, t_pitch, spin
 
 
 def _negated(s):
@@ -737,12 +726,12 @@ def _message(line):
 
 # A ball or a result report as _chunk_lines spells it, with its numbers
 # bounded so that the JSON parser takes each without error and to the same
-# type: an integer of at most 18 digits, inside int64 and far below Python's
-# limit on the digits of an int, and a number of at most 16 integer and 20
-# fraction digits (all that repr writes) and a two-digit exponent, which is
-# finite.  The groups are a ball's receiver and trial id and a report's trial
-# id.
-_INT = r"(?:0|[1-9][0-9]{0,17})"
+# type: an integer of at most 19 digits, as many as an int64 has and far
+# below Python's limit on the digits of an int, and a number of at most 16
+# integer and 20 fraction digits (all that repr writes) and a two-digit
+# exponent, which is finite.  The groups are a ball's receiver and trial id
+# and a report's trial id.
+_INT = r"(?:0|[1-9][0-9]{0,18})"
 _NUM = r"-?(?:0|[1-9][0-9]{0,15})(?:\.[0-9]{1,20})?(?:e[-+][0-9]{2})?"
 _WRITER_LINE = (
     r'\{"seq": INT, "t_send": NUM, "sender": (?:'
@@ -757,8 +746,8 @@ def audit_event_log(path, kind: str) -> AuditReport:
     """:func:`audit_locality` of the messages of an event-log file, one per
     non-blank line, reading a line in the writer's own spelling without
     parsing it.  A line spelled exactly as :func:`_chunk_lines` writes a
-    ball or a result report breaks none of rules 1, 2, 3 and 5 and names its
-    trial by a 64-bit integer, so it is tallied from its trial id and, for a
+    ball or a result report breaks none of rules 1, 2, 3 and 5, so, if its
+    trial id is a 64-bit integer, it is tallied from that id and, for a
     ball, its receiver; every other line is stripped and parsed by
     :func:`_message`, and a ValueError names its number."""
     tally = _Tally()
@@ -771,6 +760,15 @@ def audit_event_log(path, kind: str) -> AuditReport:
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             hit = writer_line(line)
+            if hit is not None:
+                receiver, ball_tid, report_tid = hit.groups()
+                spelled = ball_tid or report_tid
+                if spelled != last:
+                    last, tid = spelled, int(spelled)
+                    if tid >> 63:  # past int64: the generic path records rule 4
+                        last = hit = None
+                    else:
+                        trial_ids.append(tid)
             if hit is None:
                 if line := line.strip():
                     try:
@@ -779,11 +777,6 @@ def audit_event_log(path, kind: str) -> AuditReport:
                         raise ValueError(f"malformed event log at line {lineno}: {exc}") from exc
                     tally.check(m)
                 continue
-            receiver, ball_tid, report_tid = hit.groups()
-            spelled = ball_tid or report_tid
-            if spelled != last:
-                last, tid = spelled, int(spelled)
-                trial_ids.append(tid)
             messages += 1
             if receiver is not None:
                 balls += 1

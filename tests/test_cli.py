@@ -881,19 +881,30 @@ def test_verify_hall_rows(capsys):
     assert lines[-1] == "overall: PASS"
 
 
+def test_verify_takes_a_negative_seed(capsys):
+    # the watch row's times come from a stream keyed like every stream of a
+    # run, so verify takes any whole seed, as simulate and chsh do
+    assert run(["verify", "--model", "A", "--grid", "3", "--trials", "1000",
+                "--seed", "-1"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(ln.startswith("[PASS] watches watch round-trip max err=") for ln in lines) == 1
+    assert lines[-1] == "overall: PASS"
+
+
 def test_verify_joint_row_draws_one_chunk_at_a_time(monkeypatch, capsys):
     # the B1/B2 row draws the kernel's free-running ball pass chunk by chunk,
     # here over three chunks per realization
     rows = Counter()
-    balls = protocol.chunk_balls
+    passes = protocol.chunk_passes
 
     def recording(kind, *a):
-        t_pitch, spin = balls(kind, *a)
+        got = passes(kind, *a)
+        spin = got[4]
         assert len(spin) <= 1 << 17
         rows[kind] += len(spin)
-        return t_pitch, spin
+        return got
 
-    monkeypatch.setattr(protocol, "chunk_balls", recording)
+    monkeypatch.setattr(cli, "chunk_passes", recording)
     assert run(["verify", "--model", "B1,B2", "--grid", "3", "--trials", "300000",
                 "--seed", "0"]) == EXIT_OK
     assert rows == {"B1": 300_000, "B2": 300_000}

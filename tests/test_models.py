@@ -21,7 +21,7 @@ from singletsim.models import (
 )
 from singletsim.protocol import (
     ExperimentConfig,
-    chunk_balls,
+    chunk_passes,
     run_chunk,
     run_experiment,
 )
@@ -57,7 +57,8 @@ def chunk(kind, s, trials=100_000, seed=17):
     """The outcomes (sigma, tau) and the spins of one chunk of the trial
     kernel at fixed settings s."""
     cfg = ExperimentConfig(trials=trials, seed=seed, settings_pairs=[("p", s)])
-    return (*run_chunk(kind, cfg, 0, 0), chunk_balls(kind, cfg, 0, 0)[1])
+    _, sigma, tau, _, spin = chunk_passes(kind, cfg, 0, 0)
+    return sigma, tau, spin
 
 
 def test_hidden_state_antialignment():
@@ -116,7 +117,7 @@ def test_sample_hidden_A_atom_frequencies():
     cfg = ExperimentConfig(trials=n, seed=17, settings_pairs=[("p", s)])
     hits = np.zeros(4)
     for ci in range(cfg.chunks()):
-        spin = chunk_balls("A", cfg, 0, ci)[1]
+        spin = chunk_passes("A", cfg, 0, ci)[4]
         hits += [np.sum(np.all(spin == d * v, axis=1)) for v in arrays(s) for d in (1.0, -1.0)]
     assert hits.sum() == n
     assert np.max(np.abs(hits / n - 0.25)) < 0.002
@@ -430,7 +431,7 @@ def test_an_unknown_model_kind_has_one_refusal():
     for refuse in (lambda: models.check_kind("Z"),
                    lambda: correlator_law("Z", 0.5),
                    lambda: run_chunk("Z", config, 0, 0),
-                   lambda: chunk_balls("Z", config, 0, 0),
+                   lambda: chunk_passes("Z", config, 0, 0),
                    lambda: free_will_M("Z", [(pair(0.0), pair(1.0))])):
         with pytest.raises(ValueError, match="^unknown model kind: 'Z'$"):
             refuse()

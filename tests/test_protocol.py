@@ -18,7 +18,6 @@ from singletsim.geometry import (
     rowdot,
     sample_uniform_sphere_array,
     sign_array,
-    sphere_points,
 )
 from singletsim.metrics import chi_square_gof
 from singletsim.models import (
@@ -36,7 +35,7 @@ from singletsim.protocol import (
     ExperimentConfig,
     ProtocolIntegrityError,
     audit_locality,
-    chunk_balls,
+    chunk_passes,
     run_chunk,
     run_experiment,
     sample_joint_spin_outcomes,
@@ -119,8 +118,8 @@ def test_config_refuses_runs_whose_last_seq_overflows_int64():
 def test_chunk_deterministic():
     cfg = fixed_config()
     for kind in ("A", "B1", "C", "QM"):
-        a = (*run_chunk(kind, cfg, 0, 0), *chunk_balls(kind, cfg, 0, 0))
-        b = (*run_chunk(kind, cfg, 0, 0), *chunk_balls(kind, cfg, 0, 0))
+        a = chunk_passes(kind, cfg, 0, 0)[1:]
+        b = chunk_passes(kind, cfg, 0, 0)[1:]
         for col_a, col_b in zip(a, b):  # sigma, tau, t_pitch, spin
             assert np.array_equal(col_a, col_b)
     t_pitch = a[2]
@@ -278,7 +277,7 @@ def test_counts_build_only_the_columns_they_read(monkeypatch):
                 # settings come off the watches
                 assert not samplers and not vectors
                 assert (len(built) > 0) == (config.watch_driven and kind != "B2")
-                spin = chunk_balls(kind, config, 0, 0)[1]
+                spin = chunk_passes(kind, config, 0, 0)[4]
                 if kind == "QM":
                     assert spin is None
                     continue
@@ -289,19 +288,26 @@ def test_counts_build_only_the_columns_they_read(monkeypatch):
                 np.testing.assert_array_equal(spin, _replayed_spin(kind, config))
 
 
-def _replayed_spin(kind, config):
-    """Oracle: the spin of a one-stream, one-chunk config as the kernel once
-    built it on read, from a freshly keyed pitcher stream whose jitter draws
-    are skipped by advancing its counter (A and C of a fixed pair as the
-    atom that each trial's row looks up)."""
-    k, pair = config.trials, config.streams()[0][1]
-    tag = f"{kind}:free" if pair is None else f"{kind}:pair0"
-    pitcher = skip_words(protocol._stream(config.seed, tag, 0, PITCHER), k)
+def _fresh_pitcher(kind, config, chunk):
+    """A freshly keyed pitcher stream of chunk ``chunk`` of a config's first
+    trial stream."""
+    tag = f"{kind}:free" if config.watch_driven else f"{kind}:pair0"
+    return protocol._stream(config.seed, tag, chunk, PITCHER)
+
+
+def _replayed_spin(kind, config, chunk=0):
+    """Oracle: the spin of chunk ``chunk`` of a config's first trial stream
+    as the kernel once built it on read, from a freshly keyed pitcher stream
+    whose jitter draws are skipped by advancing its counter (A and C of a
+    fixed pair as the atom that each trial's row looks up)."""
+    k = min(protocol._CHUNK, config.trials - chunk * protocol._CHUNK)
+    pair = config.streams()[0][1]
+    pitcher = skip_words(_fresh_pitcher(kind, config, chunk), k)
     if pair is None and kind == "B2":
         return sample_uniform_sphere_array(pitcher, k)
     if pair is None:
-        t_arrival = protocol._pitch_times(
-            protocol._stream(config.seed, tag, 0, PITCHER), 0, k, config) + config.delta_t
+        t_arrival = protocol._pitch_times(_fresh_pitcher(kind, config, chunk),
+                                          chunk * protocol._CHUNK, k, config) + config.delta_t
         settings = tuple(wt.batter_vectors_array(w.mirrored(), t_arrival, config.delta_t)
                          for w in (config.bank.watch_T, config.bank.watch_H))
     else:
@@ -326,6 +332,43 @@ def _sign_responses(u, n_L, n_R):
     """Oracle: the deterministic responses sigma = sgn(u.n_L) and
     tau = sgn(-u.n_R), with sgn(0) = +1."""
     return sign_array(rowdot(u, n_L)), sign_array(-rowdot(u, n_R))
+
+
+# two chunks of fixed and of watch-driven settings (free-running for B2), and
+# a logged watch-driven chunk, whose count stops below the trial-1369
+# round-trip failure
+PASS_CONFIGS = {
+    "fixed": lambda: fixed_config(33.0, trials=(1 << 17) + 3, seed=5),
+    "watch-driven": lambda: ExperimentConfig(trials=(1 << 17) + 3, seed=5, watch_driven=True),
+    "logged watch-driven": lambda: ExperimentConfig(trials=1000, seed=5, watch_driven=True,
+                                                    log_events=True),
+}
+
+
+@pytest.mark.parametrize("settings", sorted(PASS_CONFIGS))
+@pytest.mark.parametrize("kind", ["A", "B1", "B2", "C", "QM"])
+def test_chunk_passes_are_the_counting_pass_and_a_fresh_pitchers_balls(kind, settings):
+    # both passes of a chunk, outside a pool and as a pool job in its
+    # worker's workspace: the counting pass's outcomes, the pitch times of a
+    # freshly keyed pitcher and the spin it draws after them
+    config = PASS_CONFIGS[settings]()
+    for ci in range(config.chunks()):
+        passes = chunk_passes(kind, config, 0, ci)
+        as_job = next(protocol.pool_map([partial(chunk_passes, kind, config, 0, ci)], 1))
+        for got, want in zip(as_job, passes):
+            np.testing.assert_array_equal(got, want)
+        first_id, sigma, tau, t_pitch, spin = passes
+        k = min(protocol._CHUNK, config.trials - ci * protocol._CHUNK)
+        assert first_id == ci * protocol._CHUNK and t_pitch.shape == (k,)
+        want_sigma, want_tau = run_chunk(kind, config, 0, ci)
+        np.testing.assert_array_equal(sigma, want_sigma)
+        np.testing.assert_array_equal(tau, want_tau)
+        np.testing.assert_array_equal(
+            t_pitch, protocol._pitch_times(_fresh_pitcher(kind, config, ci), first_id, k, config))
+        if kind == "QM":
+            assert spin is None
+        else:
+            np.testing.assert_array_equal(spin, _replayed_spin(kind, config, ci))
 
 
 # the streams a counting pass keys, by model and by fixed or watch-driven
@@ -354,9 +397,11 @@ def test_each_pass_keys_only_the_streams_it_draws(monkeypatch, kind, watch_drive
               else fixed_config())
     run_chunk(kind, config, 0, 0)
     assert sorted(keyed) == KEYED_ROLES[kind, watch_driven]
+    # both passes key the counting pass's streams, then the pitcher once
+    # more for the ball pass
     keyed.clear()
-    chunk_balls(kind, config, 0, 0)
-    assert keyed == [PITCHER]
+    chunk_passes(kind, config, 0, 0)
+    assert sorted(keyed[:-1]) == KEYED_ROLES[kind, watch_driven] and keyed[-1] == PITCHER
 
 
 def test_logged_watch_chunk_reads_each_batter_watch_once(monkeypatch):
@@ -653,7 +698,7 @@ def test_overlap_kernel_matches_the_vector_kernel():
                 np.testing.assert_array_equal(got[0], sigma)
                 np.testing.assert_array_equal(got[1], tau)
                 if trials < 10:
-                    np.testing.assert_array_equal(chunk_balls(kind, config, 0, ci)[1], u)
+                    np.testing.assert_array_equal(chunk_passes(kind, config, 0, ci)[4], u)
 
 
 def _atom_vector_kernel(kind, config, stream, chunk):
@@ -732,10 +777,11 @@ def test_top_of_range_spins_reproduce_the_counting_outcomes(kind):
 
 
 @pytest.mark.parametrize("kind", ["A", "B1", "B2", "C", "QM"])
-def test_top_of_range_log_lines_audit_clean(tmp_path, kind):
+def test_top_of_range_log_lines_audit_clean(tmp_path, monkeypatch, kind):
     # the chunk's last 1,000 trials as the log spells them: their trial ids
     # and seqs are integers in range, the last seq 4 * (2^61 - 1) + 3, the
-    # largest int64, where a trial has four messages
+    # largest int64, where a trial has four messages; the audit takes every
+    # line, seqs of 19 digits included, without parsing it
     (first_id, sigma, tau, t_pitch, spin), config = top_of_range_passes(kind)
     last = slice(-1000, None)
     path = tmp_path / "events.ndjson"
@@ -744,8 +790,10 @@ def test_top_of_range_log_lines_audit_clean(tmp_path, kind):
             first_id + sigma.size - 1000, sigma[last], tau[last], t_pitch[last],
             None if spin is None else spin[last], config.delta_t))
     per_trial = 2 if kind == "QM" else 4
+    parsed = _parsed_lines(monkeypatch)
     report = protocol.audit_event_log(path, kind)
     assert report.passed and report.messages == 1000 * per_trial, report.violations
+    assert parsed == []
     messages = [json.loads(line) for line in path.read_text().splitlines()]
     assert messages[-1]["seq"] == per_trial * (1 << 61) - 1
     assert messages[-1]["payload"]["trial_id"] == (1 << 61) - 1
@@ -760,7 +808,9 @@ def _settings_of(kind, config, t_pitch, spin, stream, chunk):
     if pair is not None:
         return pair.n_L.as_array(), pair.n_R.as_array()
     if kind == "B1":
-        return tuple(sphere_points(*p) for p in protocol._watch_phases(config, t_pitch))
+        return tuple(wt.batter_vectors_array(w.mirrored(), t_pitch + config.delta_t,
+                                             config.delta_t)
+                     for w in (config.bank.watch_T, config.bank.watch_H))
     coordinator = protocol._stream(config.seed, "B2:free", chunk, COORDINATOR)
     return sample_settings_B2_array(spin, coordinator, len(spin))
 
@@ -781,8 +831,7 @@ def test_lune_outcomes_are_the_signs_of_the_spin_on_read():
                            ExperimentConfig(trials=big, seed=trials, watch_driven=True)):
                 for si in range(len(config.streams())):
                     for ci in range(config.chunks()):
-                        sigma, tau = run_chunk(kind, config, si, ci)
-                        t_pitch, spin = chunk_balls(kind, config, si, ci)
+                        _, sigma, tau, t_pitch, spin = chunk_passes(kind, config, si, ci)
                         want = _sign_responses(
                             spin, *_settings_of(kind, config, t_pitch, spin, si, ci))
                         np.testing.assert_array_equal(sigma, want[0])
@@ -1265,6 +1314,11 @@ DIFFERENTIAL = {
         b'"trial_id": 0,', b'"trial_id": 1000000000000000000,'),
     "19-digit trial id past int64": _first_line_replaced(
         b'"trial_id": 0,', b'"trial_id": 9223372036854775808,'),
+    "trial id 2**63 - 1": lambda log: log.replace(
+        b'"trial_id": 0,', b'"trial_id": 9223372036854775807,'),
+    "trial id 2**63": lambda log: log.replace(
+        b'"trial_id": 0,', b'"trial_id": 9223372036854775808,'),
+    "seq 10**19 - 1": _first_line_replaced(b'"seq": 0,', b'"seq": 9999999999999999999,'),
     "5000-digit seq": _first_line_replaced(b'"seq": 0,', b'"seq": 1' + b"0" * 4999 + b","),
     "duplicated ball line": lambda log: log.split(b"\n", 1)[0] + b"\n" + log,
     "deleted ball line": lambda log: log.split(b"\n", 1)[1],
@@ -1391,7 +1445,7 @@ def test_joint_samples_are_the_free_running_kernels_chunks():
         u, sigma, tau = sample_joint_spin_outcomes(kind, n, seed=7)
         counts = [run_chunk(kind, config, 0, ci) for ci in range(2)]
         np.testing.assert_array_equal(
-            u, np.concatenate([chunk_balls(kind, config, 0, ci)[1] for ci in range(2)]))
+            u, np.concatenate([_replayed_spin(kind, config, ci) for ci in range(2)]))
         np.testing.assert_array_equal(sigma, np.concatenate([c[0] for c in counts]))
         np.testing.assert_array_equal(tau, np.concatenate([c[1] for c in counts]))
 
@@ -1408,10 +1462,10 @@ def test_free_running_b1_ball_pass_holds_one_row_block_of_geometry():
     import tracemalloc
 
     config = ExperimentConfig(trials=1 << 17, seed=3, watch_driven=True)
-    chunk_balls("B1", config, 0, 0)  # first-call allocations out of the count
+    chunk_passes("B1", config, 0, 0)  # first-call allocations out of the count
     tracemalloc.start()
     try:
-        chunk_balls("B1", config, 0, 0)
+        chunk_passes("B1", config, 0, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
