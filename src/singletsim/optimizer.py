@@ -22,6 +22,7 @@ from .models import correlator_law
 _EPS = 1e-12
 _SLACK = 1e-13  # the coarse scan's rounding allowance; see _coarse_scan
 _ROW_BATCH = 64  # the most rows the coarse scan scores at once
+_BLOCK_CELLS = 1 << 14  # the coarse scan's block: slices x grid angles
 MAX_GRID = 3600  # the most coarse grid angles, so the finest step is 0.1 degrees
 
 
@@ -162,45 +163,76 @@ def _coarse_scan(kind: str, step_deg: float):
     largest margin found so far, or equal to it in a later row: no row left
     can hold a larger margin, or an equal one earlier in row-major order.
     For model C, whose E takes only the values 0, 2 and 4, a row's cap is its
-    exact largest window margin, so the search scores one row."""
+    exact largest window margin, so the search scores one row.
+
+    Blocks.  Cosines, laws, r and d are computed for _BLOCK_CELLS cells
+    (slices x grid angles) at a time, and each slice's top from its rows of
+    largest and smallest r, exactly, as rounding is monotone; row bounds and
+    margins only for a slice that is scored.  j, the first slice of the
+    block whose top is within _EPS + _SLACK of the block's largest, is
+    scored first.  If j has a candidate whose E exceeds by more than _EPS
+    both the best's E and every earlier top of the block plus _SLACK, the
+    slices before j are not scored.  The skip is exact: any best they could
+    leave has E at most the incoming best's or a top of theirs plus 2
+    ulp(4), so j's candidate beats it by E alone; and as top[j] is then not
+    below best + _EPS - _SLACK, j is not tie-only, so its candidate does not
+    depend on the best.  Otherwise the block is scored in order."""
     grid = np.arange(0.0, 360.0, step_deg)
     rad = np.radians(grid)
     best = (-1.0, -1.0, (0.0, 0.0, 0.0, 0.0))
     c_a = np.cos(0.0 - rad)
     law_a, abs_a = correlator_law(kind, c_a), np.abs(c_a)
-    for ap in rad:
-        c_ap = np.cos(ap - rad)
+    size = max(1, _BLOCK_CELLS // rad.size)
+    for lo in range(0, rad.size, size):
+        # one row per slice, a' = rad[lo + i]
+        c_ap = np.cos(rad[lo:lo + size, None] - rad)
         law_ap = correlator_law(kind, c_ap)
-        # the margin of (b, b') is min(pair_m[b], pair_m[b'])
-        pair_m = np.minimum(abs_a, np.abs(c_ap))
         r = law_a + law_ap
         d = law_a - law_ap
-        bound = np.maximum(r + d.max(), -(r + d.min()))
-        top = bound.max()
-        if top < best[0] - _EPS - _SLACK:
-            continue  # every E in the slice is below the best by more than _EPS
-        thr = top - _EPS - _SLACK
-        tie_only = top < best[0] + _EPS - _SLACK
-        if tie_only:
-            # a winning tie has both b and b' of margin above the best's
-            high = pair_m > best[1] + _EPS
-            d_high = d[high]
-            if d_high.size == 0:
-                continue
-            keep = high & (np.maximum(r + d_high.max(), -(r + d_high.min())) >= thr)
-            if not keep.any():
-                continue
-        rows = np.flatnonzero(bound >= thr)
-        if rows.size <= _ROW_BATCH:
-            cand = _best_tie(law_a, law_ap, pair_m, rows)
-        else:
-            if tie_only:
-                rows = np.flatnonzero(keep)
-            cand = _search_rows(law_a, law_ap, pair_m, r, d, rows, thr)
-        cand_m, b, b_p, cand_e = cand
-        if _beats(cand_e, cand_m, *best[:2]):
-            best = (cand_e, cand_m, (0.0, math.degrees(ap), float(grid[b]), float(grid[b_p])))
+        # the largest bound[b] is in the row of largest or of smallest r
+        top = np.maximum(r.max(axis=1) + d.max(axis=1), -(r.min(axis=1) + d.min(axis=1)))
+
+        def candidate(i):
+            return _slice_candidate(law_a, abs_a, c_ap[i], law_ap[i], r[i], d[i], top[i], best)
+
+        j = int(np.argmax(top >= top.max() - _EPS - _SLACK))
+        lead = max(best[0], top[:j].max() + _SLACK) if j else best[0]
+        start, cand_j = best, candidate(j)
+        skip = cand_j is not None and cand_j[3] > lead + _EPS
+        for i in range(j if skip else 0, top.size):
+            # j's candidate holds while the best is the one it was scored against
+            cand = cand_j if i == j and best is start else candidate(i)
+            if cand is not None and _beats(cand[3], cand[0], *best[:2]):
+                cand_m, b, b_p, cand_e = cand
+                best = (cand_e, cand_m, (0.0, math.degrees(rad[lo + i]), float(grid[b]),
+                                         float(grid[b_p])))
     return best, grid.size ** 3
+
+
+def _slice_candidate(law_a, abs_a, c_ap, law_ap, r, d, top, best):
+    """The candidate (margin, b, b', E) of one a' slice, or None if the slice
+    cannot beat the best; see _coarse_scan."""
+    if top < best[0] - _EPS - _SLACK:
+        return None  # every E in the slice is below the best by more than _EPS
+    # the margin of (b, b') is min(pair_m[b], pair_m[b'])
+    pair_m = np.minimum(abs_a, np.abs(c_ap))
+    thr = top - _EPS - _SLACK
+    tie_only = top < best[0] + _EPS - _SLACK
+    if tie_only:
+        # a winning tie has both b and b' of margin above the best's
+        high = pair_m > best[1] + _EPS
+        d_high = d[high]
+        if d_high.size == 0:
+            return None
+        keep = high & (np.maximum(r + d_high.max(), -(r + d_high.min())) >= thr)
+        if not keep.any():
+            return None
+    rows = np.flatnonzero(np.maximum(r + d.max(), -(r + d.min())) >= thr)
+    if rows.size <= _ROW_BATCH:
+        return _best_tie(law_a, law_ap, pair_m, rows)
+    if tie_only:
+        rows = np.flatnonzero(keep)
+    return _search_rows(law_a, law_ap, pair_m, r, d, rows, thr)
 
 
 def _pattern_search(kind: str, angles, step_deg: float, iters: int):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,9 +217,39 @@ def test_row_search_matches_whole_slice(law):
     assert searched > 0
 
 
-# configurations scored by _coarse_scan(kind, 1.0); the brute force scores
-# 46,656,000, and the scan before row selection scored 4,605,120 for C
-SCORED_AT_ONE_DEGREE = {"A": 97_920, "B1": 97_920, "B2": 97_920, "C": 50_760, "QM": 97_920}
+def block_scans(monkeypatch, kind, step):
+    """_coarse_scan(kind, step) at blocks of one slice, of 3 and 7 slices,
+    which leave a remainder on most grids, and at the default block."""
+    n, default = round(360.0 / step), optimizer._BLOCK_CELLS
+    for slices in (1, 3, 7, None):
+        monkeypatch.setattr(optimizer, "_BLOCK_CELLS", slices * n if slices else default)
+        yield slices, optimizer._coarse_scan(kind, step)
+
+
+@pytest.mark.parametrize("kind", ["A", "B1", "B2", "C", "QM"])
+@pytest.mark.parametrize("step", [1.0, 1.5, 2.4, 5.0, 7.2, 45.0, 90.0, 360.0])
+def test_block_scan_matches_brute_force(monkeypatch, kind, step):
+    want = brute_force_scan(kind, step)
+    for slices, got in block_scans(monkeypatch, kind, step):
+        assert got == want, slices
+
+
+@pytest.mark.parametrize("law", sorted(PLATEAU_LAWS))
+@pytest.mark.parametrize("step", [1.2, 2.4, 3.0])
+def test_block_scan_matches_brute_force_on_plateau_laws(monkeypatch, law, step):
+    # at one slice per block the block's first slice is often tie-only with
+    # no candidate, and the block is then scored in order
+    monkeypatch.setattr(optimizer, "correlator_law", lambda kind, c: PLATEAU_LAWS[law](c))
+    want = brute_force_scan("A", step)
+    for slices, got in block_scans(monkeypatch, "A", step):
+        assert got == want, slices
+
+
+# configurations scored by _coarse_scan(kind, 1.0) at the default 45-slice
+# blocks; the brute force scores 46,656,000, the scan before row selection
+# scored 4,605,120 for C, and the scan slice by slice 97,920 for A, B1, B2
+# and QM and 50,760 for C
+SCORED_AT_ONE_DEGREE = {"A": 2_880, "B1": 2_880, "B2": 2_880, "C": 49_680, "QM": 2_880}
 
 
 @pytest.mark.parametrize("kind", sorted(SCORED_AT_ONE_DEGREE))
@@ -233,6 +264,20 @@ def test_coarse_scan_work_is_bounded(monkeypatch, kind):
     monkeypatch.setattr(optimizer, "chsh_E", counting_chsh_E)
     optimizer._coarse_scan(kind, 1.0)
     assert 0 < sum(scored) <= SCORED_AT_ONE_DEGREE[kind]
+
+
+@pytest.mark.parametrize("kind", ["A", "B1", "B2", "C", "QM"])
+def test_coarse_scan_memory_is_bounded(kind):
+    # one block of 2**14 cells at a time: an n x n table of one array alone
+    # takes 1 MB at 1 degree and 104 MB at 0.1 degrees
+    for step in (1.0, 0.1):
+        tracemalloc.start()
+        try:
+            optimizer._coarse_scan(kind, step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20, step
 
 
 @pytest.mark.parametrize("kind,e", [("C", 4.0), ("QM", 2.8284271247461903)])
