@@ -41,7 +41,7 @@ from .protocol import (
     ExperimentConfig,
     ProtocolIntegrityError,
     _stream,
-    audit_event_log,
+    audit_locality,
     chunk_passes,
     count_jobs,
     count_tables,
@@ -445,7 +445,8 @@ def cmd_freewill(args) -> int:
 
 def cmd_audit(args) -> int:
     try:
-        report = audit_event_log(args.log, args.model)
+        with open(args.log, encoding="utf-8") as fh:
+            report = audit_locality(fh, args.model)
     except (OSError, ValueError) as exc:
         print(f"cannot read event log: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -158,11 +158,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class EventLog:
-    """The messages of a logged run, as a view: iterating runs both passes of
-    the run's chunks one at a time and spells each trial out as its balls at
-    the pitch time, then its result reports at the arrival time.  Each
-    message is the JSON object of its event-log line, parsed from that line
-    as :func:`audit_event_log` parses a line it does not match."""
+    """The lines of a logged run's event log, as a view: iterating runs both
+    passes of the run's chunks one at a time and spells each trial out as
+    its balls at the pitch time, then its result reports at the arrival
+    time, one message per line, each line ended by a line break, as
+    :func:`write_event_log` writes them."""
 
     kind: str
     config: ExperimentConfig
@@ -173,8 +173,7 @@ class EventLog:
 
     def __iter__(self):
         for text in self.trial_lines():
-            for line in text.splitlines():
-                yield _message(line)
+            yield from text.splitlines(keepends=True)
 
     def trial_lines(self):
         """The event-log text of each trial in log order: its lines as one
@@ -619,6 +618,10 @@ class _Tally:
             violations.append((seq, 1, f"batter-to-batter message {sender}->{receiver}"))
         if sender in _BATTERS and receiver == PITCHER:
             violations.append((seq, 2, f"batter-to-pitcher message from {sender}"))
+        if receiver in _BATTERS and sender not in _BATTERS and (
+                sender != PITCHER or m["kind"] != "ball"):
+            violations.append((seq, 3, f"{m['kind']} message {sender}->{receiver}: "
+                                       "a batter receives only the pitcher's balls"))
         tid = payload.get("trial_id")
         if not (type(tid) is int and -(1 << 63) <= tid < 1 << 63):
             if m["kind"] in ("ball", "result_report"):
@@ -662,27 +665,6 @@ class _Tally:
         elif self.balls:
             violations.append((-1, 4, "analytic reference run contains ball messages"))
         return AuditReport(passed=not violations, violations=violations, messages=self.messages)
-
-
-def audit_locality(log, kind: str) -> AuditReport:
-    """Check the message-flow discipline that operationalizes 'no communication'.
-
-    Rules: (1) no batter-to-batter traffic; (2) no batter-to-pitcher traffic;
-    (3) ball payloads carry only the spin, pitch time, time of flight, and
-    trial id, never settings; (4) exactly one ball per batter per trial
-    (none for the analytic QM reference), and every ball and result report
-    names its trial by a JSON integer; (5) result reports flow only to the
-    coordinator.
-
-    ``log`` is any iterable of messages, each the JSON object of its
-    event-log line, and is read once.  Besides the violations, the audit
-    keeps only an integer per trial and per ball, so a log streamed from disk
-    is never held in memory.
-    """
-    tally = _Tally()
-    for m in log:
-        tally.check(m)
-    return tally.report(kind)
 
 
 def write_event_log(log: EventLog, path):
@@ -742,14 +724,26 @@ _WRITER_LINE = (
 ).replace("INT", _INT).replace("NUM", _NUM)
 
 
-def audit_event_log(path, kind: str) -> AuditReport:
-    """:func:`audit_locality` of the messages of an event-log file, one per
-    non-blank line, reading a line in the writer's own spelling without
-    parsing it.  A line spelled exactly as :func:`_chunk_lines` writes a
-    ball or a result report breaks none of rules 1, 2, 3 and 5, so, if its
-    trial id is a 64-bit integer, it is tallied from that id and, for a
-    ball, its receiver; every other line is stripped and parsed by
-    :func:`_message`, and a ValueError names its number."""
+def audit_locality(log, kind: str) -> AuditReport:
+    """Check the message-flow discipline that operationalizes 'no communication'.
+
+    Rules: (1) no batter-to-batter traffic; (2) no batter-to-pitcher traffic;
+    (3) a batter receives only the pitcher's balls, and ball payloads carry
+    only the spin, pitch time, time of flight, and trial id, never settings;
+    (4) exactly one ball per batter per trial (none for the analytic QM
+    reference), and every ball and result report names its trial by a JSON
+    integer; (5) result reports flow only to the coordinator.
+
+    ``log`` is any iterable of event-log lines, such as an :class:`EventLog`
+    or an open file, one message per non-blank line, and is read once.  A
+    line spelled exactly as :func:`_chunk_lines` writes a ball or a result
+    report breaks none of rules 1, 2, 3 and 5, so, if its trial id is a
+    64-bit integer, it is tallied from that id and, for a ball, its receiver,
+    without a parse; every other line is stripped and parsed by
+    :func:`_message`, and a ValueError names its number.  Besides the
+    violations, the audit keeps only an integer per trial and per ball, so a
+    log streamed from disk is never held in memory.
+    """
     tally = _Tally()
     # compiled on the first audit, not at import; re keeps it for the next
     writer_line = re.compile(_WRITER_LINE, re.ASCII).fullmatch
@@ -757,30 +751,29 @@ def audit_event_log(path, kind: str) -> AuditReport:
     # the trial id of the last line in the writer's spelling, and its value
     last = tid = None
     messages = balls = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            hit = writer_line(line)
-            if hit is not None:
-                receiver, ball_tid, report_tid = hit.groups()
-                spelled = ball_tid or report_tid
-                if spelled != last:
-                    last, tid = spelled, int(spelled)
-                    if tid >> 63:  # past int64: the generic path records rule 4
-                        last = hit = None
-                    else:
-                        trial_ids.append(tid)
-            if hit is None:
-                if line := line.strip():
-                    try:
-                        m = _message(line)
-                    except (ValueError, RecursionError) as exc:
-                        raise ValueError(f"malformed event log at line {lineno}: {exc}") from exc
-                    tally.check(m)
-                continue
-            messages += 1
-            if receiver is not None:
-                balls += 1
-                ball_ids[receiver].append(tid)
+    for lineno, line in enumerate(log, 1):
+        hit = writer_line(line)
+        if hit is not None:
+            receiver, ball_tid, report_tid = hit.groups()
+            spelled = ball_tid or report_tid
+            if spelled != last:
+                last, tid = spelled, int(spelled)
+                if tid >> 63:  # past int64: the generic path records rule 4
+                    last = hit = None
+                else:
+                    trial_ids.append(tid)
+        if hit is None:
+            if line := line.strip():
+                try:
+                    m = _message(line)
+                except (ValueError, RecursionError) as exc:
+                    raise ValueError(f"malformed event log at line {lineno}: {exc}") from exc
+                tally.check(m)
+            continue
+        messages += 1
+        if receiver is not None:
+            balls += 1
+            ball_ids[receiver].append(tid)
     tally.messages += messages
     tally.balls += balls
     return tally.report(kind)

@@ -22,6 +22,7 @@ from singletsim.cli import (
     main,
 )
 from singletsim.geometry import planar_vector
+from singletsim.metrics import chi_square_gof
 from singletsim.models import SettingsPair
 
 
@@ -1031,6 +1032,51 @@ def test_watch_driven_logged_run_stops_at_the_first_round_trip_mismatch(tmp_path
     err = capsys.readouterr().err.splitlines()
     assert err == ["runtime failure: watch round-trip mismatch 6.511e-09 at trial 1369"]
     assert not (out / "counts.csv").exists()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1 (exact watch time): the logged run "
+                                       "stops at a watch round-trip mismatch at trial 1369")
+def test_watch_driven_logged_run_audits_clean_past_trial_1369(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["simulate", "--model", "A", "--watch-driven", "--log-events", "--trials", "1370",
+                "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["audit", "--log", str(out / "events.ndjson"), "--model", "A"]) == EXIT_OK
+    assert capsys.readouterr().out == "audit: PASS (5480 messages, 0 violations)\n"
+
+
+def _flat_law_p(out, kind):
+    """The p-value of the flat-law chi-square of a free-running run's counts."""
+    with open(out / "counts.csv", newline="") as fh:
+        counts = {(int(r["sigma"]), int(r["tau"])): int(r["count"]) for r in csv.DictReader(fh)}
+    return chi_square_gof(protocol.CountTable("free-running", kind, None, counts), kind)[1]
+
+
+# watch-driven configs the CLI accepts whose settings do not run free: each
+# must be refused, or its counts must pass the flat law at the bench's floor
+FROZEN_SETTINGS = {
+    "epoch 1e300": (
+        {"model": "A", "trials": 20000, "seed": 1, "watch_driven": True, "epoch": 1e300},
+        "ROADMAP item 1 (exact watch time): at epoch 1e300 every pitch time vanishes below "
+        "the epoch's ulp, so every trial reads the same setting"),
+    "hand periods of 1e12 s": (
+        {"model": "QM", "trials": 20000, "seed": 1, "watch_driven": True,
+         "watch_periods": {"H": [1e12, 1.4142135623730951e12],
+                           "T": [1.7320508075688772e12, 2.23606797749979e12]}},
+        "ROADMAP item 21: hand periods far above the pitch gap keep c near 1"),
+}
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(config, id=name, marks=pytest.mark.xfail(strict=True, reason=reason))
+    for name, (config, reason) in FROZEN_SETTINGS.items()])
+def test_free_running_config_is_refused_or_flat(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    code = run(["simulate", "--config", str(path), "--out", str(out)])
+    capsys.readouterr()
+    assert code == EXIT_USAGE or (code == EXIT_OK and _flat_law_p(out, config["model"]) > 1e-6)
 
 
 # every flag-minimum refusal, spelled by one helper: (argv, stderr)

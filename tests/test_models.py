@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from singletsim import models
+from singletsim import models, protocol
 from singletsim.geometry import UnitVector, rowdot, sample_uniform_sphere_array, sign_array
 from singletsim.metrics import free_will_M, two_sample_chi_square
 from singletsim.models import (
@@ -67,7 +67,7 @@ def test_hidden_state_antialignment():
                            log_events=True)
     _, log = run_experiment("B1", cfg)
     spins = {}
-    for m in log:
+    for m in map(protocol._message, log):
         if m["kind"] == "ball":
             spins.setdefault(m["payload"]["trial_id"], []).append(np.array(m["payload"]["spin"]))
     assert len(spins) == 50

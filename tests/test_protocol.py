@@ -49,9 +49,9 @@ Z = UnitVector(0.0, 0.0, 1.0)
 def read_event_log(path):
     """The messages of an event-log file, parsed one line at a time by
     protocol._message as they are iterated, blank lines skipped: the
-    generic reader that audit_event_log's line match is checked against.
+    generic reader that audit_locality's line match is checked against.
     A line that is no message, or is nested too deeply to parse, raises
-    ValueError naming its number, with the text audit_event_log gives."""
+    ValueError naming its number, with the text audit_locality gives."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if line := line.strip():
@@ -59,6 +59,17 @@ def read_event_log(path):
                     yield protocol._message(line)
                 except (ValueError, RecursionError) as exc:
                     raise ValueError(f"malformed event log at line {lineno}: {exc}") from exc
+
+
+def messages_of(log):
+    """The messages of an event log's lines, each parsed by protocol._message."""
+    return [protocol._message(line) for line in log]
+
+
+def audit_file(path, kind):
+    """audit_locality of an event-log file, read as `singletsim audit` reads it."""
+    with open(path, encoding="utf-8") as fh:
+        return audit_locality(fh, kind)
 
 
 def planar(deg):
@@ -153,7 +164,7 @@ def test_model_a_hidden_state_is_atom():
     pair = cfg.settings_pairs[0][1]
     atoms = [tuple(d * a for a in v.as_array()) for v in (pair.n_L, pair.n_R) for d in (1.0, -1.0)]
     _, log = run_experiment("A", cfg)
-    spins = [tuple(m["payload"]["spin"]) for m in log if m["kind"] == "ball"]
+    spins = [tuple(m["payload"]["spin"]) for m in messages_of(log) if m["kind"] == "ball"]
     assert len(spins) == 400
     assert set(spins) == set(atoms)
 
@@ -163,7 +174,7 @@ def test_model_c_outcomes_are_signs():
     pair = cfg.settings_pairs[0][1]
     _, log = run_experiment("C", cfg)
     spin = {}
-    for m in log:
+    for m in messages_of(log):
         if m["kind"] == "ball":
             spin[(m["payload"]["trial_id"], m["receiver"])] = np.array(m["payload"]["spin"])
         else:
@@ -210,7 +221,7 @@ def test_bulk_matches_logged_in_law():
         assert none is None and log is not None
         assert bulk[0].counts == logged[0].counts
         tally = {}
-        for m in log:
+        for m in messages_of(log):
             if m["kind"] == "result_report":
                 p = m["payload"]
                 tally.setdefault(p["trial_id"], {})[m["sender"]] = p["outcome"]
@@ -791,7 +802,7 @@ def test_top_of_range_log_lines_audit_clean(tmp_path, monkeypatch, kind):
             None if spin is None else spin[last], config.delta_t))
     per_trial = 2 if kind == "QM" else 4
     parsed = _parsed_lines(monkeypatch)
-    report = protocol.audit_event_log(path, kind)
+    report = audit_file(path, kind)
     assert report.passed and report.messages == 1000 * per_trial, report.violations
     assert parsed == []
     messages = [json.loads(line) for line in path.read_text().splitlines()]
@@ -883,7 +894,7 @@ def test_audit_passes_on_conforming_log():
 def _logged_log(kind="A", trials=20):
     cfg = fixed_config(trials=trials, seed=2, log_events=True)
     _, log = run_experiment(kind, cfg)
-    return list(log)
+    return messages_of(log)
 
 
 def _write_messages(messages, path):
@@ -901,7 +912,7 @@ def _forged(log, sender, receiver, kind, payload):
 def test_audit_flags_batter_to_batter():
     log = _logged_log()
     log.append(_forged(log, BATTER_L, BATTER_R, "gossip", {"outcome": 1}))
-    report = audit_locality(log, "A")
+    report = audit_locality(map(json.dumps, log), "A")
     assert not report.passed
     assert any(rule == 1 for _, rule, _ in report.violations)
 
@@ -909,7 +920,7 @@ def test_audit_flags_batter_to_batter():
 def test_audit_flags_batter_to_pitcher():
     log = _logged_log()
     log.append(_forged(log, BATTER_R, PITCHER, "feedback", {}))
-    report = audit_locality(log, "A")
+    report = audit_locality(map(json.dumps, log), "A")
     assert any(rule == 2 for _, rule, _ in report.violations)
 
 
@@ -917,7 +928,7 @@ def test_audit_flags_setting_leak_in_ball():
     log = _logged_log()
     m = next(m for m in log if m["kind"] == "ball")
     m["payload"]["setting"] = [0.0, 0.0, 1.0]
-    report = audit_locality(log, "A")
+    report = audit_locality(map(json.dumps, log), "A")
     assert any(rule == 3 for _, rule, _ in report.violations)
 
 
@@ -925,7 +936,7 @@ def test_audit_flags_duplicate_ball():
     log = _logged_log()
     m = next(m for m in log if m["kind"] == "ball")
     log.append(_forged(log, m["sender"], m["receiver"], "ball", dict(m["payload"])))
-    report = audit_locality(log, "A")
+    report = audit_locality(map(json.dumps, log), "A")
     assert [v for v in report.violations if v[1] == 4] == [
         (-1, 4, f"trial {m['payload']['trial_id']}: 2 balls to {m['receiver']}, expected 1")]
 
@@ -935,16 +946,68 @@ def test_audit_flags_misrouted_report():
     i = next(i for i, m in enumerate(log) if m["kind"] == "result_report")
     m = log[i]
     log[i] = {**m, "receiver": PITCHER}
-    report = audit_locality(log, "A")
+    report = audit_locality(map(json.dumps, log), "A")
     assert any(rule in (2, 5) for _, rule, _ in report.violations)
 
 
 def test_audit_qm_expects_no_balls():
     log = _logged_log("QM")
-    assert audit_locality(log, "QM").passed
+    assert audit_locality(map(json.dumps, log), "QM").passed
     log.append(_forged(log, PITCHER, BATTER_L, "ball",
                        {"trial_id": 0, "spin": [0, 0, 1], "t_pitch": 0.0, "delta_t": 1.5}))
-    assert not audit_locality(log, "QM").passed
+    assert not audit_locality(map(json.dumps, log), "QM").passed
+
+
+HINT = {"seq": 100, "t_send": 1.0, "sender": PITCHER, "receiver": BATTER_L, "kind": "hint",
+        "payload": {"trial_id": 0, "setting_R": [0.8660254037844386, 0.0, 0.5]}}
+INSTALL = {"seq": 102, "t_send": 1.0, "sender": COORDINATOR, "receiver": BATTER_L,
+           "kind": "install", "payload": {"n_R": [1, 0, 0]}}
+GOSSIP = {"seq": 104, "t_send": 1.0, "sender": BATTER_R, "receiver": BATTER_L, "kind": "hint",
+          "payload": {"trial_id": 0, "outcome": 1}}
+
+# edits of a three-trial model A log that send a batter something other than
+# the pitcher's ball, and the audit line each must print: the pitcher hands
+# batter_L the other station's setting, the coordinator installs one, the
+# coordinator pitches trial 0's left ball in the pitcher's place, and a
+# batter tells the other one, which is rule 1 alone
+ONLY_BALLS = ": a batter receives only the pitcher's balls"
+NOT_THE_PITCHERS_BALL = {
+    "pitcher's hint": (lambda lines: lines + [json.dumps(HINT)],
+                       "rule 3 (seq 100): hint message pitcher->batter_L" + ONLY_BALLS),
+    "coordinator's install": (lambda lines: lines + [json.dumps(INSTALL)],
+                              "rule 3 (seq 102): install message coordinator->batter_L"
+                              + ONLY_BALLS),
+    "coordinator's ball": (lambda lines: [lines[0].replace('"pitcher"', '"coordinator"')]
+                           + lines[1:],
+                           "rule 3 (seq 0): ball message coordinator->batter_L" + ONLY_BALLS),
+    "batter's hint": (lambda lines: lines + [json.dumps(GOSSIP)],
+                      "rule 1 (seq 104): batter-to-batter message batter_R->batter_L"),
+}
+
+
+@pytest.mark.parametrize("name", NOT_THE_PITCHERS_BALL)
+def test_audit_flags_a_batter_sent_anything_but_the_pitchers_ball(tmp_path, capsys, name):
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", "A", "--theta-deg", "60", "--trials", "3", "--seed", "0",
+                 "--log-events", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    edit, want = NOT_THE_PITCHERS_BALL[name]
+    path = out / "events.ndjson"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    assert main(["audit", "--log", str(path), "--model", "A"]) == EXIT_AUDIT
+    assert capsys.readouterr().out.splitlines() == ["audit: FAIL (1 violations)", "  " + want]
+
+
+@pytest.mark.parametrize("kind", ["A", "QM"])
+def test_event_log_iterates_the_lines_it_writes(tmp_path, monkeypatch, kind):
+    # the view and the file hold the same lines, and neither the view nor
+    # the audit of a conforming run parses one
+    _, log = run_experiment(kind, fixed_config(trials=20, seed=2, log_events=True))
+    path = tmp_path / "events.ndjson"
+    write_event_log(log, path)
+    parsed = _parsed_lines(monkeypatch)
+    assert list(log) == path.read_text().splitlines(keepends=True)
+    assert audit_locality(log, kind).passed and parsed == []
 
 
 TRIAL_ONE_IDS = {
@@ -983,7 +1046,7 @@ def test_event_log_round_trip(tmp_path):
     write_event_log(log, p)
     back = list(read_event_log(p))
     assert len(back) == len(log) == 80
-    assert back == list(log)
+    assert back == messages_of(log)
 
 
 def test_read_event_log_rejects_malformed(tmp_path):
@@ -1015,9 +1078,9 @@ def test_event_log_spelled_as_json_dumps(tmp_path, monkeypatch, kind, delta_t):
     assert len(lines) == len(log) == (2 if kind == "QM" else 4) * 38
     assert all(line == json.dumps(json.loads(line)) for line in lines)
     assert [json.loads(line)["seq"] for line in lines] == list(range(len(lines)))
-    assert list(log) == list(read_event_log(path))
+    assert messages_of(log) == list(read_event_log(path))
     # an integer time of flight is spelled as one, as json.dumps spells it
-    assert {json.dumps(m["payload"]["delta_t"]) for m in log if m["kind"] == "ball"} \
+    assert {json.dumps(m["payload"]["delta_t"]) for m in messages_of(log) if m["kind"] == "ball"} \
         <= {json.dumps(delta_t)}
 
 
@@ -1283,22 +1346,27 @@ def _written_log(tmp_path, kind, trials=3):
 
 
 def _both_audits(path, kind):
-    """The report or error of the audit of ``path`` by audit_event_log and
-    by audit_locality of read_event_log, the generic reference."""
+    """The report or error of the audit of ``path`` by audit_locality and
+    by the generic reference, protocol._Tally over read_event_log."""
     def outcome(audit):
         try:
             return audit()
         except ValueError as exc:
             return f"{type(exc).__name__}: {exc}"
-    return (outcome(lambda: protocol.audit_event_log(path, kind)),
-            outcome(lambda: audit_locality(read_event_log(path), kind)))
+
+    def generic():
+        tally = protocol._Tally()
+        for m in read_event_log(path):
+            tally.check(m)
+        return tally.report(kind)
+    return outcome(lambda: audit_file(path, kind)), outcome(generic)
 
 
 def _first_line_replaced(old, new):
     return lambda log: log.replace(old, new, 1)
 
 
-# edits of a three-trial log of model A: audit_event_log must give each
+# edits of a three-trial log of model A: audit_locality must give each
 # edited log the report or the error that the generic path gives it
 DIFFERENTIAL = {
     "as written": lambda log: log,
@@ -1385,7 +1453,7 @@ def test_every_written_line_takes_the_fast_path(tmp_path, monkeypatch, capsys, k
     assert main(["simulate", "--model", kind, *settings, "--trials", "300", "--seed", "3",
                  "--log-events", "--out", str(out)]) == EXIT_OK
     parsed = _parsed_lines(monkeypatch)
-    report = protocol.audit_event_log(out / "events.ndjson", kind)
+    report = audit_file(out / "events.ndjson", kind)
     assert report.passed and parsed == []
     assert report.messages == json.loads((out / "manifest.json").read_text())["events"]
 
@@ -1403,7 +1471,7 @@ def test_far_epoch_log_audits_on_its_spelling_path(tmp_path, monkeypatch, capsys
     lines = (out / "events.ndjson").read_text().splitlines()
     assert all(json.dumps(json.loads(line)) == line for line in lines)
     parsed = _parsed_lines(monkeypatch)
-    report = protocol.audit_event_log(out / "events.ndjson", "B1")
+    report = audit_file(out / "events.ndjson", "B1")
     assert report.passed and report.messages == len(lines) == 1200
     assert parsed == ([] if fast else lines)
 
