@@ -10,6 +10,7 @@ a coarse grid followed by pattern-search refinement.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -168,20 +169,47 @@ def _coarse_scan(kind: str, step_deg: float):
     Blocks.  Cosines, laws, r and d are computed for _BLOCK_CELLS cells
     (slices x grid angles) at a time, and each slice's top from its rows of
     largest and smallest r, exactly, as rounding is monotone; row bounds and
-    margins only for a slice that is scored.  j, the first slice of the
-    block whose top is within _EPS + _SLACK of the block's largest, is
-    scored first.  If j has a candidate whose E exceeds by more than _EPS
-    both the best's E and every earlier top of the block plus _SLACK, the
-    slices before j are not scored.  The skip is exact: any best they could
-    leave has E at most the incoming best's or a top of theirs plus 2
-    ulp(4), so j's candidate beats it by E alone; and as top[j] is then not
-    below best + _EPS - _SLACK, j is not tie-only, so its candidate does not
-    depend on the best.  Otherwise the block is scored in order."""
+    margins only for a slice that is scored.  A block whose largest top is
+    below the best by more than _EPS + _SLACK is skipped whole.
+
+    Margin caps.  cap[i] = min(max pair_m over the rows with bound >= thr,
+    max pair_m over the columns with max(max r + d_b', -(min r + d_b')) >=
+    thr) bounds the margin of every configuration in slice i's tie window,
+    as its row and its column both reach thr.  The caps of a block take a
+    few passes over it, so they are computed only when a decision reads
+    them.  A slice that can only tie the best (top < best + _EPS - _SLACK)
+    and whose cap is not above the best's margin by more than _EPS cannot
+    replace the best and is not scored; which slices these are is worked
+    out again from top and cap whenever the best changes, as an _EPS-tie
+    can leave a later best with a smaller margin.  Where only one slice of
+    the block can only tie, it is scored instead: that costs less than the
+    caps.
+
+    Where a block starts.  j, the first slice of the block whose top is
+    within _EPS + _SLACK of the block's largest and, among those, whose cap
+    is within _EPS of their largest, is scored first.  If j's candidate
+    (m_j, e_j) beats the incoming best and every candidate that an earlier
+    slice of the block could leave, the slices before j are not scored: the
+    best after j is j's candidate either way.  An earlier slice's candidate
+    has E at most _EPS (and an ulp) below its max E, which is within 2
+    ulp(4) of its top, and a margin at most its cap.  So j's candidate
+    beats it by E if its top < e_j - _EPS - _SLACK, and on a tie if e_j +
+    _SLACK <= top <= e_j + _EPS - _SLACK and m_j exceeds its cap by more
+    than _EPS.  For any other top j is not taken first: just above e_j -
+    _EPS - _SLACK the candidate's E can lie just over _EPS below e_j, where
+    _beats finds neither a larger E nor a tie.  For an integer law, such as
+    model C's, E and top are exact and the tie window holds only the max E,
+    so a tie needs only top = e_j.  With no earlier top from e_j - _EPS -
+    _SLACK on, this is the rule that j wins by E alone.  The candidate
+    scored for j does not depend on the best once it beats it: a tie-only
+    slice's row search then covers its winner.  Otherwise the block is
+    scored in order."""
     grid = np.arange(0.0, 360.0, step_deg)
     rad = np.radians(grid)
     best = (-1.0, -1.0, (0.0, 0.0, 0.0, 0.0))
     c_a = np.cos(0.0 - rad)
     law_a, abs_a = correlator_law(kind, c_a), np.abs(c_a)
+    exact = np.issubdtype(law_a.dtype, np.integer)  # E is then computed exactly
     size = max(1, _BLOCK_CELLS // rad.size)
     for lo in range(0, rad.size, size):
         # one row per slice, a' = rad[lo + i]
@@ -189,24 +217,82 @@ def _coarse_scan(kind: str, step_deg: float):
         law_ap = correlator_law(kind, c_ap)
         r = law_a + law_ap
         d = law_a - law_ap
+        r_ext, d_ext = (r.max(axis=1), r.min(axis=1)), (d.max(axis=1), d.min(axis=1))
         # the largest bound[b] is in the row of largest or of smallest r
-        top = np.maximum(r.max(axis=1) + d.max(axis=1), -(r.min(axis=1) + d.min(axis=1)))
+        top = np.maximum(r_ext[0] + d_ext[0], -(r_ext[1] + d_ext[1]))
+        top_max = top.max()
+        if top_max < best[0] - _EPS - _SLACK:
+            continue  # no slice of the block can tie the best
+        cap = functools.cache(lambda: _margin_caps(abs_a, c_ap, r, d, r_ext, d_ext,
+                                                   top - _EPS - _SLACK))
 
         def candidate(i):
             return _slice_candidate(law_a, abs_a, c_ap[i], law_ap[i], r[i], d[i], top[i], best)
 
-        j = int(np.argmax(top >= top.max() - _EPS - _SLACK))
-        lead = max(best[0], top[:j].max() + _SLACK) if j else best[0]
-        start, cand_j = best, candidate(j)
-        skip = cand_j is not None and cand_j[3] > lead + _EPS
+        alive = _live(top, cap, best)
+        if not alive.any():
+            continue
+        tier = top >= top_max - _EPS - _SLACK
+        if np.count_nonzero(tier) > 1:
+            tier &= cap() >= cap()[tier].max() - _EPS
+        j = int(np.argmax(tier))
+        start, cand_j = best, candidate(j) if alive[j] else None
+        skip = cand_j is not None and _takes_over(cand_j, top[:j], cap, best, exact)
         for i in range(j if skip else 0, top.size):
+            if not alive[i]:
+                continue
             # j's candidate holds while the best is the one it was scored against
             cand = cand_j if i == j and best is start else candidate(i)
             if cand is not None and _beats(cand[3], cand[0], *best[:2]):
                 cand_m, b, b_p, cand_e = cand
                 best = (cand_e, cand_m, (0.0, math.degrees(rad[lo + i]), float(grid[b]),
                                          float(grid[b_p])))
+                alive = _live(top, cap, best, i + 1)
     return best, grid.size ** 3
+
+
+def _live(top, cap, best, first=0):
+    """The slices of a block, from the first on, that can replace the best:
+    one that can only tie it needs a margin cap above the best's margin.
+    ``cap`` gives the block's caps when called; see _coarse_scan."""
+    alive = top >= best[0] - _EPS - _SLACK
+    alive[:first] = False
+    tied = alive & (top < best[0] + _EPS - _SLACK)
+    if np.count_nonzero(tied) > 1:  # one is scored for less than the caps
+        alive &= ~tied | (cap() > best[1] + _EPS)
+    return alive
+
+
+def _takes_over(cand_j, before, cap, best, exact):
+    """Whether slice j's candidate (margin, b, b', E) beats the best and every
+    candidate that a slice before it, of top in ``before``, could leave, so
+    that those slices need not be scored; exact is whether E is computed
+    exactly.  See _coarse_scan."""
+    m_j, e_j = cand_j[0], cand_j[3]
+    if not _beats(e_j, m_j, *best[:2]):
+        return False
+    near = before >= e_j - _EPS - _SLACK  # the others lose to j by E
+    if not near.any():
+        return True
+    # the rest must tie j, with a top that fixes their candidates' E
+    tops = before[near]
+    ties = (tops >= e_j + (0.0 if exact else _SLACK)) & (tops <= e_j + _EPS - _SLACK)
+    return bool(ties.all()) and cap()[:before.size][near].max() + _EPS < m_j
+
+
+def _margin_caps(abs_a, c_ap, r, d, r_ext, d_ext, thr):
+    """cap[i] for each slice i of a block: the smaller of the largest pair_m
+    over the rows whose bound reaches thr[i] and the largest over the columns
+    whose bound reaches it, which bounds the margin of every configuration of
+    the slice's tie window; see _coarse_scan.  A bound is compared as, say,
+    r_b >= thr - max d, which rounds once more than r_b + max d >= thr; the
+    window's rows and columns exceed thr by nearly _SLACK, so none is lost."""
+    pair_m = np.minimum(abs_a, np.abs(c_ap))
+    (r_max, r_min), (d_max, d_min) = r_ext, d_ext
+    rows = (r >= (thr - d_max)[:, None]) | (r <= (-thr - d_min)[:, None])
+    cols = (d >= (thr - r_max)[:, None]) | (d <= (-thr - r_min)[:, None])
+    return np.minimum(pair_m.max(axis=1, where=rows, initial=-1.0),
+                      pair_m.max(axis=1, where=cols, initial=-1.0))
 
 
 def _slice_candidate(law_a, abs_a, c_ap, law_ap, r, d, top, best):
@@ -235,27 +321,54 @@ def _slice_candidate(law_a, abs_a, c_ap, law_ap, r, d, top, best):
     return _search_rows(law_a, law_ap, pair_m, r, d, rows, thr)
 
 
+def _moves(it, k, step, improved, iters):
+    """The moves (iteration, move, step) that the pattern search tries from
+    move k of iteration it on, if none of them beats the point: the rest of
+    this iteration, then one iteration per halving of the step.  Move k
+    steps angle 1 + k // 2 by +step if k is even, else by -step."""
+    while True:
+        if k == 6:
+            if not improved:
+                step *= 0.5
+                if step < 1e-7:
+                    return
+            it, k, improved = it + 1, 0, False
+        if it >= iters:
+            return
+        yield it, k, step
+        k += 1
+
+
 def _pattern_search(kind: str, angles, step_deg: float, iters: int):
-    """Coordinate pattern search on the three free angles; no derivatives."""
+    """Coordinate pattern search on the three free angles; no derivatives
+    (Hooke and Jeeves, J. ACM 8, 1961).
+
+    Each iteration steps each free angle by +step and then -step, moving to
+    every candidate that beats the point (_beats), and halves the step after
+    an iteration that found none.  The moves tried from a point until one is
+    accepted are known in advance (_moves), so this ladder is scored in one
+    broadcast _scores call and walked in order to its first accepted move,
+    from which the next ladder starts.  _scores is elementwise, so each
+    score is the one a scalar call gives, and evaluations counts the moves
+    walked: the result is that of scoring one move at a time."""
     x = list(angles)
     fe, fm = _scores(kind, *map(math.radians, x))
-    evals = 0
-    step = step_deg
-    for _ in range(iters):
-        improved = False
-        for i in range(1, 4):
-            for delta in (step, -step):
-                cand = list(x)
-                cand[i] = (cand[i] + delta) % 360.0
-                ce, cm = _scores(kind, *map(math.radians, cand))
-                evals += 1
-                if _beats(ce, cm, fe, fm):
-                    x, fe, fm = cand, ce, cm
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-7:
+    evals, state = 0, (0, 0, step_deg, False)
+    while ladder := list(_moves(*state, iters)):
+        cands = []
+        for _, k, step in ladder:
+            cand = list(x)
+            i = 1 + k // 2
+            cand[i] = (cand[i] + (-step if k % 2 else step)) % 360.0
+            cands.append(cand)
+        e, m = _scores(kind, *np.array([list(map(math.radians, c)) for c in cands]).T)
+        for (it, k, step), cand, ce, cm in zip(ladder, cands, e.tolist(), m.tolist()):
+            evals += 1
+            if _beats(ce, cm, fe, fm):
+                x, fe, fm, state = cand, ce, cm, (it, k + 1, step, True)
                 break
+        else:
+            break
     return (fe, fm, tuple(x)), evals
 
 

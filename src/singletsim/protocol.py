@@ -111,9 +111,10 @@ class ExperimentConfig:
     bank: wt.WatchBank = field(default_factory=wt.WatchBank.default)
     log_events: bool = False
     threads: int = 1
-    # a class constant, not a field: the mean spacing between pitches, much
-    # larger than any hand period so each trial's hand phases are effectively
-    # fresh uniform draws, and increasing in trial id so the log stays ordered
+    # a class constant, not a field: the mean spacing between pitches, at
+    # least every hand period of a watch-driven run (see __post_init__) so
+    # each trial's hand phases are nearly fresh uniform draws, and increasing
+    # in trial id so the log stays ordered
     pitch_gap = 1.0e5
 
     def __post_init__(self):
@@ -134,13 +135,24 @@ class ExperimentConfig:
             raise ValueError(f"the run's last arrival time, epoch + {total} trials * "
                              f"{self.pitch_gap:g} s + time of flight, is {last} s: not finite")
         if self.watch_driven:
+            periods = [p for w in (self.bank.watch_H, self.bank.watch_T)
+                       for p in (w.period_small, w.period_large)]
             # a hand phase is (t - epoch) / period: refuse periods so short
             # that this ratio overflows by the run's last arrival
-            shortest = min(p for w in (self.bank.watch_H, self.bank.watch_T)
-                           for p in (w.period_small, w.period_large))
-            if not np.isfinite((last - epoch) / shortest):
-                raise ValueError(f"watch periods down to {shortest!r} s are too short for "
+            if not np.isfinite((last - epoch) / min(periods)):
+                raise ValueError(f"watch periods down to {min(periods)!r} s are too short for "
                                  "this run: a hand phase overflows by its last arrival")
+            # Given the trial id, a hand of period tau reads the phase
+            # frac(c + j g), with g = pitch_gap / tau and the jitter j uniform
+            # on [0, 1): j g sweeps m = floor(g) whole turns and a part of
+            # one, so the phase's density is (m + 1)/g on that part and m/g
+            # elsewhere, within a factor (m + 1)/m of uniform.  A period above
+            # the gap has m = 0: every trial's phase then spans less than a
+            # turn, and a long run can read nearly one setting throughout.
+            if max(periods) > self.pitch_gap:
+                raise ValueError(f"watch periods up to {max(periods)!r} s are too long for "
+                                 f"free-running settings: a hand period is at most the "
+                                 f"pitch gap, {self.pitch_gap:g} s")
         seen = set()
         for label, _ in self.settings_pairs:
             if label in seen:  # counts.csv keys its rows by pair label

@@ -1052,8 +1052,9 @@ def _flat_law_p(out, kind):
     return chi_square_gof(protocol.CountTable("free-running", kind, None, counts), kind)[1]
 
 
-# watch-driven configs the CLI accepts whose settings do not run free: each
-# must be refused, or its counts must pass the flat law at the bench's floor
+# watch-driven configs whose settings would not run free: each must be
+# refused, or its counts must pass the flat law at the bench's floor; a
+# reason marks a config the CLI still accepts
 FROZEN_SETTINGS = {
     "epoch 1e300": (
         {"model": "A", "trials": 20000, "seed": 1, "watch_driven": True, "epoch": 1e300},
@@ -1063,12 +1064,13 @@ FROZEN_SETTINGS = {
         {"model": "QM", "trials": 20000, "seed": 1, "watch_driven": True,
          "watch_periods": {"H": [1e12, 1.4142135623730951e12],
                            "T": [1.7320508075688772e12, 2.23606797749979e12]}},
-        "ROADMAP item 21: hand periods far above the pitch gap keep c near 1"),
+        None),  # refused: a hand period above the pitch gap keeps c near 1
 }
 
 
 @pytest.mark.parametrize("config", [
-    pytest.param(config, id=name, marks=pytest.mark.xfail(strict=True, reason=reason))
+    pytest.param(config, id=name,
+                 marks=[pytest.mark.xfail(strict=True, reason=reason)] if reason else [])
     for name, (config, reason) in FROZEN_SETTINGS.items()])
 def test_free_running_config_is_refused_or_flat(tmp_path, capsys, config):
     path = tmp_path / "config.json"

@@ -106,6 +106,60 @@ def test_unknown_model_rejected():
         maximize_chsh("X", SearchOptions())
 
 
+@pytest.mark.parametrize("kind", ["A", "B1", "B2", "C", "QM"])
+def test_scores_on_arrays_match_scalar_calls(kind):
+    # the pattern search scores a ladder of moves in one broadcast call, and
+    # is exact only if each score is the scalar call's to the last bit
+    rng = np.random.default_rng(35)
+    degrees = np.concatenate((rng.uniform(0.0, 360.0, size=(4, 400)),
+                              7.5 * rng.integers(0, 48, size=(4, 400))), axis=1)
+    angles = np.array([[math.radians(v) for v in row] for row in degrees])
+    e, m = optimizer._scores(kind, *angles)
+    scalar = [optimizer._scores(kind, *map(float, col)) for col in angles.T]
+    assert np.asarray(e, float).tobytes() == np.array([x for x, _ in scalar], float).tobytes()
+    assert np.asarray(m, float).tobytes() == np.array([y for _, y in scalar], float).tobytes()
+
+
+def sequential_pattern_search(kind, angles, step_deg, iters):
+    """Oracle: the pattern search scoring one move at a time."""
+    x = list(angles)
+    fe, fm = optimizer._scores(kind, *map(math.radians, x))
+    evals = 0
+    step = step_deg
+    for _ in range(iters):
+        improved = False
+        for i in range(1, 4):
+            for delta in (step, -step):
+                cand = list(x)
+                cand[i] = (cand[i] + delta) % 360.0
+                ce, cm = optimizer._scores(kind, *map(math.radians, cand))
+                evals += 1
+                if optimizer._beats(ce, cm, fe, fm):
+                    x, fe, fm = cand, ce, cm
+                    improved = True
+        if not improved:
+            step *= 0.5
+            if step < 1e-7:
+                break
+    return (fe, fm, tuple(x)), evals
+
+
+@pytest.mark.parametrize("kind", ["A", "B1", "B2", "C", "QM"])
+def test_pattern_search_ladder_matches_sequential(kind):
+    rng = np.random.default_rng(36)
+    moved = 0
+    for step in (0.5, 2.5, 7.5, 45.0):
+        for iters in (0, 1, 3, 40):
+            starts = [(0.0, 90.0, 225.0, 135.0), (0.0, 88.0, 44.0, 314.0),
+                      (0.0, *(15.0 * rng.integers(0, 24, size=3))),
+                      (0.0, *rng.uniform(0.0, 360.0, size=3))]
+            for start in starts:
+                got = optimizer._pattern_search(kind, start, step, iters)
+                assert got == sequential_pattern_search(kind, start, step, iters)
+                moved += got[0][2] != start
+    assert moved > 0
+
+
 # maximize_chsh before the scan and the pattern search shared one scorer:
 # (kind, coarse_deg, refine_iters or None for the default, angles_deg, E, evaluations)
 PINNED = [
@@ -245,11 +299,92 @@ def test_block_scan_matches_brute_force_on_plateau_laws(monkeypatch, law, step):
         assert got == want, slices
 
 
+# laws, with a step, on which a block start that skipped too much changed
+# the result (blocks of 7 slices and the default): taking as ties earlier
+# slices whose candidates can sit just over _EPS below j's E, where _beats
+# finds neither a larger E nor a tie, or taking j first without comparing
+# its margin with the caps of earlier slices that it ties
+START_LAWS = {
+    "thirds+1e-12": (lambda c: -np.round(c * 3) / 3 + 1.0e-12 * np.round(c * 5), 12.0),
+    "thirds+0.5e-12": (lambda c: -np.round(c * 3) / 3 + 0.5e-12 * np.round(c * 7), 12.0),
+    "units+1e-12": (lambda c: -np.round(c) + 1.0e-12 * np.round(c * 3), 12.0),
+    "quarters+0.3e-12": (lambda c: -np.round(c * 4) / 4 + 0.3e-12 * np.round(c * 8), 5.0),
+}
+
+
+@pytest.mark.parametrize("law", sorted(START_LAWS))
+def test_block_scan_matches_brute_force_on_block_start_laws(monkeypatch, law):
+    f, step = START_LAWS[law]
+    monkeypatch.setattr(optimizer, "correlator_law", lambda kind, c: f(c))
+    want = brute_force_scan("A", step)
+    for slices, got in block_scans(monkeypatch, "A", step):
+        assert got == want, slices
+
+
+def test_block_scans_take_both_cap_skips(monkeypatch):
+    # at blocks of 3 and of 7 slices, the plateau laws and model C leave out
+    # tie-only slices by their margin caps, and start blocks at a slice whose
+    # candidate ties the candidates of earlier ones
+    taken = {3: [0, 0], 7: [0, 0]}  # block slices: [caps skipped, tie starts]
+    live, takes_over, n = optimizer._live, optimizer._takes_over, None
+
+    def counting_live(top, cap, best, first=0):
+        alive = live(top, cap, best, first)
+        tied = (top >= best[0] - optimizer._EPS - optimizer._SLACK) & (
+            top < best[0] + optimizer._EPS - optimizer._SLACK)
+        if optimizer._BLOCK_CELLS // n in taken:  # the scan's slices per block
+            tally = taken[optimizer._BLOCK_CELLS // n]
+            tally[0] += np.count_nonzero(tied[first:] & ~alive[first:])
+        return alive
+
+    def counting_takes_over(cand_j, before, cap, best, exact):
+        took = takes_over(cand_j, before, cap, best, exact)
+        if optimizer._BLOCK_CELLS // n in taken and took:
+            near = before >= cand_j[3] - optimizer._EPS - optimizer._SLACK
+            taken[optimizer._BLOCK_CELLS // n][1] += bool(near.any())
+        return took
+
+    monkeypatch.setattr(optimizer, "_live", counting_live)
+    monkeypatch.setattr(optimizer, "_takes_over", counting_takes_over)
+    scans = [("A", step, law) for law in sorted(PLATEAU_LAWS) for step in (1.2, 2.4)]
+    for kind, step, law in scans + [("C", 1.0, None), ("C", 2.4, None)]:
+        if law is not None:
+            monkeypatch.setattr(optimizer, "correlator_law",
+                                lambda kind, c, law=law: PLATEAU_LAWS[law](c))
+        else:
+            monkeypatch.setattr(optimizer, "correlator_law", correlator_law)
+        want, n = brute_force_scan(kind, step), round(360.0 / step)
+        for slices, got in block_scans(monkeypatch, kind, step):
+            assert got == want, (kind, step, law, slices)
+    assert all(skipped > 0 and starts > 0 for skipped, starts in taken.values()), taken
+
+
+@pytest.mark.parametrize("law", sorted(PLATEAU_LAWS) + ["A", "B1", "B2", "C", "QM"])
+@pytest.mark.parametrize("step", [2.4, 5.0, 7.2, 15.0])
+def test_margin_cap_bounds_candidate_margin(law, step):
+    # every slice's cap is at least the margin of its brute-force candidate
+    f = PLATEAU_LAWS[law] if law in PLATEAU_LAWS else (lambda c: correlator_law(law, c))
+    rad = np.radians(np.arange(0.0, 360.0, step))
+    c_a = np.cos(0.0 - rad)
+    c_ap = np.cos(rad[:, None] - rad)
+    law_a, law_ap = f(c_a), f(c_ap)
+    r, d = law_a + law_ap, law_a - law_ap
+    r_ext, d_ext = (r.max(axis=1), r.min(axis=1)), (d.max(axis=1), d.min(axis=1))
+    top = np.maximum(r_ext[0] + d_ext[0], -(r_ext[1] + d_ext[1]))
+    cap = optimizer._margin_caps(np.abs(c_a), c_ap, r, d, r_ext, d_ext,
+                                 top - optimizer._EPS - optimizer._SLACK)
+    for i in range(rad.size):
+        e = np.abs(law_a[:, None] + law_ap[i][:, None] + law_a[None, :] - law_ap[i][None, :])
+        pair_m = np.minimum(np.abs(c_a), np.abs(c_ap[i]))
+        m = np.minimum(pair_m[:, None], pair_m[None, :])
+        assert cap[i] >= m[e >= e.max() - optimizer._EPS].max(), i
+
+
 # configurations scored by _coarse_scan(kind, 1.0) at the default 45-slice
 # blocks; the brute force scores 46,656,000, the scan before row selection
-# scored 4,605,120 for C, and the scan slice by slice 97,920 for A, B1, B2
-# and QM and 50,760 for C
-SCORED_AT_ONE_DEGREE = {"A": 2_880, "B1": 2_880, "B2": 2_880, "C": 49_680, "QM": 2_880}
+# scored 4,605,120 for C, the scan slice by slice 97,920 for A, B1, B2 and
+# QM and 50,760 for C, and the scan before margin caps 49,680 for C
+SCORED_AT_ONE_DEGREE = {"A": 2_880, "B1": 2_880, "B2": 2_880, "C": 3_240, "QM": 2_880}
 
 
 @pytest.mark.parametrize("kind", sorted(SCORED_AT_ONE_DEGREE))
@@ -264,6 +399,22 @@ def test_coarse_scan_work_is_bounded(monkeypatch, kind):
     monkeypatch.setattr(optimizer, "chsh_E", counting_chsh_E)
     optimizer._coarse_scan(kind, 1.0)
     assert 0 < sum(scored) <= SCORED_AT_ONE_DEGREE[kind]
+
+
+def test_model_c_scores_four_slices_at_one_degree(monkeypatch):
+    # C's slices tie at E = 4, so before margin caps the scan visited 359 of
+    # its 360 a' slices at 1 degree; now it visits a' = 44, 88, 89 and 90,
+    # and 89 yields no candidate
+    visits, slice_candidate = [], optimizer._slice_candidate
+
+    def counting(*args):
+        cand = slice_candidate(*args)
+        visits.append(cand is not None)
+        return cand
+
+    monkeypatch.setattr(optimizer, "_slice_candidate", counting)
+    optimizer._coarse_scan("C", 1.0)
+    assert visits == [True, True, False, True]
 
 
 @pytest.mark.parametrize("kind", ["A", "B1", "B2", "C", "QM"])

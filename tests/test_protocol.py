@@ -109,6 +109,41 @@ def test_watch_driven_config_refuses_overflowing_hand_phases():
     ExperimentConfig(trials=10, seed=1, settings_pairs=[("x", SettingsPair(Z, Z))], bank=tiny)
 
 
+def _bank_up_to(longest):
+    """A watch bank of pairwise incommensurable periods whose longest is
+    ``longest``, the others below the pitch gap."""
+    gap = ExperimentConfig.pitch_gap
+    return wt.WatchBank(wt.WatchSpec(gap / math.sqrt(3.0), longest),
+                        wt.WatchSpec(gap / math.sqrt(5.0), gap / math.sqrt(7.0)))
+
+
+def test_watch_driven_config_refuses_hand_periods_above_the_pitch_gap():
+    gap = ExperimentConfig.pitch_gap
+    ExperimentConfig(trials=10, seed=1, watch_driven=True, bank=_bank_up_to(gap))
+    above = _bank_up_to(float(np.nextafter(gap, math.inf)))
+    with pytest.raises(ValueError, match="too long for free-running settings: a hand period "
+                                         "is at most the pitch gap, 100000 s"):
+        ExperimentConfig(trials=10, seed=1, watch_driven=True, bank=above)
+    # fixed settings read no watch
+    ExperimentConfig(trials=10, seed=1, settings_pairs=[("x", SettingsPair(Z, Z))], bank=above)
+
+
+@pytest.mark.parametrize("turns", [1.0, 1.5, 2.5, 4.2])
+def test_hand_phase_density_is_within_the_uniformity_bound(turns):
+    # at a fixed trial id, a hand of period pitch_gap / turns reads
+    # frac(c + j * turns) over the jitter j, as _pitch_times spaces the
+    # pitches: its density is within a factor (m + 1)/m of uniform, with
+    # m = floor(turns) >= 1 at every period the config accepts
+    gap = ExperimentConfig.pitch_gap
+    watch = wt.WatchSpec(gap / turns, gap / math.sqrt(2.0), epoch=123.0)
+    jitter = np.random.default_rng(21).random(1 << 19)
+    t = watch.epoch + (98_765 + jitter) * gap
+    density = np.histogram(wt.read_phases_array(watch, t)[0], bins=16, range=(0.0, 1.0))[0] \
+        * 16 / jitter.size
+    m = math.floor(turns)
+    assert m / (m + 1) <= density.min() and density.max() <= (m + 1) / m
+
+
 def test_config_refuses_runs_whose_last_seq_overflows_int64():
     # the last message's seq, 4 * trial id + 3, is an int64, so a run holds
     # at most 2**61 trials over all its streams; the refusal allocates
